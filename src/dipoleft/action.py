@@ -170,7 +170,8 @@ def polarization(
     The metric sector multiplies the cutoff-regularized rank-2 bubble and a
     trace that vanishes at d = 4; the epsilon sector carries the symbolic
     log-divergent bubble.  Pass ``at_dimension=None`` to keep the metric
-    sector's d-dependence explicit.
+    sector's d-dependence explicit.  ``assemble`` derives its one-flavor
+    kernel through this function; per pair it is the direct reference.
     """
     s1, s2 = pair
     sign1 = _combo_sign(flavor, s1)
@@ -257,25 +258,67 @@ def _extract_action_terms(expr: Expression, model: ModelSpec) -> list[ActionTerm
     return out
 
 
-def assemble(model: ModelSpec) -> EffectiveAction:
-    """Sum the polarization over all flavors and ordered slot pairs of each combo.
+# Placeholder slots of the one-flavor kernel; no model file can declare them.
+_KERNEL_SLOTS = ("!a", "!b")
 
-    Returns the action with divergences still symbolic.  Flavor loops are
-    diagonal: cross terms arise only inside one flavor's combo.
+
+def _on_slots(kernel: Expression, a: str, b: str, scale: Coefficient) -> list[Term]:
+    """The kernel's terms moved onto slots (a, b) and multiplied by scale."""
+    names = dict(zip(_KERNEL_SLOTS, (a, b)))
+    return [
+        Term(
+            scale * t.coeff,
+            factors=tuple(
+                replace(f, slot=names[f.slot]) if isinstance(f, FieldSlot) else f
+                for f in t.factors
+            ),
+        )
+        for t in kernel.terms
+    ]
+
+
+def assemble(model: ModelSpec) -> EffectiveAction:
+    """Sum the one-loop polarization over every flavor as a bilinear form.
+
+    A flavor enters the polarization only through its chirality, its mass,
+    its coefficient c and the signs s_i of its combo entries, bilinearly in
+    the two vertices.  So the kernel, the polarization of a unit-coefficient
+    flavor on two placeholder slots, is derived once per distinct
+    (chirality, mass); each flavor then adds the kernel on the slots of
+    every ordered pair (i, j) of its combo entries, times c^2 s_i s_j.
+    Summing over entries rather than slot names makes a combo such as
+    ``F-F`` vanish.  Flavor loops are diagonal: cross terms arise only
+    inside one flavor's combo.
+
+    Returns the action with divergences still symbolic.
     """
     if model.dimension != 4:
         raise ModelError(f"unsupported dimension {model.dimension}")
-    declared = [s.name for s in model.slots]
-    total = Expression.zero()
+    declared = {s.name for s in model.slots}
+    kernels: dict[tuple[int, str], Expression] = {}
+    terms: list[Term] = []
     for flavor in model.flavors:
-        for _, s1 in flavor.combo:
-            for _, s2 in flavor.combo:
-                total = total + polarization(flavor, (s1, s2), declared)
-    total = canonicalize(total)
-    terms = _extract_action_terms(total, model)
+        shape = (flavor.chirality, flavor.mass)
+        if shape not in kernels:
+            unit = FlavorSpec(
+                "kernel",
+                flavor.mass,
+                flavor.chirality,
+                Coefficient.one(),
+                tuple((1, s) for s in _KERNEL_SLOTS),
+            )
+            kernels[shape] = polarization(unit, _KERNEL_SLOTS)
+        for _, name in flavor.combo:
+            if name not in declared:
+                raise ModelError(f"unknown slot name {name!r} in vertex combo")
+        c2 = flavor.coeff * flavor.coeff
+        for s1, a in flavor.combo:
+            for s2, b in flavor.combo:
+                terms += _on_slots(kernels[shape], a, b, c2 * Coefficient.rational(s1 * s2))
+    action_terms = _extract_action_terms(canonicalize(Expression(tuple(terms))), model)
     slot_order = {s.name: n for n, s in enumerate(model.slots)}
-    terms.sort(key=lambda t: (t.structure, slot_order[t.slot_a], slot_order[t.slot_b]))
-    return EffectiveAction(terms=tuple(terms), slots=model.slots)
+    action_terms.sort(key=lambda t: (t.structure, slot_order[t.slot_a], slot_order[t.slot_b]))
+    return EffectiveAction(terms=tuple(action_terms), slots=model.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +329,10 @@ def assemble(model: ModelSpec) -> EffectiveAction:
 def _match_directive(
     coeff: Coefficient, directives: Sequence[AbsorbDirective]
 ) -> Optional[Coefficient]:
-    """Absorb one coupling^2 * mass^2 * I0 bundle into its finite constant."""
+    """Absorb one coupling^2 * mass^2 * I0 bundle into its finite constant.
+
+    A bundle that more than one directive could absorb is a ModelError.
+    """
     consts = dict(coeff.consts)
     bubbles = [n for n in consts if n == "I0" or n.startswith("I0[")]
     if len(bubbles) != 1 or consts[bubbles[0]] != 1:
@@ -295,13 +341,17 @@ def _match_directive(
     mass = "m" if bubble == "I0" else bubble[3:-1]
     if consts.get(mass, 0) < 2:
         return None
-    for directive in directives:
-        if consts.get(directive.coupling, 0) == 2:
-            stripped = coeff.with_consts(
-                **{directive.coupling: -2, mass: -2, bubble: -1}
-            )
-            return stripped * directive.scale.with_consts(**{directive.finite_name: 1})
-    return None
+    matches = [d for d in directives if consts.get(d.coupling, 0) == 2]
+    if not matches:
+        return None
+    if len(matches) > 1:
+        raise ModelError(
+            "ambiguous absorb: one divergent bundle matches the directives for "
+            + " and ".join(repr(d.coupling) for d in matches)
+        )
+    (directive,) = matches
+    stripped = coeff.with_consts(**{directive.coupling: -2, mass: -2, bubble: -1})
+    return stripped * directive.scale.with_consts(**{directive.finite_name: 1})
 
 
 def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) -> EffectiveAction:
@@ -309,7 +359,8 @@ def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) 
 
     The formally divergent rescaling constant never appears explicitly: the
     whole product coupling^2 * mass^2 * I0 is absorbed in one step.  Any
-    divergent term no directive matches is an error.
+    divergent term no directive matches is an error.  Terms that absorption
+    makes alike (flavors of different masses on one slot pair) are merged.
     """
     from .render import render_term_text  # local import to avoid a cycle
 
@@ -326,7 +377,7 @@ def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) 
         new_terms.append(replace(term, coeff=absorbed))
     if residual:
         raise RenormalizationIncompleteError(residual)
-    return EffectiveAction(terms=tuple(new_terms), slots=action.slots)
+    return EffectiveAction(terms=_merge_action_terms(new_terms, action.slots), slots=action.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +386,10 @@ def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) 
 
 
 def _merge_action_terms(terms: Iterable[ActionTerm], slots: tuple[SlotSpec, ...]) -> tuple[ActionTerm, ...]:
+    """The action normal form: like terms merged, zeros dropped, ordered by slots.
+
+    Terms on one slot pair keep the order in which they first appear.
+    """
     order = {s.name: n for n, s in enumerate(slots)}
     buckets: dict[tuple, Coefficient] = {}
     for t in terms:
@@ -345,7 +400,7 @@ def _merge_action_terms(terms: Iterable[ActionTerm], slots: tuple[SlotSpec, ...]
         else:
             buckets[key] = t.coeff
     out = []
-    for (structure, a, b, _), coeff in sorted(buckets.items()):
+    for (structure, a, b, _), coeff in buckets.items():
         if not coeff.is_zero():
             out.append(ActionTerm(coeff, structure, a, b))
     out.sort(key=lambda t: (t.structure, order[t.slot_a], order[t.slot_b]))
@@ -386,6 +441,11 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
         partner = term.slot_b if term.slot_a == b else term.slot_a
         if not action.slot(partner).exact:
             raise NotReducibleError("multiplier must couple to exact field strengths only")
+        if any(name == partner for name, _ in constraint):
+            raise NotReducibleError(
+                f"multiplier slot {b!r} couples to {partner!r} through more than one "
+                "monomial; the substitution ratio would not be a monomial"
+            )
         constraint.append((partner, term.coeff))
     if not constraint:
         return action, False

@@ -78,7 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output_flags(p_reduce)
 
     p_check = sub.add_parser("check-quantization", help="classify time-reversal behavior")
-    p_check.add_argument("--theta", required=True, metavar="<q>pi", help="e.g. 1pi, 1/3pi, -2pi")
+    p_check.add_argument(
+        "--theta",
+        required=True,
+        metavar="<q>pi",
+        help="e.g. 1pi, 1/3pi; give a negative value as --theta=-2pi",
+    )
     p_check.add_argument("--nf", required=True, type=int, help="odd positive flavor number")
 
     p_self = sub.add_parser("selftest", help="run the numeric-oracle suites")
@@ -112,6 +117,8 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
         name, _, value_tok = item.partition("=")
         if not value_tok:
             raise ModelError(f"bad --set argument {item!r}; expected NAME=MONOMIAL")
+        if name not in declared:
+            raise ModelError(f"--set {name!r} names no declared constant, finite name or mass")
         value = parse_monomial(value_tok, declared)
         terms = [replace(t, coeff=t.coeff.substitute_const(name, value)) for t in terms]
     return EffectiveAction(terms=tuple(terms), slots=action.slots)

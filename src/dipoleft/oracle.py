@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .algebra import (
     G5,
@@ -210,6 +209,8 @@ def randomized_equivalence_suite(
 
 def euclidean_scalar_integral(mass: float, cutoff: float) -> float:
     """(1/(16 pi^2)) Int_0^{cutoff^2} du u/(u + mass^2)^2 by adaptive quadrature."""
+    from scipy import integrate  # scipy's only use; deferred to keep import dipoleft light
+
     if not (cutoff > mass > 0):
         raise ValueError("require cutoff > mass > 0")
     m2 = mass * mass

@@ -1,10 +1,14 @@
 """Polarization, assembly, renormalization, multiplier reduction, classifier."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dipoleft import action as action_module
 from dipoleft.algebra import (
     Coefficient,
     Epsilon,
@@ -32,6 +36,7 @@ from dipoleft.action import (
     polarization,
     renormalize,
 )
+from dipoleft.dirac import ModelError
 
 ONE = Coefficient.one()
 
@@ -102,16 +107,20 @@ def test_polarization_epsilon_sector_carries_mass_squared_and_one_epsilon():
             assert term.coeff.const_power(flavor.mass) == 2
 
 
-def theta_model() -> ModelSpec:
+def one_slot_model(*flavors: FlavorSpec) -> ModelSpec:
     return ModelSpec(
         dimension=4,
         slots=(SlotSpec("F", "A"),),
-        flavors=(single_flavor(),),
+        flavors=flavors,
         absorb=(
             AbsorbDirective("alpha", "thetaF", Coefficient.monomial(1, 32, pi=-2)),
         ),
         constants=("alpha", "e"),
     )
+
+
+def theta_model() -> ModelSpec:
+    return one_slot_model(single_flavor())
 
 
 def bf_model() -> ModelSpec:
@@ -171,6 +180,82 @@ def test_assemble_opposite_chirality_pair_cancels():
     assert assemble(model).terms == ()
 
 
+def action_expression(action: EffectiveAction) -> Expression:
+    """The tensor expression an epsilon-sector action stands for."""
+    assert all(t.structure == "epsilon" for t in action.terms)
+    total = Expression.zero()
+    for t in action.terms:
+        total = total + epsilon_pair(t.coeff, t.slot_a, t.slot_b)
+    return canonicalize(total)
+
+
+SLOT_NAMES = ("F", "G", "H")
+
+
+@st.composite
+def kernel_models(draw) -> ModelSpec:
+    n_slots = draw(st.integers(1, 3))
+    slots = tuple(SlotSpec(name, name.lower()) for name in SLOT_NAMES[:n_slots])
+    flavors = []
+    for k in range(draw(st.integers(1, 2))):
+        names = draw(st.permutations(SLOT_NAMES[:n_slots]))[: draw(st.integers(1, n_slots))]
+        flavors.append(
+            FlavorSpec(
+                name=f"psi{k}",
+                mass=draw(st.sampled_from(["m", "M", "0"])),
+                chirality=draw(st.sampled_from([+1, -1])),
+                coeff=Coefficient.monomial(
+                    draw(st.integers(1, 3)), draw(st.integers(1, 4)), **{f"g{k}": 1}
+                ),
+                combo=tuple((draw(st.sampled_from([+1, -1])), n) for n in names),
+            )
+        )
+    return ModelSpec(dimension=4, slots=slots, flavors=tuple(flavors))
+
+
+@settings(max_examples=25, deadline=None)
+@given(kernel_models())
+def test_assemble_equals_sum_of_direct_polarizations(model):
+    declared = [s.name for s in model.slots]
+    direct = Expression.zero()
+    for flavor in model.flavors:
+        for _, a in flavor.combo:
+            for _, b in flavor.combo:
+                direct = direct + polarization(flavor, (a, b), declared)
+    assert action_expression(assemble(model)) == canonicalize(direct)
+
+
+def test_assemble_combo_f_minus_f_vanishes():
+    flavor = replace(single_flavor(), combo=((1, "F"), (-1, "F")))
+    assert assemble(one_slot_model(flavor)).terms == ()
+
+
+def test_assemble_combo_f_plus_f_is_four_times_f():
+    doubled = assemble(one_slot_model(replace(single_flavor(), combo=((1, "F"), (1, "F")))))
+    single = assemble(theta_model())
+    assert doubled == single.scaled(Coefficient.rational(4))
+
+
+def test_assemble_derives_one_kernel_per_chirality_and_mass(monkeypatch):
+    calls = []
+    direct = action_module.polarization
+
+    def counting(flavor, pair, *args, **kwargs):
+        calls.append((flavor.chirality, flavor.mass))
+        return direct(flavor, pair, *args, **kwargs)
+
+    monkeypatch.setattr(action_module, "polarization", counting)
+    model = bf_model()  # six flavors, each with a two-slot combo
+    assemble(model)
+    assert sorted(calls) == [(-1, "m"), (1, "m")]
+
+
+def test_assemble_rejects_undeclared_combo_slot():
+    flavor = replace(single_flavor(), combo=((1, "F"), (1, "G")))
+    with pytest.raises(ModelError, match="unknown slot name 'G'"):
+        assemble(one_slot_model(flavor))
+
+
 def test_renormalize_theta_model():
     model = theta_model()
     action = renormalize(assemble(model), model.absorb)
@@ -186,6 +271,33 @@ def test_renormalize_missing_directive_names_the_term():
     with pytest.raises(RenormalizationIncompleteError) as info:
         renormalize(action, model.absorb[:1])  # only the lambda directive
     assert "beta" in str(info.value)
+
+
+def test_renormalize_merges_flavors_of_different_masses():
+    # masses m and M give distinct bundles that absorb into one finite term
+    heavy = replace(single_flavor(), name="chi", mass="M")
+    model = one_slot_model(single_flavor(), heavy)
+    action = renormalize(assemble(model), model.absorb)
+    assert action.terms == (
+        ActionTerm(Coefficient.monomial(1, 16, pi=-2, e=2, thetaF=1), "epsilon", "F", "F"),
+    )
+
+
+def test_renormalize_rejects_ambiguous_absorb():
+    flavor = FlavorSpec("psi", "m", +1, Coefficient.monomial(1, 1, a=1, b=1), ((1, "F"),))
+    model = ModelSpec(
+        dimension=4,
+        slots=(SlotSpec("F", "A"),),
+        flavors=(flavor,),
+        absorb=(
+            AbsorbDirective("a", "Na", ONE),
+            AbsorbDirective("b", "Nb", ONE),
+        ),
+        constants=("a", "b"),
+    )
+    with pytest.raises(ModelError, match="ambiguous absorb") as info:
+        renormalize(assemble(model), model.absorb)
+    assert "'a'" in str(info.value) and "'b'" in str(info.value)
 
 
 def test_renormalize_keeps_finite_terms():
@@ -229,6 +341,20 @@ def test_eliminate_bf_rejects_metric_sector_coupling():
         slots=(SlotSpec("F", "A"), SlotSpec("b", None)),
     )
     with pytest.raises(NotReducibleError):
+        eliminate_bf(action)
+
+
+def test_eliminate_bf_rejects_doubly_fed_partner():
+    # two monomials on (f, b): the ratio for the substitution is not a monomial
+    action = EffectiveAction(
+        terms=(
+            ActionTerm(ONE.with_consts(LambdaF=1), "epsilon", "F", "b"),
+            ActionTerm(ONE.with_consts(LambdaF=1), "epsilon", "f", "b"),
+            ActionTerm(ONE.with_consts(CF=1), "epsilon", "f", "b"),
+        ),
+        slots=(SlotSpec("F", "A"), SlotSpec("f", "a"), SlotSpec("b", None)),
+    )
+    with pytest.raises(NotReducibleError, match="more than one monomial"):
         eliminate_bf(action)
 
 

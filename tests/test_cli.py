@@ -115,6 +115,83 @@ def test_reduce_bf_noop_notice(capsys, theta_model_path):
     assert out.strip().startswith("(1/32)")
 
 
+THETA_HEADER = (
+    "dim 4\nconstant e real positive\nconstant alpha real\nslot F exact A\n"
+)
+
+
+def test_compute_merges_flavors_of_different_masses(tmp_path, capsys):
+    model = tmp_path / "two_masses.eft"
+    model.write_text(
+        THETA_HEADER
+        + "flavor psi mass m chirality + coeff e*alpha/2 combo F\n"
+        + "flavor chi mass M chirality + coeff e*alpha/2 combo F\n"
+        + "absorb alpha^2 as thetaF scale 1/32/pi^2\n"
+    )
+    code, out, _ = run(capsys, "compute", str(model))
+    assert code == 0
+    assert out.splitlines() == [
+        "(1/16) * e^2 * thetaF * pi^-2 * eps[mu nu rho sigma] F[mu nu] F[rho sigma]"
+    ]
+
+
+def test_compute_combo_f_minus_f_is_empty(tmp_path, capsys):
+    model = tmp_path / "cancel.eft"
+    model.write_text(
+        THETA_HEADER
+        + "flavor psi mass m chirality + coeff e*alpha/2 combo F-F\n"
+        + "absorb alpha^2 as thetaF scale 1/32/pi^2\n"
+    )
+    code, out, _ = run(capsys, "compute", str(model))
+    assert code == 0
+    assert out == ""
+
+
+def test_compute_ambiguous_absorb_exit_code(tmp_path, capsys):
+    model = tmp_path / "ambiguous.eft"
+    model.write_text(
+        "dim 4\nconstant a real\nconstant b real\nslot F exact A\n"
+        "flavor psi mass m chirality + coeff a*b combo F\n"
+        "absorb a^2 as Na scale 1\nabsorb b^2 as Nb scale 1\n"
+    )
+    code, out, err = run(capsys, "compute", str(model))
+    assert code == 1
+    assert out == ""
+    assert "ambiguous absorb" in err and "'a'" in err and "'b'" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_reduce_bf_rejects_doubly_fed_partner(tmp_path, capsys, bf_model_path, fmt):
+    # f+b is fed by both lambda and beta: the multiplier ratio is not a monomial
+    text = bf_model_path.read_text().replace(
+        "absorb lambda^2",
+        "flavor psi7 mass m chirality + coeff beta/2 combo f+b\n"
+        "flavor psi8 mass m chirality - coeff beta/2 combo f-b\n"
+        "absorb lambda^2",
+    )
+    model = tmp_path / "bf_doubly_fed.eft"
+    model.write_text(text)
+    code, out, err = run(capsys, "reduce-bf", str(model), "--format", fmt)
+    assert code == 1
+    assert out == ""  # no term on the dropped slot f
+    assert "more than one monomial" in err
+
+
+def test_set_unknown_name_exit_code(capsys, theta_model_path):
+    code, out, err = run(capsys, "compute", str(theta_model_path), "--set", "thetaFF=2")
+    assert code == 1
+    assert out == ""
+    assert "thetaFF" in err
+
+
+def test_check_quantization_negative_theta(capsys):
+    code, out, _ = run(capsys, "check-quantization", "--theta=-2pi", "--nf", "3")
+    assert code == 0 and "theta = -2 pi" in out
+    with pytest.raises(SystemExit):
+        main(["check-quantization", "--help"])
+    assert "--theta=-2pi" in capsys.readouterr().out
+
+
 def test_check_quantization_outputs(capsys):
     code, out, _ = run(capsys, "check-quantization", "--theta", "1pi", "--nf", "1")
     assert code == 0 and "TRI-nontrivial" in out

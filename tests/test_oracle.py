@@ -1,6 +1,10 @@
 """Gamma representation invariants, equivalence suite, radial integral."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +88,13 @@ def test_log_slope_matches_pole_normalization():
     slope = log_slope()
     target = 1.0 / (8 * math.pi**2)
     assert abs(slope - target) / target < 0.01
+
+
+def test_import_loads_oracle_but_defers_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, dipoleft; print('dipoleft.oracle' in sys.modules, 'scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == ["True", "False"]
