@@ -412,7 +412,15 @@ def _scan_sort_key(f: TensorFactor) -> tuple:
 
 
 def canonicalize_term(term: Term) -> Optional[Term]:
-    """Canonical form of a single term; None when it is identically zero."""
+    """Canonical form of a single term; None when it is identically zero.
+
+    Per-factor index conventions are applied first.  A term without dummy
+    labels (labels occurring twice) is then final up to the order of its
+    factors.  Only a term with dummies runs the relabel loop: dummies are
+    renamed $0, $1, ... in scan order and the conventions reapplied, until
+    a pass leaves the term unchanged; a term already in canonical form
+    stops after one pass.
+    """
     if term.coeff.is_zero():
         return None
     normalized = _local_normalize(term)
@@ -420,7 +428,9 @@ def canonicalize_term(term: Term) -> Optional[Term]:
         return None
     term = normalized
     dummies = _validate_arity(term)
-    previous = None
+    if not dummies:
+        return replace(term, factors=tuple(sorted(term.factors, key=_scan_sort_key)))
+    previous = (term.factors, term.word, term.coeff.re, term.coeff.im)
     for _ in range(16):
         mapping: dict[str, str] = {}
 

@@ -10,7 +10,8 @@ Directives:
     absorb <constant>^2 as <name> [scale <rational>[/pi^<k>]]
 
 '#' starts a comment.  Constants must be declared before use; reserved
-engine names cannot be declared.
+engine names cannot be declared.  A mass symbol may not be the name of a
+constant, and a constant has at most one absorb directive.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def parse_model(text: str) -> ModelSpec:
     slots: list[SlotSpec] = []
     flavors: list[FlavorSpec] = []
     absorb: list[AbsorbDirective] = []
+    absorb_lines: dict[str, int] = {}
+    mass_lines: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,6 +151,14 @@ def parse_model(text: str) -> ModelSpec:
                 continue
             if name in constants:
                 diags.add("duplicate-constant", line_no, f"constant {name!r} already declared", raw)
+                continue
+            if name in mass_lines:
+                diags.add(
+                    "name-clash",
+                    line_no,
+                    f"constant {name!r} is the mass symbol of line {mass_lines[name]}",
+                    raw,
+                )
                 continue
             for flag in tokens[2:]:
                 if flag not in ("real", "positive"):
@@ -189,6 +200,9 @@ def parse_model(text: str) -> ModelSpec:
             if mass != "0" and (not _IDENT.match(mass) or mass in RESERVED_NAMES):
                 diags.add("reserved-name", line_no, f"bad mass symbol {mass!r}", raw)
                 continue
+            if mass in constants:
+                diags.add("name-clash", line_no, f"mass symbol {mass!r} is a declared constant", raw)
+                continue
             if chir_tok not in ("+", "-"):
                 diags.add("syntax", line_no, "chirality must be + or -", raw)
                 continue
@@ -207,6 +221,7 @@ def parse_model(text: str) -> ModelSpec:
             if missing:
                 diags.add("unknown-slot", line_no, f"combo references undeclared slot(s) {missing}", raw)
                 continue
+            mass_lines.setdefault(mass, line_no)
             flavors.append(
                 FlavorSpec(
                     name=name,
@@ -233,6 +248,14 @@ def parse_model(text: str) -> ModelSpec:
             if finite in RESERVED_NAMES:
                 diags.add("reserved-name", line_no, f"{finite!r} is reserved by the engine", raw)
                 continue
+            if coupling in absorb_lines:
+                diags.add(
+                    "duplicate-absorb",
+                    line_no,
+                    f"constant {coupling!r} is already absorbed on line {absorb_lines[coupling]}",
+                    raw,
+                )
+                continue
             scale = Coefficient.one()
             if scale_tok is not None:
                 try:
@@ -240,6 +263,7 @@ def parse_model(text: str) -> ModelSpec:
                 except (ValueError, ZeroDivisionError) as exc:
                     diags.add("bad-scale", line_no, f"bad scale {scale_tok!r}: {exc}", raw)
                     continue
+            absorb_lines[coupling] = line_no
             absorb.append(AbsorbDirective(coupling=coupling, finite_name=finite, scale=scale))
 
         else:

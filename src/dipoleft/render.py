@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .action import ActionTerm, EffectiveAction, EPSILON_SECTOR, SlotSpec
+from .action import ActionTerm, EffectiveAction, EPSILON_SECTOR, METRIC_SECTOR, SlotSpec
 from .algebra import Coefficient
 
 FIELD_STRENGTH = "field-strength"
@@ -226,6 +226,8 @@ def render_structured(action: EffectiveAction, form: str = FIELD_STRENGTH) -> di
 
 
 def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
+    """Rebuild an action from its structured form; RenderError when the form
+    names an unknown tensor or a term slot that ``slots`` does not list."""
     if obj.get("schema") != 1:
         raise RenderError(f"unsupported schema {obj.get('schema')!r}")
     slots = tuple(
@@ -233,17 +235,26 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
         for s in obj["slots"]
     )
     action = EffectiveAction(terms=(), slots=slots)
+    declared = {s.name for s in slots}
     terms = []
     form = obj.get("form", FIELD_STRENGTH)
     for entry in obj["terms"]:
         coeff = _coefficient_from_structured(entry["coefficient"])
+        tensor = entry["tensor"]
+        if tensor not in (EPSILON_SECTOR, METRIC_SECTOR):
+            raise RenderError(
+                f"unknown tensor {tensor!r}; expected {EPSILON_SECTOR!r} or {METRIC_SECTOR!r}"
+            )
         a, b = entry["slots"]
+        undeclared = [s for s in (a, b) if s not in declared]
+        if undeclared:
+            raise RenderError(f"term slot(s) {undeclared} not listed in slots")
         entry_form = entry.get("form", form)
         _check_form(entry_form)
         if entry_form == POTENTIAL:
             doubling = sum(1 for s in (a, b) if action.slot(s).exact)
             coeff = coeff.gaussian_scaled(Fraction(1, 2**doubling))
-        terms.append(ActionTerm(coeff, entry["tensor"], a, b))
+        terms.append(ActionTerm(coeff, tensor, a, b))
     return EffectiveAction(terms=tuple(terms), slots=slots), form
 
 

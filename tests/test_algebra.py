@@ -116,6 +116,35 @@ def test_canonicalize_commutes_with_term_reordering(perm, labels):
     assert canonicalize(Expression(tuple(terms))) == canonicalize(Expression(tuple(shuffled)))
 
 
+def _pipeline_shape_factors(shape, labels):
+    """eps X Y and eps X X with four dummies, or a dummy-free product."""
+    i, j, k, l, m, n = labels
+    if shape == "eps X Y":
+        return [Epsilon((i, j, k, l)), FieldSlot("F", i, j), FieldSlot("b", k, l)]
+    if shape == "eps X X":
+        return [Epsilon((i, j, k, l)), FieldSlot("F", i, k), FieldSlot("F", j, l)]
+    return [Epsilon((i, j, k, l)), Metric(n, m), FieldSlot("F", "z", "w"), Momentum("p", "y")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from(["eps X Y", "eps X X", "free"]),
+    labels=st.permutations(["a", "b", "c", "d", "e", "f"]),
+    order=st.permutations(range(4)),
+    sign=st.sampled_from([1, -1]),
+)
+def test_canonical_form_is_idempotent_and_ignores_factor_order(shape, labels, order, sign):
+    factors = _pipeline_shape_factors(shape, labels)
+    shuffled = [factors[i] for i in order if i < len(factors)]
+    coeff = Coefficient.rational(sign)
+    once = canonicalize(Expression.of(Term(coeff, factors=tuple(factors))))
+    assert canonicalize(once) == once
+    assert canonicalize(Expression.of(Term(coeff, factors=tuple(shuffled)))) == once
+    reference = _pipeline_shape_factors(shape, ["a", "b", "c", "d", "e", "f"])
+    if shape != "free":  # dummies renamed: the same tensor, the same form
+        assert once == canonicalize(Expression.of(Term(coeff, factors=tuple(reference))))
+
+
 def test_contract_metric_chain():
     # eta(mu,nu) eta(nu,rho) with nu dummy -> eta(mu,rho)
     expr = expr_of(Term(ONE, factors=(Metric("mu", "nu"), Metric("nu", "rho"))))

@@ -160,6 +160,37 @@ def test_compute_ambiguous_absorb_exit_code(tmp_path, capsys):
     assert "ambiguous absorb" in err and "'a'" in err and "'b'" in err
 
 
+def test_compute_duplicate_absorb_is_a_parse_diagnostic(tmp_path, capsys, theta_model_path):
+    text = theta_model_path.read_text() + "absorb alpha^2 as thetaG scale 1/32/pi^2\n"
+    model = tmp_path / "twice_absorbed.eft"
+    model.write_text(text)
+    code, out, err = run(capsys, "compute", str(model))
+    assert code == 1
+    assert out == ""
+    assert f"line {len(text.splitlines())}: duplicate-absorb" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"mass m": "mass e"},
+        {"mass m": "mass e", "e*alpha/2": "e/2", "alpha^2": "e^2"},
+    ],
+    ids=["mass-e", "mass-e-absorbed"],
+)
+def test_compute_rejects_mass_named_like_a_constant(tmp_path, capsys, theta_model_path, edit):
+    text = theta_model_path.read_text()
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    model = tmp_path / "mass_clash.eft"
+    model.write_text(text)
+    flavor_line = next(n for n, line in enumerate(text.splitlines(), 1) if line.startswith("flavor"))
+    code, out, err = run(capsys, "compute", str(model))
+    assert code == 1
+    assert out == ""
+    assert f"line {flavor_line}: name-clash" in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_reduce_bf_rejects_doubly_fed_partner(tmp_path, capsys, bf_model_path, fmt):
     # f+b is fed by both lambda and beta: the multiplier ratio is not a monomial

@@ -17,6 +17,7 @@ from dipoleft.algebra import (
     canonicalize,
     contract,
     gamma,
+    normalize_word,
     substitute_dimension,
 )
 from dipoleft.dirac import (
@@ -157,6 +158,81 @@ def test_symbolic_traces_match_matrix_oracle_on_random_words():
         )
         num = numeric_trace(word_t, assignment)
         assert abs(sym - num) <= 1e-10 * max(1.0, abs(num))
+
+
+# The recursive construction trace_word used before it enumerated pairings
+# directly: nested Expression products, summed level by level.  Kept here
+# only as a reference for the flat enumeration.
+
+
+def _product_pairing_trace(labels):
+    if not labels:
+        return Expression.scalar(Coefficient.rational(4))
+    first, rest = labels[0], labels[1:]
+    out = Expression.zero()
+    sign = 1
+    for j, partner in enumerate(rest):
+        metric = Expression.of(
+            Term(Coefficient.rational(sign), factors=(Metric(first, partner),))
+        )
+        out = out + metric * _product_pairing_trace(rest[:j] + rest[j + 1 :])
+        sign = -sign
+    return out
+
+
+def _product_g5_trace(labels, depth=0):
+    if len(labels) < 4:
+        return Expression.zero()
+    if len(labels) == 4:
+        return Expression.of(Term(Coefficient.imaginary(-4), factors=(Epsilon(labels),)))
+    a, b, c = labels[:3]
+    rest = labels[3:]
+    out = Expression.zero()
+    for coeff, pair, keep in ((ONE, (a, b), c), (Coefficient.rational(-1), (a, c), b), (ONE, (b, c), a)):
+        metric = Expression.of(Term(coeff, factors=(Metric(*pair),)))
+        out = out + metric * _product_g5_trace((keep,) + rest, depth + 1)
+    aux = f"!t{depth}"
+    eps_term = Expression.of(Term(Coefficient.imaginary(-1), factors=(Epsilon((a, b, c, aux)),)))
+    return out + eps_term * _product_pairing_trace((aux,) + rest)
+
+
+def _product_trace_word(word):
+    sign, normalized = normalize_word(word)
+    labels = tuple(letter[1] for letter in normalized if letter != G5)
+    if len(labels) % 2:
+        return Expression.zero()
+    has_g5 = bool(normalized) and normalized[-1] == G5
+    result = _product_g5_trace(labels) if has_g5 else _product_pairing_trace(labels)
+    return canonicalize(-result if sign < 0 else result)
+
+
+@st.composite
+def gamma_words(draw):
+    """Words of 0-8 gammas, each label used at most twice, with 0-2 g5."""
+    length = draw(st.integers(min_value=0, max_value=8))
+    labels = draw(st.permutations(["a", "a", "b", "b", "c", "c", "d", "d", "e", "f"]))[:length]
+    word = [gamma(label) for label in labels]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        word.insert(draw(st.integers(min_value=0, max_value=len(word))), G5)
+    return tuple(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word=gamma_words(), symbolic=st.booleans())
+def test_trace_word_matches_recursive_product_construction(word, symbolic):
+    odd_g5 = sum(1 for letter in word if letter == G5) % 2
+    scheme = SYMBOLIC_DIM if symbolic and not odd_g5 else FOUR_DIM
+    assert repr(trace_word(word, scheme)) == repr(_product_trace_word(word))
+
+
+@pytest.mark.parametrize(
+    "length, g5, terms",
+    [(0, 0, 1), (2, 0, 1), (4, 0, 3), (6, 0, 15), (8, 0, 105), (10, 0, 945),
+     (4, 1, 1), (6, 1, 6), (8, 1, 33), (10, 1, 204)],
+)
+def test_trace_word_term_counts(length, g5, terms):
+    word = tuple(gamma(f"x{k}") for k in range(length)) + (G5,) * g5
+    assert len(trace_word(word, FOUR_DIM if g5 else SYMBOLIC_DIM).terms) == terms
 
 
 # ---------------------------------------------------------------------------

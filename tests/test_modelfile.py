@@ -128,3 +128,28 @@ def test_diagnostics_accumulate_with_line_numbers():
     assert ("unsupported-dimension", 1) in codes
     assert ("reserved-name", 2) in codes
     assert ("duplicate-slot", 4) in codes
+
+
+THETA = (
+    "dim 4\nconstant e real positive\nconstant alpha real\nslot F exact A\n"
+    "flavor psi mass m chirality + coeff e*alpha/2 combo F\n"
+    "absorb alpha^2 as thetaF scale 1/32/pi^2\n"
+)
+
+
+def test_duplicate_absorb_cites_second_line():
+    codes = _codes(THETA + "absorb alpha^2 as thetaG scale 1/32/pi^2\n")
+    assert codes == [("duplicate-absorb", 7)]
+
+
+def test_mass_symbol_may_not_be_a_constant():
+    assert _codes(THETA.replace("mass m", "mass e")) == [("name-clash", 5)]
+
+
+def test_mass_symbol_equal_to_absorbed_coupling_is_rejected():
+    text = THETA.replace("mass m", "mass e").replace("e*alpha/2", "e/2").replace("alpha^2", "e^2")
+    assert _codes(text) == [("name-clash", 5)]
+
+
+def test_constant_may_not_reuse_an_earlier_mass_symbol():
+    assert _codes(THETA + "constant m\n") == [("name-clash", 7)]

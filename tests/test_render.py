@@ -125,3 +125,37 @@ def test_mixed_gaussian_coefficient_rejected():
 def test_unknown_form_rejected(theta_action):
     with pytest.raises(RenderError):
         render_text(theta_action, "momentum")
+
+
+def _payload_with(**term_fields):
+    term = {
+        "coefficient": {"num": 1, "den": 2, "i_power": 0, "pi_power": 0, "constants": {}},
+        "tensor": "epsilon",
+        "slots": ["F", "F"],
+        "form": FIELD_STRENGTH,
+    } | term_fields
+    return {
+        "schema": 1,
+        "form": FIELD_STRENGTH,
+        "slots": [
+            {"name": "F", "kind": "exact", "potential": "A"},
+            {"name": "G", "kind": "fundamental"},
+        ],
+        "terms": [term],
+    }
+
+
+def test_structured_unknown_tensor_rejected():
+    with pytest.raises(RenderError, match="'bogus'"):
+        structured_to_action(_payload_with(tensor="bogus", slots=["F", "G"]))
+
+
+def test_structured_undeclared_slot_rejected():
+    with pytest.raises(RenderError, match="'H'"):
+        structured_to_action(_payload_with(slots=["F", "H"]))
+
+
+def test_structured_declared_slots_and_tensors_accepted():
+    for tensor in ("epsilon", "metric"):
+        action, _ = structured_to_action(_payload_with(tensor=tensor, slots=["F", "G"]))
+        assert action.terms == (ActionTerm(Coefficient.rational(1, 2), tensor, "F", "G"),)
