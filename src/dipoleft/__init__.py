@@ -1,8 +1,8 @@
 """Exact one-loop effective actions for dipole-coupled neutral fermions.
 
 A small computer-algebra engine: exact tensor expressions, gamma-matrix
-traces (with a strictly four-dimensional g5 sector), the tabulated
-one-loop bubbles in dimensional and cutoff regularization, assembly and
+traces (with a strictly four-dimensional g5 sector), the two one-loop
+bubbles at zero external momentum, assembly and
 renormalization of the two-point effective action, reduction of
 multiplier-field actions, and a floating-point oracle validating every
 symbolic rule.
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .algebra import (
     Coefficient,
-    DerivSlot,
     Epsilon,
     Expression,
     FieldSlot,
@@ -38,20 +37,13 @@ from .dirac import (
     trace_word,
 )
 from .loops import (
-    CUTOFF,
-    DIMREG,
-    GammaForm,
-    LoopIntegral,
-    NotInTableError,
     UnsupportedReductionError,
     cutoff_scalar_closed_form,
     cutoff_scalar_leading,
     cutoff_tensor_bracket,
     evaluate_cutoff,
-    evaluate_dimreg,
+    integrate,
     laurent_expand,
-    pole_part,
-    symmetric_reduce,
 )
 from .action import (
     AbsorbDirective,

@@ -30,7 +30,7 @@ from .algebra import (
     substitute_dimension,
 )
 from .dirac import FOUR_DIM, SYMBOLIC_DIM, ModelError, expand_vertex, trace
-from .loops import CUTOFF, LoopIntegral, evaluate_cutoff
+from .loops import integrate
 
 EPSILON_SECTOR = "epsilon"
 METRIC_SECTOR = "metric"
@@ -133,11 +133,6 @@ class EffectiveAction:
         )
 
 
-def bubble_symbol(mass: str) -> str:
-    """Name of the symbolic log-divergent bubble for a given mass symbol."""
-    return "I0" if mass == "m" else f"I0[{mass}]"
-
-
 def is_divergent(coeff: Coefficient) -> bool:
     consts = dict(coeff.consts)
     if any(name == "I0" or name.startswith("I0[") for name in consts):
@@ -191,20 +186,9 @@ def polarization(
     product = product * v2 * _propagator_numerator(flavor.mass, q2)
     product = product.scaled(prefactor)
 
-    reduced = Expression.zero()
-    bubble = Coefficient.imaginary(1).with_consts(**{bubble_symbol(flavor.mass): 1})
-    for term in canonicalize(product).terms:
-        momenta = [f for f in term.factors if isinstance(f, Momentum)]
-        if len(momenta) % 2 == 1:
-            continue  # odd integrand at zero external momentum
-        if len(momenta) == 0:
-            # scalar bubble: Int d^4p/(2pi)^4 (p^2-m^2)^-2 = i * I0
-            reduced = reduced + Expression.of(replace(term, coeff=bubble * term.coeff))
-        elif len(momenta) == 2:
-            marker = LoopIntegral(n1=2, scheme=CUTOFF, mass=flavor.mass)
-            reduced = reduced + evaluate_cutoff(replace(term, loop=marker))
-        else:  # pragma: no cover - vertex structure caps the rank at 2
-            raise ModelError("unexpected numerator rank above 2")
+    reduced = Expression(
+        tuple(t for term in canonicalize(product).terms for t in integrate(term, flavor.mass).terms)
+    )
 
     with_g5 = Expression(tuple(t for t in reduced.terms if t.word and G5 in t.word))
     without_g5 = Expression(tuple(t for t in reduced.terms if not (t.word and G5 in t.word)))
@@ -316,9 +300,7 @@ def assemble(model: ModelSpec) -> EffectiveAction:
             for s2, b in flavor.combo:
                 terms += _on_slots(kernels[shape], a, b, c2 * Coefficient.rational(s1 * s2))
     action_terms = _extract_action_terms(canonicalize(Expression(tuple(terms))), model)
-    slot_order = {s.name: n for n, s in enumerate(model.slots)}
-    action_terms.sort(key=lambda t: (t.structure, slot_order[t.slot_a], slot_order[t.slot_b]))
-    return EffectiveAction(terms=tuple(action_terms), slots=model.slots)
+    return EffectiveAction(terms=_merge_action_terms(action_terms, model.slots), slots=model.slots)
 
 
 # ---------------------------------------------------------------------------

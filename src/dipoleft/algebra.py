@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 # Names the engine owns; model files may not declare them as constants.
-RESERVED_NAMES = frozenset({"pi", "I0", "Z", "d", "eps", "gammaE"})
+RESERVED_NAMES = frozenset({"pi", "I0", "Z", "d", "eps", "gammaE", "Lambda"})
 
 # Formal logarithm atoms closed under the algebra in scope.
 LOG_MU = "log(mu^2/m^2)"
@@ -191,20 +191,11 @@ class FieldSlot:
     j: str
 
 
-@dataclass(frozen=True)
-class DerivSlot:
-    """Derivative-of-potential component d_i V_j; carries no index symmetry."""
-
-    slot: str
-    i: str
-    j: str
-
-
-TensorFactor = Union[Metric, Epsilon, Momentum, FieldSlot, DerivSlot]
+TensorFactor = Union[Metric, Epsilon, Momentum, FieldSlot]
 
 # Scan order for canonical dummy naming: structure-rich factors anchor first,
 # fully antisymmetric anonymous factors last.
-_SCAN_CLASS = {FieldSlot: 0, DerivSlot: 1, Momentum: 2, Metric: 3, Epsilon: 4}
+_SCAN_CLASS = {FieldSlot: 0, Momentum: 1, Metric: 2, Epsilon: 3}
 
 
 def _factor_labels(f: TensorFactor) -> tuple[str, ...]:
@@ -218,7 +209,7 @@ def _factor_labels(f: TensorFactor) -> tuple[str, ...]:
 
 
 def _factor_name(f: TensorFactor) -> str:
-    if isinstance(f, (FieldSlot, DerivSlot)):
+    if isinstance(f, FieldSlot):
         return f.slot
     if isinstance(f, Momentum):
         return f.name
@@ -235,9 +226,7 @@ def _relabel_factor(f: TensorFactor, mapping: Mapping[str, str]) -> TensorFactor
         return Epsilon(tuple(m(x) for x in f.idx))
     if isinstance(f, Momentum):
         return Momentum(f.name, m(f.i))
-    if isinstance(f, FieldSlot):
-        return FieldSlot(f.slot, m(f.i), m(f.j))
-    return DerivSlot(f.slot, m(f.i), m(f.j))
+    return FieldSlot(f.slot, m(f.i), m(f.j))
 
 
 def _sort_with_parity(labels: Iterable[str]) -> tuple[tuple[str, ...], int]:
@@ -296,7 +285,6 @@ class Term:
     coeff: Coefficient
     factors: tuple[TensorFactor, ...] = ()
     word: Optional[Word] = None
-    loop: Optional["object"] = None  # LoopIntegral marker; opaque to this module
 
     def labels(self) -> Iterator[str]:
         for f in self.factors:
@@ -305,7 +293,7 @@ class Term:
             yield from word_labels(self.word)
 
     def structural_key(self) -> tuple:
-        return (self.factors, self.word, self.loop, self.coeff.monomial_key())
+        return (self.factors, self.word, self.coeff.monomial_key())
 
 
 @dataclass(frozen=True)
@@ -340,8 +328,6 @@ class Expression:
         out = []
         for a in self.terms:
             for b in other.terms:
-                if a.loop is not None and b.loop is not None:
-                    raise ExpressionError("product would carry two loop-integral markers")
                 b = _shift_internal_dummies(a, b)
                 word: Optional[Word] = None
                 if a.word is not None or b.word is not None:
@@ -351,7 +337,6 @@ class Expression:
                         coeff=a.coeff * b.coeff,
                         factors=a.factors + b.factors,
                         word=word,
-                        loop=a.loop if a.loop is not None else b.loop,
                     )
                 )
         return Expression(tuple(out))
@@ -392,7 +377,7 @@ def _local_normalize(term: Term) -> Optional[Term]:
         sign, word = normalize_word(word)
         if sign < 0:
             coeff = -coeff
-    return Term(coeff=coeff, factors=tuple(factors), word=word, loop=term.loop)
+    return Term(coeff=coeff, factors=tuple(factors), word=word)
 
 
 def _validate_arity(term: Term) -> set[str]:
@@ -452,7 +437,7 @@ def canonicalize_term(term: Term) -> Optional[Term]:
                 letter if letter == G5 else gamma(mapping.get(letter[1], letter[1]))
                 for letter in new_word
             )
-        term = Term(coeff=term.coeff, factors=new_factors, word=new_word, loop=term.loop)
+        term = Term(coeff=term.coeff, factors=new_factors, word=new_word)
         term = _local_normalize(term)
         if term is None:
             return None
@@ -490,11 +475,10 @@ def canonicalize(expr: Expression) -> Expression:
 
 
 def _term_order_key(key: tuple) -> tuple:
-    factors, word, loop, monomial = key
+    factors, word, monomial = key
     return (
         tuple((type(f).__name__, _factor_name(f), _factor_labels(f)) for f in factors),
         word or (),
-        repr(loop),
         monomial,
     )
 
@@ -541,7 +525,7 @@ def _contract_term(term: Term) -> Optional[Term]:
                     break
             if changed:
                 break
-    return Term(coeff=coeff, factors=tuple(factors), word=word, loop=term.loop)
+    return Term(coeff=coeff, factors=tuple(factors), word=word)
 
 
 def contract(expr: Expression) -> Expression:
@@ -597,4 +581,4 @@ def _shift_internal_dummies(a: Term, b: Term) -> Term:
             letter if letter == G5 else gamma(mapping.get(letter[1], letter[1]))
             for letter in word
         )
-    return Term(coeff=b.coeff, factors=factors, word=word, loop=b.loop)
+    return Term(coeff=b.coeff, factors=factors, word=word)

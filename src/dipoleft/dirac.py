@@ -188,8 +188,6 @@ def trace(expr: Expression, dim_mode: str = SYMBOLIC_DIM) -> Expression:
             terms.append(term)
             continue
         traced = trace_word(term.word, dim_mode)
-        rest = Expression.of(
-            Term(term.coeff, factors=term.factors, word=None, loop=term.loop)
-        )
+        rest = Expression.of(Term(term.coeff, factors=term.factors))
         terms.extend((rest * traced).terms)
     return canonicalize(Expression(tuple(terms)))

@@ -1,19 +1,18 @@
 """One-loop momentum integrals at vanishing external momentum.
 
-Only the shapes appearing in the low-energy dipole polarization are
-tabulated: the logarithmically divergent scalar bubble (evaluated in
-dimensional regularization as a Gamma-function form) and the quadratically
-divergent rank-2 tensor (evaluated with a momentum cutoff).  Divergences
-are carried symbolically, as eps = 4 - d poles, powers of the cutoff and
-formal log atoms; they are never turned into floats here.
+``integrate`` is the single entry point.  The low-energy dipole
+polarization needs two bubbles: the logarithmically divergent scalar, kept
+as the symbol I0[m] (its dimreg value is ``laurent_expand``), and the
+quadratically divergent rank-2 tensor, evaluated with a momentum cutoff.
+Divergences are carried symbolically, as eps = 4 - d poles, powers of the
+cutoff and formal log atoms; they are never turned into floats here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (
     LOG_4PI,
@@ -27,116 +26,46 @@ from .algebra import (
     canonicalize,
 )
 
-DIMREG = "dimreg"
-CUTOFF = "cutoff"
-
 
 class UnsupportedReductionError(ValueError):
     """Numerator rank outside the supported table (rank > 2)."""
 
 
-class NotInTableError(ValueError):
-    """Requested integral shape is not tabulated."""
+def bubble_symbol(mass: str) -> str:
+    """Name of the symbolic log-divergent bubble for a given mass symbol."""
+    return "I0" if mass == "m" else f"I0[{mass}]"
 
 
-@dataclass(frozen=True)
-class LoopIntegral:
-    """Marker for one scalar/tensor bubble integral at zero external momentum.
+def _loop_momenta(term: Term) -> list[Momentum]:
+    return [f for f in term.factors if isinstance(f, Momentum) and f.name == "p"]
 
-    ``normalized`` means the measure carries the dimensionless convention
-    -i mu^{4-d} d^d p / (2pi)^d; the raw Minkowski measure d^4 p / (2pi)^4
-    corresponds to ``normalized=False``.  Only zero external momentum
-    (``external=None``) is evaluable; nonzero instances may be constructed
-    but every evaluator rejects them.
+
+def integrate(term: Term, mass: str) -> Expression:
+    """Integrate one term over the loop momentum p of a bubble of mass ``mass``.
+
+    The term is the integrand's numerator over (p^2 - m^2)^2 with the raw
+    measure d^4p/(2pi)^4.  An odd numerator integrates to zero; rank 0 gives
+    i * I0[mass] times the term; rank 2 gives the cutoff tensor of
+    ``evaluate_cutoff``.
     """
-
-    n1: int
-    n2: int = 0
-    rank: int = 0
-    p_squared: bool = False
-    mass: str = "m"
-    scheme: str = DIMREG
-    normalized: bool = False
-    external: Optional[str] = None
-
-    @property
-    def total_power(self) -> int:
-        return self.n1 + self.n2
-
-    @staticmethod
-    def scalar_bubble(mass: str = "m") -> "LoopIntegral":
-        """The dimensionless logarithmic bubble: -i mu^{4-d} Int d^dp/(2pi)^d (p^2-m^2)^-2."""
-        return LoopIntegral(n1=2, scheme=DIMREG, mass=mass, normalized=True)
-
-
-@dataclass(frozen=True)
-class GammaForm:
-    """Closed dimreg value (4pi)^{-d/2} Gamma(2 - d/2) (mu^2/m^2)^{2-d/2}.
-
-    The defining -i of the bubble and the i from the Wick rotation have
-    already cancelled, so the form is real.
-    """
-
-    mass: str = "m"
-    scale: str = "mu"
-
-    def __str__(self) -> str:
-        return f"(4pi)^(-d/2) * Gamma(2-d/2) * ({self.scale}^2/{self.mass}^2)^(2-d/2)"
-
-
-def symmetric_reduce(term: Term) -> Expression:
-    """Reduce loop-momentum numerators by spherical symmetry at zero external momentum.
-
-    Odd rank integrates to zero; rank 2 gives (1/d) eta(a,b) times the
-    p^2-numerator scalar; rank 0 passes through.
-    """
-    marker = term.loop
-    if not isinstance(marker, LoopIntegral):
-        raise NotInTableError("term carries no loop-integral marker")
-    if marker.external is not None:
-        raise NotInTableError("only zero external momentum is reducible")
-    momenta = [f for f in term.factors if isinstance(f, Momentum) and f.name == "p"]
-    rank = len(momenta)
-    if rank > 2:
-        raise UnsupportedReductionError(f"numerator rank {rank} not supported (max 2)")
-    if rank % 2 == 1:
+    rank = len(_loop_momenta(term))
+    if rank % 2:
         return Expression.zero()
     if rank == 0:
-        return Expression.of(term)
-    a, b = momenta[0].i, momenta[1].i
-    rest = tuple(f for f in term.factors if f not in momenta)
-    reduced = Term(
-        coeff=term.coeff.with_consts(d=-1),
-        factors=rest + (Metric(a, b),),
-        word=term.word,
-        loop=replace(marker, rank=0, p_squared=True),
-    )
-    return Expression.of(reduced)
+        bubble = Coefficient.imaginary(1).with_consts(**{bubble_symbol(mass): 1})
+        return Expression.of(replace(term, coeff=bubble * term.coeff))
+    if rank == 2:
+        return evaluate_cutoff(term, mass)
+    raise UnsupportedReductionError(f"numerator rank {rank} not supported (max 2)")
 
 
-def evaluate_dimreg(marker: LoopIntegral) -> GammaForm:
-    """Dimensionally regularized value of the scalar bubble, as a Gamma form."""
-    if marker.scheme != DIMREG:
-        raise NotInTableError("dimreg evaluation requested for a non-dimreg integral")
-    if marker.external is not None:
-        raise NotInTableError("only the zero-momentum bubble is tabulated")
-    if marker.rank != 0 or marker.p_squared or not marker.normalized:
-        raise NotInTableError("only the rank-0 dimensionless bubble is tabulated")
-    if marker.total_power != 2:
-        raise NotInTableError(
-            f"denominator powers ({marker.n1},{marker.n2}) not in the dimreg table"
-        )
-    return GammaForm(mass=marker.mass)
+def laurent_expand() -> Expression:
+    """Dimreg value of the bubble I0, Laurent-expanded around eps = 4 - d = 0.
 
-
-def laurent_expand(form: GammaForm, order: int = 0) -> Expression:
-    """Laurent expansion around eps = 4 - d = 0, through the finite order.
-
-    Gives (1/(4pi)^2) (2/eps + log(mu^2/m^2) + log(4pi) - gammaE); terms of
-    order eps and higher are dropped.
+    I0 = -i mu^{4-d} Int d^dp/(2pi)^d (p^2-m^2)^-2
+       = (4pi)^{-d/2} Gamma(2 - d/2) (mu^2/m^2)^{2-d/2}
+       = (1/(4pi)^2) (2/eps + log(mu^2/m^2) + log(4pi) - gammaE) + O(eps).
     """
-    if order != 0:
-        raise NotImplementedError("only the finite-order expansion is tabulated")
     base = Coefficient.monomial(1, 16, pi=-2)
     return canonicalize(
         Expression.of(
@@ -148,21 +77,6 @@ def laurent_expand(form: GammaForm, order: int = 0) -> Expression:
     )
 
 
-def pole_part(expr: Expression) -> Expression:
-    """The eps-pole terms of a Laurent-expanded expression."""
-    return canonicalize(
-        Expression(tuple(t for t in expr.terms if t.coeff.eps_power < 0))
-    )
-
-
-def drop_scale_logs(expr: Expression) -> Expression:
-    """Set mu = m, i.e. delete every log(mu^2/m^2) atom."""
-    kept = tuple(
-        t for t in expr.terms if dict(t.coeff.logs).get(LOG_MU, 0) == 0
-    )
-    return canonicalize(Expression(kept))
-
-
 def cutoff_tensor_bracket(mass: str = "m") -> Expression:
     """Scalar bracket multiplying eta(a,b) in the cutoff rank-2 table entry.
 
@@ -171,45 +85,25 @@ def cutoff_tensor_bracket(mass: str = "m") -> Expression:
     are not re-derived here; every in-scope use multiplies a trace that
     vanishes at d = 4.
     """
-    quadratic = Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2))
-    logarithmic = (
-        Term(Coefficient.monomial(1, 4, pi=-2).with_consts(**{mass: 2}).with_log(LOG_LAMBDA))
-        if mass != "0"
-        else None
-    )
-    terms = (quadratic,) if logarithmic is None else (quadratic, logarithmic)
-    return canonicalize(Expression(terms))
+    terms = [Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2))]
+    if mass != "0":
+        terms.append(Term(Coefficient.monomial(1, 4, pi=-2, **{mass: 2}).with_log(LOG_LAMBDA)))
+    return canonicalize(Expression(tuple(terms)))
 
 
-def evaluate_cutoff(term: Term) -> Expression:
+def evaluate_cutoff(term: Term, mass: str) -> Expression:
     """Cutoff value of the quadratically divergent rank-2 bubble in a term.
 
-    Replaces the two loop-momentum factors and the marker by
+    Replaces the two loop-momentum factors p_a p_b by
     [Lambda^2/(16 pi^2) + (m^2/(4 pi^2)) log(Lambda/m)] eta(a,b).
     """
-    marker = term.loop
-    if not isinstance(marker, LoopIntegral):
-        raise NotInTableError("term carries no loop-integral marker")
-    if marker.scheme != CUTOFF:
-        raise NotInTableError("cutoff evaluation requested for a non-cutoff integral")
-    if marker.external is not None or marker.normalized or marker.p_squared:
-        raise NotInTableError("only the raw rank-2 bubble at k = 0 is tabulated")
-    if marker.total_power != 2:
-        raise NotInTableError(
-            f"denominator powers ({marker.n1},{marker.n2}) not in the cutoff table"
-        )
-    momenta = [f for f in term.factors if isinstance(f, Momentum) and f.name == "p"]
-    if len(momenta) != 2:
-        raise NotInTableError("cutoff table holds only the rank-2 numerator")
-    a, b = momenta[0].i, momenta[1].i
-    rest = tuple(f for f in term.factors if f not in momenta)
-    stripped = Expression.of(
-        Term(term.coeff, factors=rest + (Metric(a, b),), word=term.word)
-    )
-    return canonicalize(stripped * cutoff_tensor_bracket(marker.mass))
+    p, q = _loop_momenta(term)
+    rest = tuple(f for f in term.factors if f not in (p, q))
+    stripped = Term(term.coeff, factors=rest + (Metric(p.i, q.i),), word=term.word)
+    return canonicalize(Expression.of(stripped) * cutoff_tensor_bracket(mass))
 
 
-def cutoff_scalar_leading(mass: str = "m") -> Expression:
+def cutoff_scalar_leading() -> Expression:
     """Leading log of the Euclidean rank-0 bubble at cutoff: (1/(8 pi^2)) log(Lambda/m)."""
     return Expression.of(Term(Coefficient.monomial(1, 8, pi=-2).with_log(LOG_LAMBDA)))
 

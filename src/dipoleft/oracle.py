@@ -98,8 +98,8 @@ def numeric_trace(word: Word, assignment: dict[str, int], rep: GammaRep = DEFAUL
 
 
 def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
-    if term.word is not None or term.loop is not None:
-        raise ValueError("numeric evaluation handles traced, loop-free terms only")
+    if term.word is not None:
+        raise ValueError("numeric evaluation handles traced terms only")
     coeff = term.coeff
     if coeff.consts or coeff.logs or coeff.eps_power:
         raise ValueError(f"coefficient {coeff!r} is not a pure Gaussian rational")

@@ -192,6 +192,8 @@ def coefficient_structured(coeff: Coefficient) -> dict[str, Any]:
 
 
 def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
+    if int(obj["den"]) == 0:
+        raise RenderError("coefficient has denominator 0")
     value = Fraction(int(obj["num"]), int(obj["den"]))
     coeff = Coefficient(im=value) if obj.get("i_power", 0) else Coefficient(re=value)
     powers = dict(obj.get("constants", {}))
@@ -226,25 +228,35 @@ def render_structured(action: EffectiveAction, form: str = FIELD_STRENGTH) -> di
 
 
 def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
-    """Rebuild an action from its structured form; RenderError when the form
-    names an unknown tensor or a term slot that ``slots`` does not list."""
+    """Rebuild an action from its structured form; RenderError for an entry
+    that lacks a key, a zero denominator, a repeated slot name, an unknown
+    tensor, or term slots that are not two names listed in ``slots``."""
     if obj.get("schema") != 1:
         raise RenderError(f"unsupported schema {obj.get('schema')!r}")
+    if any("name" not in s for s in obj["slots"]):
+        raise RenderError("every slot entry needs a 'name'")
     slots = tuple(
         SlotSpec(name=s["name"], potential=s.get("potential"))
         for s in obj["slots"]
     )
     action = EffectiveAction(terms=(), slots=slots)
     declared = {s.name for s in slots}
+    if len(declared) != len(slots):
+        raise RenderError("two slot entries share a name")
     terms = []
     form = obj.get("form", FIELD_STRENGTH)
     for entry in obj["terms"]:
+        missing = {"coefficient", "tensor", "slots"} - entry.keys()
+        if missing:
+            raise RenderError(f"term entry lacks {sorted(missing)}")
         coeff = _coefficient_from_structured(entry["coefficient"])
         tensor = entry["tensor"]
         if tensor not in (EPSILON_SECTOR, METRIC_SECTOR):
             raise RenderError(
                 f"unknown tensor {tensor!r}; expected {EPSILON_SECTOR!r} or {METRIC_SECTOR!r}"
             )
+        if not isinstance(entry["slots"], list) or len(entry["slots"]) != 2:
+            raise RenderError(f"term slots {entry['slots']!r} do not name exactly two slots")
         a, b = entry["slots"]
         undeclared = [s for s in (a, b) if s not in declared]
         if undeclared:

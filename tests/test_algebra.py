@@ -170,25 +170,6 @@ def test_contract_symmetric_times_antisymmetric_vanishes():
     assert contract(expr).is_zero()
 
 
-def test_deriv_slot_has_no_index_symmetry():
-    from dipoleft.algebra import DerivSlot
-
-    forward = expr_of(Term(ONE, factors=(DerivSlot("A", "mu", "nu"),)))
-    backward = expr_of(Term(ONE, factors=(DerivSlot("A", "nu", "mu"),)))
-    assert forward != backward
-    diagonal = expr_of(Term(ONE, factors=(DerivSlot("A", "mu", "mu"),)))
-    assert not diagonal.is_zero()
-
-
-def test_deriv_slot_participates_in_contraction():
-    from dipoleft.algebra import DerivSlot
-
-    expr = expr_of(
-        Term(ONE, factors=(Metric("a", "nu"), DerivSlot("A", "mu", "a")))
-    )
-    assert contract(expr) == expr_of(Term(ONE, factors=(DerivSlot("A", "mu", "nu"),)))
-
-
 def test_contract_relabels_momentum_partners():
     expr = expr_of(
         Term(ONE, factors=(Metric("a", "x"), Momentum("p", "a"), Momentum("q", "x")))

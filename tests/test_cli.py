@@ -191,6 +191,31 @@ def test_compute_rejects_mass_named_like_a_constant(tmp_path, capsys, theta_mode
     assert f"line {flavor_line}: name-clash" in err
 
 
+@pytest.mark.parametrize(
+    "edit, culprit",
+    [
+        (
+            {"constant alpha real": "constant alpha real\nconstant Lambda", "e*alpha/2": "e*alpha*Lambda/2"},
+            "constant Lambda",
+        ),
+        ({"as thetaF": "as Lambda"}, "absorb"),
+    ],
+    ids=["constant-Lambda", "absorb-as-Lambda"],
+)
+def test_compute_rejects_the_cutoff_symbol_as_a_name(tmp_path, capsys, theta_model_path, edit, culprit):
+    # Lambda is the cutoff: any power of it reads as a divergence
+    text = theta_model_path.read_text()
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    model = tmp_path / "lambda.eft"
+    model.write_text(text)
+    line = next(n for n, raw in enumerate(text.splitlines(), 1) if raw.startswith(culprit))
+    code, out, err = run(capsys, "compute", str(model))
+    assert code == 1
+    assert out == ""
+    assert f"line {line}: reserved-name" in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_reduce_bf_rejects_doubly_fed_partner(tmp_path, capsys, bf_model_path, fmt):
     # f+b is fed by both lambda and beta: the multiplier ratio is not a monomial

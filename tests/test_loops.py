@@ -1,4 +1,4 @@
-"""Loop-integral reduction, dimreg chain and cutoff table."""
+"""Loop integration entry point, dimreg value of I0 and cutoff table."""
 
 import math
 from fractions import Fraction
@@ -11,96 +11,58 @@ from dipoleft.algebra import (
     LOG_MU,
     Coefficient,
     Expression,
+    FieldSlot,
     Metric,
     Momentum,
     Term,
     canonicalize,
-    contract,
 )
 from dipoleft.loops import (
-    CUTOFF,
-    DIMREG,
-    GammaForm,
-    LoopIntegral,
-    NotInTableError,
     UnsupportedReductionError,
     cutoff_scalar_closed_form,
     cutoff_scalar_leading,
     cutoff_tensor_bracket,
-    drop_scale_logs,
     evaluate_cutoff,
-    evaluate_dimreg,
+    integrate,
     laurent_expand,
-    pole_part,
-    symmetric_reduce,
 )
 from dipoleft.oracle import euclidean_scalar_integral
 
 ONE = Coefficient.one()
 
 
-def test_symmetric_reduce_odd_rank_vanishes():
-    term = Term(ONE, factors=(Momentum("p", "a"),), loop=LoopIntegral(n1=2))
-    assert symmetric_reduce(term).is_zero()
+def _momenta(*labels: str) -> tuple[Momentum, ...]:
+    return tuple(Momentum("p", label) for label in labels)
 
 
-def test_symmetric_reduce_rank_two():
-    term = Term(ONE, factors=(Momentum("p", "a"), Momentum("p", "b")), loop=LoopIntegral(n1=2))
-    (reduced,) = symmetric_reduce(term).terms
-    assert reduced.factors == (Metric("a", "b"),)
-    assert reduced.coeff == ONE.with_consts(d=-1)
-    assert reduced.loop.p_squared and reduced.loop.rank == 0
+def test_integrate_odd_rank_vanishes():
+    assert integrate(Term(ONE, factors=_momenta("a")), "m").is_zero()
 
 
-def test_symmetric_reduce_rank_zero_passes_through():
-    term = Term(ONE, loop=LoopIntegral(n1=2))
-    assert symmetric_reduce(term) == Expression.of(term)
-
-
-def test_symmetric_reduce_rank_three_unsupported():
-    term = Term(
-        ONE,
-        factors=(Momentum("p", "a"), Momentum("p", "b"), Momentum("p", "c")),
-        loop=LoopIntegral(n1=3),
+@pytest.mark.parametrize("mass, symbol", [("m", "I0"), ("M", "I0[M]")], ids=["m", "M"])
+def test_integrate_rank_zero_gives_bubble(mass, symbol):
+    term = Term(Coefficient.rational(3), factors=(FieldSlot("F", "a", "b"),))
+    expected = Term(
+        Coefficient.imaginary(3).with_consts(**{symbol: 1}), factors=term.factors
     )
+    assert integrate(term, mass) == Expression.of(expected)
+
+
+def test_integrate_rank_two_is_cutoff_tensor():
+    term = Term(ONE, factors=(FieldSlot("F", "a", "c"),) + _momenta("a", "b"))
+    assert integrate(term, "m") == evaluate_cutoff(term, "m")
+
+
+def test_integrate_massless_bracket_is_quadratic_only():
+    (only,) = integrate(Term(ONE, factors=_momenta("a", "b")), "0").terms
+    assert only == Term(
+        Coefficient.monomial(1, 16, pi=-2, Lambda=2), factors=(Metric("a", "b"),)
+    )
+
+
+def test_integrate_rank_four_unsupported():
     with pytest.raises(UnsupportedReductionError):
-        symmetric_reduce(term)
-
-
-def test_reduction_contracts_back_to_scalar():
-    # (1/d) eta(a,b) [p^2 bubble] contracted with eta(a,b) gives the bubble back.
-    term = Term(ONE, factors=(Momentum("p", "a"), Momentum("p", "b")), loop=LoopIntegral(n1=2))
-    reduced = symmetric_reduce(term)
-    contracted = contract(reduced * Expression.of(Term(ONE, factors=(Metric("a", "b"),))))
-    expected = canonicalize(
-        Expression.of(Term(ONE, loop=LoopIntegral(n1=2, p_squared=True)))
-    )
-    # eta(a,b)eta(a,b) = d cancels the 1/d exactly
-    from dipoleft.algebra import substitute_dimension
-
-    assert substitute_dimension(contracted, 4) == expected
-    assert contracted.terms[0].coeff.const_power("d") == 0
-
-
-def test_evaluate_dimreg_returns_gamma_form():
-    form = evaluate_dimreg(LoopIntegral.scalar_bubble())
-    assert isinstance(form, GammaForm)
-    assert "Gamma(2-d/2)" in str(form)
-
-
-@pytest.mark.parametrize(
-    "marker",
-    [
-        LoopIntegral(n1=3, scheme=DIMREG, normalized=True),
-        LoopIntegral(n1=2, scheme=CUTOFF),
-        LoopIntegral(n1=2, scheme=DIMREG, normalized=True, external="k"),
-        LoopIntegral(n1=2, scheme=DIMREG, normalized=True, p_squared=True),
-        LoopIntegral(n1=2, scheme=DIMREG, normalized=False),
-    ],
-)
-def test_evaluate_dimreg_table_boundaries(marker):
-    with pytest.raises(NotInTableError):
-        evaluate_dimreg(marker)
+        integrate(Term(ONE, factors=_momenta("a", "b", "c", "d")), "m")
 
 
 def expected_laurent() -> Expression:
@@ -116,25 +78,16 @@ def expected_laurent() -> Expression:
 
 
 def test_laurent_expansion_exact():
-    expansion = laurent_expand(evaluate_dimreg(LoopIntegral.scalar_bubble()))
-    assert expansion == expected_laurent()
+    assert laurent_expand() == expected_laurent()
 
 
 def test_laurent_pole_part():
-    expansion = laurent_expand(evaluate_dimreg(LoopIntegral.scalar_bubble()))
-    (pole,) = pole_part(expansion).terms
+    (pole,) = [t for t in laurent_expand().terms if t.coeff.eps_power < 0]
     assert pole.coeff == Coefficient.monomial(1, 8, pi=-2).with_eps(-1)
 
 
-def test_laurent_at_equal_scales_drops_scale_log():
-    expansion = drop_scale_logs(laurent_expand(evaluate_dimreg(LoopIntegral.scalar_bubble())))
-    atoms = {atom for t in expansion.terms for atom, _ in t.coeff.logs}
-    assert LOG_MU not in atoms
-    assert len(expansion.terms) == 3  # pole, log(4pi), gammaE
-
-
 def test_laurent_linear_in_logs_single_pole():
-    expansion = laurent_expand(evaluate_dimreg(LoopIntegral.scalar_bubble()))
+    expansion = laurent_expand()
     poles = [t for t in expansion.terms if t.coeff.eps_power]
     assert len(poles) == 1 and poles[0].coeff.eps_power == -1
     for t in expansion.terms:
@@ -142,12 +95,7 @@ def test_laurent_linear_in_logs_single_pole():
 
 
 def test_cutoff_rank_two_bracket_exact():
-    term = Term(
-        ONE,
-        factors=(Momentum("p", "a"), Momentum("p", "b")),
-        loop=LoopIntegral(n1=2, scheme=CUTOFF),
-    )
-    result = evaluate_cutoff(term)
+    result = evaluate_cutoff(Term(ONE, factors=_momenta("a", "b")), "m")
     expected = canonicalize(
         Expression.of(
             Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2), factors=(Metric("a", "b"),)),
@@ -166,31 +114,10 @@ def test_cutoff_quadratic_coefficient():
     assert quad.coeff == Coefficient.monomial(1, 16, pi=-2, Lambda=2)
 
 
-def test_cutoff_table_boundaries():
-    scalar = Term(ONE, loop=LoopIntegral(n1=2, scheme=CUTOFF))
-    with pytest.raises(NotInTableError):
-        evaluate_cutoff(scalar)
-    wrong_power = Term(
-        ONE,
-        factors=(Momentum("p", "a"), Momentum("p", "b")),
-        loop=LoopIntegral(n1=3, scheme=CUTOFF),
-    )
-    with pytest.raises(NotInTableError):
-        evaluate_cutoff(wrong_power)
-    not_cutoff = Term(
-        ONE,
-        factors=(Momentum("p", "a"), Momentum("p", "b")),
-        loop=LoopIntegral(n1=2, scheme=DIMREG),
-    )
-    with pytest.raises(NotInTableError):
-        evaluate_cutoff(not_cutoff)
-
-
 def test_scheme_independence_of_the_log():
     # coefficient of 2/eps in the pole == coefficient of 2 log(Lambda/m) in
     # the cutoff scalar's leading log == 1/(16 pi^2)
-    expansion = laurent_expand(evaluate_dimreg(LoopIntegral.scalar_bubble()))
-    (pole,) = pole_part(expansion).terms
+    (pole,) = [t for t in laurent_expand().terms if t.coeff.eps_power < 0]
     pole_unit = pole.coeff.gaussian_scaled(Fraction(1, 2)).with_eps(1)
     (leading,) = cutoff_scalar_leading().terms
     log_unit = leading.coeff.gaussian_scaled(Fraction(1, 2)).with_log(LOG_LAMBDA, -1)

@@ -65,7 +65,7 @@ def test_duplicate_flavor_name():
     assert ("duplicate-flavor", 5) in _codes(text)
 
 
-@pytest.mark.parametrize("name", ["pi", "I0", "Z", "d", "eps", "gammaE"])
+@pytest.mark.parametrize("name", ["pi", "I0", "Z", "d", "eps", "gammaE", "Lambda"])
 def test_reserved_constant_names_rejected(name):
     assert ("reserved-name", 2) in _codes(f"dim 4\nconstant {name}\n")
 
@@ -140,6 +140,10 @@ THETA = (
 def test_duplicate_absorb_cites_second_line():
     codes = _codes(THETA + "absorb alpha^2 as thetaG scale 1/32/pi^2\n")
     assert codes == [("duplicate-absorb", 7)]
+
+
+def test_absorb_into_the_cutoff_symbol_is_rejected():
+    assert _codes(THETA.replace("as thetaF", "as Lambda")) == [("reserved-name", 6)]
 
 
 def test_mass_symbol_may_not_be_a_constant():

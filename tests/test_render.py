@@ -155,6 +155,38 @@ def test_structured_undeclared_slot_rejected():
         structured_to_action(_payload_with(slots=["F", "H"]))
 
 
+def _without(key):
+    payload = _payload_with()
+    del payload["terms"][0][key]
+    return payload
+
+
+def _with_slot_entries(*entries):
+    return _payload_with() | {"slots": list(entries)}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _payload_with(slots=["F"]),
+        _payload_with(slots=["F", "G", "F"]),
+        _payload_with(slots="FG"),
+        _without("tensor"),
+        _without("coefficient"),
+        _with_slot_entries({"name": "F", "potential": "A"}, {"kind": "fundamental"}),
+        _payload_with(coefficient={"num": 1, "den": 0}),
+        _with_slot_entries({"name": "F", "potential": "A"}, {"name": "F"}),
+    ],
+    ids=[
+        "one-slot", "three-slots", "slots-string", "no-tensor", "no-coefficient",
+        "slot-without-name", "zero-denominator", "duplicate-slot",
+    ],
+)
+def test_structured_malformed_entry_rejected(payload):
+    with pytest.raises(RenderError):
+        structured_to_action(payload)
+
+
 def test_structured_declared_slots_and_tensors_accepted():
     for tensor in ("epsilon", "metric"):
         action, _ = structured_to_action(_payload_with(tensor=tensor, slots=["F", "G"]))
