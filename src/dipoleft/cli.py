@@ -27,7 +27,7 @@ from .action import (
 from .dirac import ModelError
 from .modelfile import ModelFileError, parse_model, parse_monomial
 from .oracle import (
-    DEFAULT_REP,
+    GammaRep,
     dipole_trace_identity_checks,
     log_slope,
     quadrature_grid_max_relative_error,
@@ -153,8 +153,9 @@ def _run_check(args: argparse.Namespace) -> int:
 def _run_selftest(args: argparse.Namespace) -> int:
     failed = False
 
-    clifford = DEFAULT_REP.max_clifford_deviation()
-    convention = abs(DEFAULT_REP.convention_trace() - (-4j))
+    rep = GammaRep()
+    clifford = rep.max_clifford_deviation()
+    convention = abs(rep.convention_trace() - (-4j))
     ok = clifford < 1e-12 and convention < 1e-12
     failed |= not ok
     print(f"{'ok' if ok else 'FAIL'}: gamma representation (clifford={clifford:.2e}, convention={convention:.2e})")
@@ -164,7 +165,7 @@ def _run_selftest(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(("ok: " if report.passed else "") + line if line.startswith("equivalence") else line)
 
-    eps_dev, contracted_dev = dipole_trace_identity_checks()
+    eps_dev, contracted_dev = dipole_trace_identity_checks(rep)
     ok = eps_dev < 1e-10 and contracted_dev < 1e-10
     failed |= not ok
     print(

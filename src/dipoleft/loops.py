@@ -81,13 +81,14 @@ def cutoff_tensor_bracket(mass: str = "m") -> Expression:
     """Scalar bracket multiplying eta(a,b) in the cutoff rank-2 table entry.
 
     Lambda^2/(16 pi^2) + (m^2/(4 pi^2)) log(Lambda/m), subleading terms
-    dropped.  The rational prefactors are tabulated as published values and
-    are not re-derived here; every in-scope use multiplies a trace that
-    vanishes at d = 4.
+    dropped, with m the given mass symbol.  The rational prefactors are
+    tabulated as published values and are not re-derived here; every
+    in-scope use multiplies a trace that vanishes at d = 4.
     """
     terms = [Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2))]
     if mass != "0":
-        terms.append(Term(Coefficient.monomial(1, 4, pi=-2, **{mass: 2}).with_log(LOG_LAMBDA)))
+        log_atom = f"log(Lambda/{mass})"  # LOG_LAMBDA for mass m
+        terms.append(Term(Coefficient.monomial(1, 4, pi=-2, **{mass: 2}).with_log(log_atom)))
     return canonicalize(Expression(tuple(terms)))
 
 

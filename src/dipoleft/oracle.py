@@ -4,14 +4,20 @@ Explicit 4x4 gamma matrices in the Dirac representation verify every trace
 rule, and one-dimensional quadrature verifies the regularized radial
 integral.  The representation is fixed for reproducibility; anything with
 metric (+,-,-,-) and eps(0,1,2,3) = +1 would do.
+
+Importing this module does not load numpy: it loads on the first numeric
+call (building a ``GammaRep``, reading ``DEFAULT_REP``, a matrix trace, the
+log-slope fit), so only ``selftest`` and direct oracle users pay for it.
+The quadrature loads scipy the same way.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import (
     G5,
@@ -26,7 +32,10 @@ from .algebra import (
 )
 from .dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
 
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+if TYPE_CHECKING:
+    import numpy as np
+
+ETA = (1.0, -1.0, -1.0, -1.0)  # diagonal of the metric eta
 
 
 def _epsilon_value(indices: tuple[int, ...]) -> int:
@@ -52,6 +61,8 @@ class GammaRep:
     def __post_init__(self):
         if self.matrices is not None:
             return
+        import numpy as np
+
         s0 = np.eye(2, dtype=complex)
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -65,11 +76,14 @@ class GammaRep:
 
     def max_clifford_deviation(self) -> float:
         """Largest entrywise violation of {g^m, g^n} = 2 eta^{mn}, g5^2 = 1, {g5, g^m} = 0."""
+        import numpy as np
+
         dev = 0.0
         for m in range(4):
             for n in range(4):
                 anti = self.matrices[m] @ self.matrices[n] + self.matrices[n] @ self.matrices[m]
-                dev = max(dev, np.max(np.abs(anti - 2 * ETA[m, n] * np.eye(4))))
+                eta_mn = ETA[m] if m == n else 0.0
+                dev = max(dev, np.max(np.abs(anti - 2 * eta_mn * np.eye(4))))
         dev = max(dev, np.max(np.abs(self.g5 @ self.g5 - np.eye(4))))
         for m in range(4):
             dev = max(dev, np.max(np.abs(self.g5 @ self.matrices[m] + self.matrices[m] @ self.g5)))
@@ -77,17 +91,32 @@ class GammaRep:
 
     def convention_trace(self) -> complex:
         """tr(g5 g0 g1 g2 g3); must be -4i for eps(0,1,2,3) = +1."""
+        import numpy as np
+
         m = self.g5
         for k in range(4):
             m = m @ self.matrices[k]
         return complex(np.trace(m))
 
 
-DEFAULT_REP = GammaRep()
+@functools.cache
+def _default_rep() -> GammaRep:
+    return GammaRep()
 
 
-def numeric_trace(word: Word, assignment: dict[str, int], rep: GammaRep = DEFAULT_REP) -> complex:
+def __getattr__(name: str):
+    # DEFAULT_REP is built on first access, so that importing the module leaves numpy unloaded.
+    if name == "DEFAULT_REP":
+        return _default_rep()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def numeric_trace(word: Word, assignment: dict[str, int], rep: GammaRep | None = None) -> complex:
     """Trace of the explicit matrix product for concretely assigned indices."""
+    import numpy as np
+
+    if rep is None:
+        rep = _default_rep()
     product = np.eye(4, dtype=complex)
     for letter in word:
         if letter == G5:
@@ -119,7 +148,8 @@ def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
     value = complex(coeff.re) + 1j * complex(coeff.im)
     for f in term.factors:
         if isinstance(f, Metric):
-            value *= ETA[assignment[f.i], assignment[f.j]]
+            i, j = assignment[f.i], assignment[f.j]
+            value *= ETA[i] if i == j else 0.0
         elif isinstance(f, Epsilon):
             value *= _epsilon_value(tuple(assignment[x] for x in f.idx))
         else:
@@ -217,7 +247,7 @@ def euclidean_scalar_integral(mass: float, cutoff: float) -> float:
     value, _ = integrate.quad(
         lambda u: u / (u + m2) ** 2, 0.0, cutoff * cutoff, epsabs=0.0, epsrel=1e-12, limit=400
     )
-    return value / (16 * np.pi**2)
+    return value / (16 * math.pi**2)
 
 
 def quadrature_grid_max_relative_error(
@@ -242,6 +272,8 @@ def log_slope(mass: float = 1.0, ratios=(1e2, 1e3, 1e4)) -> float:
     For cutoff >> mass the integral grows like 2/(16 pi^2) per unit log,
     matching the pole normalization of the dimensionally regularized bubble.
     """
+    import numpy as np
+
     xs = np.log([mass * r for r in ratios])
     ys = [euclidean_scalar_integral(mass, mass * r) for r in ratios]
     slope, _ = np.polyfit(xs, ys, 1)
@@ -257,12 +289,16 @@ def _commutator(m: int, n: int, rep: GammaRep) -> np.ndarray:
     return rep.matrices[m] @ rep.matrices[n] - rep.matrices[n] @ rep.matrices[m]
 
 
-def dipole_trace_identity_checks(rep: GammaRep = DEFAULT_REP) -> tuple[float, float]:
+def dipole_trace_identity_checks(rep: GammaRep | None = None) -> tuple[float, float]:
     """Max deviations over all 256 index tuples of the two dipole-loop traces.
 
     First: tr([g^m,g^n][g^r,g^s] g5) against -16i eps^{mnrs}.  Second: the
     metric-contracted tr([g^m,g^n] g^a [g^r,g^s] g^b) eta_ab against zero.
     """
+    import numpy as np
+
+    if rep is None:
+        rep = _default_rep()
     eps_dev = 0.0
     contracted_dev = 0.0
     for m in range(4):
@@ -276,7 +312,7 @@ def dipole_trace_identity_checks(rep: GammaRep = DEFAULT_REP) -> tuple[float, fl
                         eps_dev, abs(value - (-16j) * _epsilon_value((m, n, r, s)))
                     )
                     contracted = sum(
-                        ETA[a, a] * np.trace(cmn @ rep.matrices[a] @ crs @ rep.matrices[a])
+                        ETA[a] * np.trace(cmn @ rep.matrices[a] @ crs @ rep.matrices[a])
                         for a in range(4)
                     )
                     contracted_dev = max(contracted_dev, abs(contracted))

@@ -191,15 +191,36 @@ def coefficient_structured(coeff: Coefficient) -> dict[str, Any]:
     }
 
 
+def _structured_int(value: Any, what: str) -> int:
+    if type(value) is not int:
+        raise RenderError(f"coefficient {what} {value!r} is not an integer")
+    return value
+
+
 def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
-    if int(obj["den"]) == 0:
+    """Inverse of ``coefficient_structured``; RenderError for a missing
+    num/den, a non-integer number or exponent, or an i_power other than 0 or 1."""
+    if not isinstance(obj, dict) or {"num", "den"} - obj.keys():
+        raise RenderError(f"coefficient {obj!r} needs integer 'num' and 'den'")
+    num = _structured_int(obj["num"], "num")
+    den = _structured_int(obj["den"], "den")
+    if den == 0:
         raise RenderError("coefficient has denominator 0")
-    value = Fraction(int(obj["num"]), int(obj["den"]))
-    coeff = Coefficient(im=value) if obj.get("i_power", 0) else Coefficient(re=value)
-    powers = dict(obj.get("constants", {}))
-    if obj.get("pi_power", 0):
-        powers["pi"] = obj["pi_power"]
-    return coeff.with_consts(**{k: int(v) for k, v in powers.items()})
+    i_power = _structured_int(obj.get("i_power", 0), "i_power")
+    if i_power not in (0, 1):
+        raise RenderError(f"coefficient i_power {i_power!r} is not 0 or 1")
+    constants = obj.get("constants", {})
+    if not isinstance(constants, dict):
+        raise RenderError(f"coefficient constants {constants!r} is not an object")
+    powers = {
+        name: _structured_int(exp, f"exponent of {name!r}") for name, exp in constants.items()
+    }
+    pi_power = _structured_int(obj.get("pi_power", 0), "pi_power")
+    if pi_power:
+        powers["pi"] = pi_power
+    value = Fraction(num, den)
+    coeff = Coefficient(im=value) if i_power else Coefficient(re=value)
+    return coeff.with_consts(**powers)
 
 
 def render_structured(action: EffectiveAction, form: str = FIELD_STRENGTH) -> dict[str, Any]:
@@ -229,8 +250,8 @@ def render_structured(action: EffectiveAction, form: str = FIELD_STRENGTH) -> di
 
 def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     """Rebuild an action from its structured form; RenderError for an entry
-    that lacks a key, a zero denominator, a repeated slot name, an unknown
-    tensor, or term slots that are not two names listed in ``slots``."""
+    that lacks a key, a malformed coefficient, a repeated slot name, an
+    unknown tensor, or term slots that are not two names listed in ``slots``."""
     if obj.get("schema") != 1:
         raise RenderError(f"unsupported schema {obj.get('schema')!r}")
     if any("name" not in s for s in obj["slots"]):

@@ -86,6 +86,13 @@ def test_polarization_metric_remnant_even_under_chirality_flip():
     assert metric_part(plus) == metric_part(minus)
 
 
+def test_polarization_of_mass_M_carries_no_m_atom():
+    result = polarization(single_flavor(mass="M"), ("F", "F"), ["F"], at_dimension=None)
+    logs = {atom for t in result.terms for atom, _ in t.coeff.logs}
+    assert logs == {"log(Lambda/M)"}
+    assert all(t.coeff.const_power("m") == 0 for t in result.terms)
+
+
 def test_polarization_massless_flavor_vanishes():
     assert polarization(single_flavor(mass="0"), ("F", "F"), ["F"]).is_zero()
 

@@ -140,3 +140,11 @@ def test_cutoff_scalar_closed_form_near_threshold():
 def test_cutoff_scalar_closed_form_domain():
     with pytest.raises(ValueError):
         cutoff_scalar_closed_form(1.0, 0.5)
+
+
+def test_cutoff_bracket_log_names_its_mass():
+    (log_term,) = [t for t in cutoff_tensor_bracket("M").terms if t.coeff.logs]
+    assert log_term.coeff.logs == (("log(Lambda/M)", 1),)
+    assert log_term.coeff.const_power("M") == 2
+    (default_log,) = [t for t in cutoff_tensor_bracket().terms if t.coeff.logs]
+    assert default_log.coeff.logs == ((LOG_LAMBDA, 1),)

@@ -1,17 +1,23 @@
-"""Gamma representation invariants, equivalence suite, radial integral."""
+"""Gamma representation invariants, equivalence suite, radial integral, loop
+normalization against explicit matrices, and the import budget (numpy only
+for numeric checks)."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dipoleft.action import EPSILON_SECTOR, FlavorSpec, ModelSpec, SlotSpec, assemble
 from dipoleft.algebra import Coefficient, G5, gamma
 from dipoleft.dirac import trace_word
 from dipoleft.oracle import (
     DEFAULT_REP,
+    GammaRep,
     dipole_trace_identity_checks,
     euclidean_scalar_integral,
     log_slope,
@@ -98,3 +104,129 @@ def test_import_loads_oracle_but_defers_scipy():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.split() == ["True", "False"]
+
+
+# ---------------------------------------------------------------------------
+# Loop normalization against explicit matrices
+# ---------------------------------------------------------------------------
+
+
+def _random_field(rng) -> np.ndarray:
+    """A random antisymmetric X_{mn}, indices down."""
+    a = rng.normal(size=(4, 4))
+    return a - a.T
+
+
+def _dipole_vertex(rep: GammaRep, chirality: int, field: np.ndarray) -> np.ndarray:
+    """(1 - i chi g5) sigma^{mn} X_{mn}, with sigma^{mn} = (i/2)[g^m, g^n]."""
+    g = rep.matrices
+    sigma_x = sum(
+        0.5j * field[m, n] * (g[m] @ g[n] - g[n] @ g[m]) for m in range(4) for n in range(4)
+    )
+    return (np.eye(4) - 1j * chirality * rep.g5) @ sigma_x
+
+
+def _eps_contraction(x: np.ndarray, y: np.ndarray) -> float:
+    """eps^{mnrs} X_{mn} Y_{rs} with eps^{0123} = +1."""
+    total = 0.0
+    for perm in itertools.permutations(range(4)):
+        sign = round(np.linalg.det(np.eye(4)[list(perm)]))
+        total += sign * x[perm[0], perm[1]] * y[perm[2], perm[3]]
+    return total
+
+
+def _one_flavor_model(chirality: int, mass: str) -> ModelSpec:
+    flavor = FlavorSpec("psi", mass, chirality, Coefficient.one(), ((1, "F"),))
+    return ModelSpec(dimension=4, slots=(SlotSpec("F", "A"),), flavors=(flavor,))
+
+
+@pytest.mark.parametrize("chirality", [+1, -1])
+def test_loop_normalization_matches_matrix_integrand(chirality):
+    """The kernel (i/2) x i^2 (vertices) x (-1) (loop) x tr[V1 S V2 S], S = i(g.p + m).
+
+    Its rank-0 part is (1/2) m^2 tr[V1 V2] per unit I0; the engine's
+    eps-sector coefficient must equal it on random fields, which pins the
+    i/2, the i per vertex and the loop sign without the fixtures.
+    """
+    (term,) = assemble(_one_flavor_model(chirality, "m")).terms
+    assert (term.structure, term.slot_a, term.slot_b) == (EPSILON_SECTOR, "F", "F")
+    assert dict(term.coeff.consts) == {"I0": 1, "m": 2}
+    mass = 1.7
+    per_unit_i0 = complex(term.coeff.re, term.coeff.im) * mass**2
+    rep = GammaRep()
+    rng = np.random.default_rng(20121)
+    for _ in range(5):
+        x, y = _random_field(rng), _random_field(rng)
+        v1 = _dipole_vertex(rep, chirality, x)
+        v2 = _dipole_vertex(rep, chirality, y)
+        rank0 = 0.5 * mass**2 * np.trace(v1 @ v2)
+        expected = per_unit_i0 * _eps_contraction(x, y)
+        assert abs(rank0 - expected) <= 1e-12 * max(1.0, abs(expected))
+        rank2 = sum(
+            eta * np.trace(v1 @ g @ v2 @ g) for eta, g in zip((1, -1, -1, -1), rep.matrices)
+        )
+        assert abs(rank2) < 1e-12
+
+
+@pytest.mark.parametrize("chirality", [+1, -1])
+def test_massless_flavor_assembles_to_zero(chirality):
+    assert assemble(_one_flavor_model(chirality, "0")).terms == ()
+
+
+# ---------------------------------------------------------------------------
+# Import budget: numpy loads only for numeric checks
+# ---------------------------------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+_NUMPY_AFTER_MAIN = (
+    "import sys\n"
+    "from dipoleft import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules, code)\n"
+)
+
+
+def _probe(source: str, *args: str) -> list[str]:
+    """Last stdout line of a fresh interpreter running ``source`` on the source tree."""
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *args],
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT, check=True,
+    )
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_import_does_not_load_numpy():
+    assert _probe("import sys, dipoleft; print('numpy' in sys.modules)") == ["False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "theta_term.eft"],
+        ["reduce-bf", "bf_theory.eft", "--form", "potential",
+         "--set", "LambdaF=1/2*pi^-1", "--set", "CF=-1/8*e^2*pi^-1"],
+        ["check-quantization", "--theta=1/3pi", "--nf", "3"],
+    ],
+    ids=["compute", "reduce-bf", "check-quantization"],
+)
+def test_symbolic_commands_do_not_load_numpy(argv):
+    assert _probe(_NUMPY_AFTER_MAIN, *argv) == ["False", "0"]
+
+
+def test_selftest_loads_numpy():
+    assert _probe(_NUMPY_AFTER_MAIN, "selftest", "--count", "5") == ["True", "0"]
+
+
+def test_oracle_names_still_importable():
+    from dipoleft import GammaRep as exported
+    from dipoleft import oracle
+    from dipoleft.oracle import DEFAULT_REP as first
+
+    assert exported is GammaRep
+    assert isinstance(first, GammaRep)
+    assert oracle.DEFAULT_REP is first
+    with pytest.raises(AttributeError):
+        oracle.NOT_A_NAME

@@ -176,10 +176,24 @@ def _with_slot_entries(*entries):
         _with_slot_entries({"name": "F", "potential": "A"}, {"kind": "fundamental"}),
         _payload_with(coefficient={"num": 1, "den": 0}),
         _with_slot_entries({"name": "F", "potential": "A"}, {"name": "F"}),
+        _payload_with(coefficient={"num": 1, "den": 2, "i_power": 2}),
+        _payload_with(coefficient={"num": 1, "den": 2, "i_power": -1}),
+        _payload_with(coefficient={"num": 1, "den": 2, "i_power": True}),
+        _payload_with(coefficient={"num": "x", "den": 2}),
+        _payload_with(coefficient={"num": 1.5, "den": 2}),
+        _payload_with(coefficient={"num": 1, "den": None}),
+        _payload_with(coefficient={"den": 2}),
+        _payload_with(coefficient={"num": 1, "den": 2, "pi_power": "2"}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"e": 0.5}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": ["e"]}),
+        _payload_with(coefficient=[1, 2]),
     ],
     ids=[
         "one-slot", "three-slots", "slots-string", "no-tensor", "no-coefficient",
         "slot-without-name", "zero-denominator", "duplicate-slot",
+        "i-power-2", "i-power-negative", "i-power-bool", "num-string", "num-float",
+        "den-null", "no-num", "pi-power-string", "constant-float-exponent",
+        "constants-list", "coefficient-list",
     ],
 )
 def test_structured_malformed_entry_rejected(payload):
