@@ -6,6 +6,15 @@ i(gamma.p + m) and the closed-fermion-loop sign.  The net normalization is
 pinned by the acceptance fixtures: a single flavor with chirality +1,
 vertex coefficient e*alpha/2 and one exact slot produces the epsilon-sector
 coefficient e^2 m^2 alpha^2 I0 before renormalization.
+
+``assemble`` derives that kernel once per mass class within one call,
+massless or massive, at chirality +1 and, if massive, on a placeholder
+mass.  Every g5 comes from a vertex projector (1 - i chi g5), so a term's
+power of chi is its g5 count: the g5 traces, each carrying exactly one
+Epsilon, are odd in chi, and the rest are even ((-i chi)^2 = -1 for both
+signs).  A flavor's kernel is therefore K_no-eps + chi K_eps, with the
+placeholder renamed to its mass in the mass symbol, the bubble I0[m] and
+the cutoff log atom.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .algebra import (
     Metric,
     Momentum,
     Term,
+    _powmap,
     canonicalize,
     contract,
     fresh_labels,
@@ -30,7 +40,7 @@ from .algebra import (
     substitute_dimension,
 )
 from .dirac import FOUR_DIM, SYMBOLIC_DIM, ModelError, expand_vertex, trace
-from .loops import integrate
+from .loops import bubble_symbol, cutoff_log_atom, integrate
 
 EPSILON_SECTOR = "epsilon"
 METRIC_SECTOR = "metric"
@@ -242,11 +252,35 @@ def _extract_action_terms(expr: Expression, model: ModelSpec) -> list[ActionTerm
     return out
 
 
-# Placeholder slots of the one-flavor kernel; no model file can declare them.
+# Placeholder slots and mass of the one-flavor kernel; no model file can declare them.
 _KERNEL_SLOTS = ("!a", "!b")
+_KERNEL_MASS = "!m"
 
 
-def _on_slots(kernel: Expression, a: str, b: str, scale: Coefficient) -> list[Term]:
+def _kernel_for(kernel: Expression, flavor: FlavorSpec) -> list[Term]:
+    """The chirality +1 kernel of the flavor's mass class at its chirality and mass.
+
+    K(chi) = K_no-eps + chi K_eps: the terms carrying an Epsilon factor are
+    exactly the g5 traces, odd in chi, and the rest are even.  The
+    placeholder mass is renamed in the mass symbol, its bubble and its
+    cutoff log atom; ``_powmap`` re-sorts the renamed monomials.
+    """
+    consts = {_KERNEL_MASS: flavor.mass, bubble_symbol(_KERNEL_MASS): bubble_symbol(flavor.mass)}
+    logs = {cutoff_log_atom(_KERNEL_MASS): cutoff_log_atom(flavor.mass)}
+    out = []
+    for t in kernel.terms:
+        coeff = replace(
+            t.coeff,
+            consts=_powmap((consts.get(n, n), k) for n, k in t.coeff.consts),
+            logs=_powmap((logs.get(n, n), k) for n, k in t.coeff.logs),
+        )
+        if any(isinstance(f, Epsilon) for f in t.factors):
+            coeff = coeff.gaussian_scaled(Fraction(flavor.chirality))
+        out.append(replace(t, coeff=coeff))
+    return out
+
+
+def _on_slots(kernel: list[Term], a: str, b: str, scale: Coefficient) -> list[Term]:
     """The kernel's terms moved onto slots (a, b) and multiplied by scale."""
     names = dict(zip(_KERNEL_SLOTS, (a, b)))
     return [
@@ -257,7 +291,7 @@ def _on_slots(kernel: Expression, a: str, b: str, scale: Coefficient) -> list[Te
                 for f in t.factors
             ),
         )
-        for t in kernel.terms
+        for t in kernel
     ]
 
 
@@ -266,39 +300,43 @@ def assemble(model: ModelSpec) -> EffectiveAction:
 
     A flavor enters the polarization only through its chirality, its mass,
     its coefficient c and the signs s_i of its combo entries, bilinearly in
-    the two vertices.  So the kernel, the polarization of a unit-coefficient
-    flavor on two placeholder slots, is derived once per distinct
-    (chirality, mass); each flavor then adds the kernel on the slots of
-    every ordered pair (i, j) of its combo entries, times c^2 s_i s_j.
-    Summing over entries rather than slot names makes a combo such as
-    ``F-F`` vanish.  Flavor loops are diagonal: cross terms arise only
-    inside one flavor's combo.
+    the two vertices.  The kernel, the polarization of a unit-coefficient
+    flavor with chirality +1 on two placeholder slots, is derived once per
+    mass class within one call: massless (mass ``0``) or massive, the latter
+    on a placeholder mass.  Each flavor takes the kernel of its class with
+    the epsilon sector times its chirality and the placeholder renamed to
+    its mass (``_kernel_for``), then adds it on the slots of every ordered
+    pair (i, j) of its combo entries, times c^2 s_i s_j.  Summing over
+    entries rather than slot names makes a combo such as ``F-F`` vanish.
+    Flavor loops are diagonal: cross terms arise only inside one flavor's
+    combo.
 
     Returns the action with divergences still symbolic.
     """
     if model.dimension != 4:
         raise ModelError(f"unsupported dimension {model.dimension}")
     declared = {s.name for s in model.slots}
-    kernels: dict[tuple[int, str], Expression] = {}
+    kernels: dict[bool, Expression] = {}
     terms: list[Term] = []
     for flavor in model.flavors:
-        shape = (flavor.chirality, flavor.mass)
-        if shape not in kernels:
+        massless = flavor.mass == "0"
+        if massless not in kernels:
             unit = FlavorSpec(
                 "kernel",
-                flavor.mass,
-                flavor.chirality,
+                "0" if massless else _KERNEL_MASS,
+                +1,
                 Coefficient.one(),
                 tuple((1, s) for s in _KERNEL_SLOTS),
             )
-            kernels[shape] = polarization(unit, _KERNEL_SLOTS)
+            kernels[massless] = polarization(unit, _KERNEL_SLOTS)
         for _, name in flavor.combo:
             if name not in declared:
                 raise ModelError(f"unknown slot name {name!r} in vertex combo")
+        kernel = _kernel_for(kernels[massless], flavor)
         c2 = flavor.coeff * flavor.coeff
         for s1, a in flavor.combo:
             for s2, b in flavor.combo:
-                terms += _on_slots(kernels[shape], a, b, c2 * Coefficient.rational(s1 * s2))
+                terms += _on_slots(kernel, a, b, c2 * Coefficient.rational(s1 * s2))
     action_terms = _extract_action_terms(canonicalize(Expression(tuple(terms))), model)
     return EffectiveAction(terms=_merge_action_terms(action_terms, model.slots), slots=model.slots)
 

@@ -275,6 +275,14 @@ def word_labels(word: Word) -> tuple[str, ...]:
     return tuple(letter[1] for letter in word if letter != G5)
 
 
+def _relabel_word(word: Optional[Word], mapping: Mapping[str, str]) -> Optional[Word]:
+    if word is None:
+        return None
+    return tuple(
+        letter if letter == G5 else gamma(mapping.get(letter[1], letter[1])) for letter in word
+    )
+
+
 # ---------------------------------------------------------------------------
 # Terms and expressions
 # ---------------------------------------------------------------------------
@@ -431,13 +439,7 @@ def canonicalize_term(term: Term) -> Optional[Term]:
                 assign(label)
 
         new_factors = tuple(_relabel_factor(f, mapping) for f in term.factors)
-        new_word = term.word
-        if new_word is not None:
-            new_word = tuple(
-                letter if letter == G5 else gamma(mapping.get(letter[1], letter[1]))
-                for letter in new_word
-            )
-        term = Term(coeff=term.coeff, factors=new_factors, word=new_word)
+        term = Term(coeff=term.coeff, factors=new_factors, word=_relabel_word(term.word, mapping))
         term = _local_normalize(term)
         if term is None:
             return None
@@ -516,11 +518,7 @@ def _contract_term(term: Term) -> Optional[Term]:
                     del factors[pos]
                     mapping = {a: b}
                     factors = [_relabel_factor(g, mapping) for g in factors]
-                    if word is not None:
-                        word = tuple(
-                            letter if letter == G5 else gamma(mapping.get(letter[1], letter[1]))
-                            for letter in word
-                        )
+                    word = _relabel_word(word, mapping)
                     changed = True
                     break
             if changed:
@@ -575,10 +573,4 @@ def _shift_internal_dummies(a: Term, b: Term) -> Term:
         mapping[label] = f"!u{serial}"
         serial += 1
     factors = tuple(_relabel_factor(f, mapping) for f in b.factors)
-    word = b.word
-    if word is not None:
-        word = tuple(
-            letter if letter == G5 else gamma(mapping.get(letter[1], letter[1]))
-            for letter in word
-        )
-    return Term(coeff=b.coeff, factors=factors, word=word)
+    return Term(coeff=b.coeff, factors=factors, word=_relabel_word(b.word, mapping))

@@ -30,6 +30,7 @@ from .oracle import (
     GammaRep,
     dipole_trace_identity_checks,
     log_slope,
+    loop_normalization_deviation,
     quadrature_grid_max_relative_error,
     randomized_equivalence_suite,
 )
@@ -120,6 +121,10 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
         if name not in declared:
             raise ModelError(f"--set {name!r} names no declared constant, finite name or mass")
         value = parse_monomial(value_tok, declared)
+        if value.is_zero() and any(t.coeff.const_power(name) < 0 for t in terms):
+            raise ModelError(
+                f"--set {name}=0 divides by zero: the action carries {name!r} to a negative power"
+            )
         terms = [replace(t, coeff=t.coeff.substitute_const(name, value)) for t in terms]
     return EffectiveAction(terms=tuple(terms), slots=action.slots)
 
@@ -140,9 +145,12 @@ def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    m = re.fullmatch(r"(-?\d+(?:/\d+)?)pi", args.theta.strip())
+    m = re.fullmatch(r"(-?\d+(?:/0*[1-9]\d*)?)pi", args.theta.strip())
     if not m:
-        raise DomainError(f"bad --theta {args.theta!r}; expected a rational followed by 'pi'")
+        raise DomainError(
+            f"bad --theta {args.theta!r}; expected a rational with a nonzero denominator "
+            "followed by 'pi'"
+        )
     result = check_quantization(Fraction(m.group(1)), args.nf)
     print(f"theta = {result.theta_over_pi} pi, Nf = {result.nf}")
     print(f"topological charge quantized in units of Nf^2 = {result.charge_multiplier}")
@@ -172,6 +180,15 @@ def _run_selftest(args: argparse.Namespace) -> int:
         f"{'ok' if ok else 'FAIL'}: dipole trace identities over 256 index tuples "
         f"(eps={eps_dev:.2e}, contracted={contracted_dev:.2e})"
     )
+
+    for chirality in (+1, -1):
+        rank0_dev, rank2 = loop_normalization_deviation(chirality, rep, seed=args.seed)
+        ok = rank0_dev < 1e-10 and rank2 < 1e-10
+        failed |= not ok
+        print(
+            f"{'ok' if ok else 'FAIL'}: loop normalization vs matrix integrand, chi={chirality:+d} "
+            f"(rank0={rank0_dev:.2e}, rank2={rank2:.2e})"
+        )
 
     grid_err = quadrature_grid_max_relative_error()
     ok = grid_err < 1e-8

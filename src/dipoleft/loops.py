@@ -36,6 +36,11 @@ def bubble_symbol(mass: str) -> str:
     return "I0" if mass == "m" else f"I0[{mass}]"
 
 
+def cutoff_log_atom(mass: str) -> str:
+    """Name of the cutoff log atom log(Lambda/<mass>); ``LOG_LAMBDA`` for mass m."""
+    return f"log(Lambda/{mass})"
+
+
 def _loop_momenta(term: Term) -> list[Momentum]:
     return [f for f in term.factors if isinstance(f, Momentum) and f.name == "p"]
 
@@ -87,8 +92,8 @@ def cutoff_tensor_bracket(mass: str = "m") -> Expression:
     """
     terms = [Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2))]
     if mass != "0":
-        log_atom = f"log(Lambda/{mass})"  # LOG_LAMBDA for mass m
-        terms.append(Term(Coefficient.monomial(1, 4, pi=-2, **{mass: 2}).with_log(log_atom)))
+        bracket_log = Coefficient.monomial(1, 4, pi=-2, **{mass: 2}).with_log(cutoff_log_atom(mass))
+        terms.append(Term(bracket_log))
     return canonicalize(Expression(tuple(terms)))
 
 

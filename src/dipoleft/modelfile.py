@@ -11,7 +11,9 @@ Directives:
 
 '#' starts a comment.  Constants must be declared before use; reserved
 engine names cannot be declared.  A mass symbol may not be the name of a
-constant, and a constant has at most one absorb directive.
+constant, and a constant has at most one absorb directive.  A zero
+denominator (``coeff e*alpha/0``, ``scale 1/0``) is a ``bad-monomial`` or
+``bad-scale`` diagnostic.
 """
 
 from __future__ import annotations
@@ -53,12 +55,19 @@ class _Collector:
 
 
 def _parse_rational(token: str) -> Fraction:
-    return Fraction(token)  # accepts "3", "-1/2", ...
+    """``3``, ``-1/2``, ...; a zero denominator is a ValueError."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 def parse_monomial(token: str, declared: set[str]) -> Coefficient:
     """Parse a product of declared constants with integer powers and one
-    rational prefactor, e.g. ``e*alpha/2`` or ``-1/8*e^2*pi^-1``."""
+    rational prefactor, e.g. ``e*alpha/2`` or ``-1/8*e^2*pi^-1``.
+
+    A ValueError names a malformed factor, an undeclared constant or a zero
+    denominator (``1/0``, ``alpha/0``)."""
     coeff = Coefficient.one()
     for piece in token.split("*"):
         piece = piece.strip()
@@ -78,6 +87,8 @@ def parse_monomial(token: str, declared: set[str]) -> Coefficient:
         if neg:
             coeff = coeff.gaussian_scaled(Fraction(-1))
         if divisor:
+            if int(divisor) == 0:
+                raise ValueError(f"zero denominator in {piece!r}")
             coeff = coeff.gaussian_scaled(Fraction(1, int(divisor)))
     return coeff
 
@@ -260,7 +271,7 @@ def parse_model(text: str) -> ModelSpec:
             if scale_tok is not None:
                 try:
                     scale = _parse_scale(scale_tok)
-                except (ValueError, ZeroDivisionError) as exc:
+                except ValueError as exc:
                     diags.add("bad-scale", line_no, f"bad scale {scale_tok!r}: {exc}", raw)
                     continue
             absorb_lines[coupling] = line_no

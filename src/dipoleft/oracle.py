@@ -1,9 +1,10 @@
 """Floating-point cross-checks for the symbolic engine.
 
 Explicit 4x4 gamma matrices in the Dirac representation verify every trace
-rule, and one-dimensional quadrature verifies the regularized radial
-integral.  The representation is fixed for reproducibility; anything with
-metric (+,-,-,-) and eps(0,1,2,3) = +1 would do.
+rule and the loop normalization of the assembled action, and
+one-dimensional quadrature verifies the regularized radial integral.  The
+representation is fixed for reproducibility; anything with metric
+(+,-,-,-) and eps(0,1,2,3) = +1 would do.
 
 Importing this module does not load numpy: it loads on the first numeric
 call (building a ``GammaRep``, reading ``DEFAULT_REP``, a matrix trace, the
@@ -14,12 +15,15 @@ The quadrature loads scipy the same way.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .action import EPSILON_SECTOR, FlavorSpec, ModelSpec, SlotSpec, assemble
 from .algebra import (
+    Coefficient,
     G5,
     Expression,
     Metric,
@@ -317,3 +321,74 @@ def dipole_trace_identity_checks(rep: GammaRep | None = None) -> tuple[float, fl
                     )
                     contracted_dev = max(contracted_dev, abs(contracted))
     return float(eps_dev), float(contracted_dev)
+
+
+# ---------------------------------------------------------------------------
+# Loop normalization against explicit matrices
+# ---------------------------------------------------------------------------
+
+
+def loop_normalization_deviation(
+    chirality: int, rep: GammaRep | None = None, seed: int = 20121
+) -> tuple[float, float]:
+    """The engine's one-flavor action against the explicit-matrix loop integrand.
+
+    The kernel is (i/2) x i^2 (vertices) x (-1) (loop) x tr[V1 S V2 S], with
+    S = i(g.p + m) and V = (1 - i chi g5) sigma^{mn} X_{mn}.  Its rank-0 part,
+    (1/2) m^2 tr[V1 V2] per unit I0, must equal the engine's epsilon-sector
+    coefficient times eps^{mnrs} X_{mn} Y_{rs}, and its rank-2 part
+    eta_ab tr[V1 g^a V2 g^b] must vanish, on five seeded pairs of random
+    antisymmetric fields X and Y.  This pins the i/2, the i per vertex and
+    the loop sign independently of the fixtures.
+
+    Returns (largest rank-0 deviation relative to max(1, |expected|),
+    largest |rank-2 part|); an action other than one eps F F term in I0 m^2
+    gives (inf, inf).
+    """
+    import numpy as np
+
+    if rep is None:
+        rep = _default_rep()
+    flavor = FlavorSpec("psi", "m", chirality, Coefficient.one(), ((1, "F"),))
+    action = assemble(ModelSpec(dimension=4, slots=(SlotSpec("F", "A"),), flavors=(flavor,)))
+    shapes = [(t.structure, t.slot_a, t.slot_b, dict(t.coeff.consts)) for t in action.terms]
+    if shapes != [(EPSILON_SECTOR, "F", "F", {"I0": 1, "m": 2})]:
+        return math.inf, math.inf
+    mass = 1.7
+    per_unit_i0 = complex(action.terms[0].coeff.re, action.terms[0].coeff.im) * mass**2
+    rng = np.random.default_rng(seed)
+    rank0_dev = rank2_dev = 0.0
+    for _ in range(5):
+        x, y = _random_field(rng), _random_field(rng)
+        v1 = _dipole_vertex(rep, chirality, x)
+        v2 = _dipole_vertex(rep, chirality, y)
+        expected = per_unit_i0 * _eps_contraction(x, y)
+        rank0 = 0.5 * mass**2 * np.trace(v1 @ v2)
+        rank0_dev = max(rank0_dev, abs(rank0 - expected) / max(1.0, abs(expected)))
+        rank2 = sum(ETA[a] * np.trace(v1 @ g @ v2 @ g) for a, g in enumerate(rep.matrices))
+        rank2_dev = max(rank2_dev, abs(rank2))
+    return float(rank0_dev), float(rank2_dev)
+
+
+def _random_field(rng) -> np.ndarray:
+    """A random antisymmetric X_{mn}, indices down."""
+    a = rng.normal(size=(4, 4))
+    return a - a.T
+
+
+def _dipole_vertex(rep: GammaRep, chirality: int, field: np.ndarray) -> np.ndarray:
+    """(1 - i chi g5) sigma^{mn} X_{mn}, with sigma^{mn} = (i/2)[g^m, g^n]."""
+    import numpy as np
+
+    sigma_x = sum(
+        0.5j * field[m, n] * _commutator(m, n, rep) for m in range(4) for n in range(4)
+    )
+    return (np.eye(4) - 1j * chirality * rep.g5) @ sigma_x
+
+
+def _eps_contraction(x: np.ndarray, y: np.ndarray) -> float:
+    """eps^{mnrs} X_{mn} Y_{rs} with eps^{0123} = +1."""
+    return sum(
+        _epsilon_value(p) * x[p[0], p[1]] * y[p[2], p[3]]
+        for p in itertools.permutations(range(4))
+    )

@@ -249,13 +249,24 @@ def render_structured(action: EffectiveAction, form: str = FIELD_STRENGTH) -> di
 
 
 def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
-    """Rebuild an action from its structured form; RenderError for an entry
-    that lacks a key, a malformed coefficient, a repeated slot name, an
-    unknown tensor, or term slots that are not two names listed in ``slots``."""
+    """Rebuild an action from its structured form; RenderError for a
+    payload that is not an object, ``slots`` or ``terms`` that are not
+    lists of objects, an entry that lacks a key, a slot name or potential
+    that is not a string, a malformed coefficient, a repeated slot name, an
+    unknown tensor, or term slots that are not two names listed in
+    ``slots``."""
+    if not isinstance(obj, dict):
+        raise RenderError(f"structured action must be an object, got {obj!r}")
     if obj.get("schema") != 1:
         raise RenderError(f"unsupported schema {obj.get('schema')!r}")
-    if any("name" not in s for s in obj["slots"]):
-        raise RenderError("every slot entry needs a 'name'")
+    for key in ("slots", "terms"):
+        entries = obj.get(key)
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise RenderError(f"{key!r} must be a list of objects, got {entries!r}")
+    if any(not isinstance(s.get("name"), str) for s in obj["slots"]):
+        raise RenderError("every slot entry needs a string 'name'")
+    if any(not isinstance(s.get("potential", ""), (str, type(None))) for s in obj["slots"]):
+        raise RenderError("a slot entry's 'potential' must be a string")
     slots = tuple(
         SlotSpec(name=s["name"], potential=s.get("potential"))
         for s in obj["slots"]
@@ -276,9 +287,12 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
             raise RenderError(
                 f"unknown tensor {tensor!r}; expected {EPSILON_SECTOR!r} or {METRIC_SECTOR!r}"
             )
-        if not isinstance(entry["slots"], list) or len(entry["slots"]) != 2:
-            raise RenderError(f"term slots {entry['slots']!r} do not name exactly two slots")
-        a, b = entry["slots"]
+        names = entry["slots"]
+        if not isinstance(names, list) or len(names) != 2 or not all(
+            isinstance(n, str) for n in names
+        ):
+            raise RenderError(f"term slots {names!r} do not name exactly two slots")
+        a, b = names
         undeclared = [s for s in (a, b) if s not in declared]
         if undeclared:
             raise RenderError(f"term slot(s) {undeclared} not listed in slots")

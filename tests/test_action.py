@@ -204,7 +204,7 @@ def kernel_models(draw) -> ModelSpec:
     n_slots = draw(st.integers(1, 3))
     slots = tuple(SlotSpec(name, name.lower()) for name in SLOT_NAMES[:n_slots])
     flavors = []
-    for k in range(draw(st.integers(1, 2))):
+    for k in range(draw(st.integers(1, 4))):
         names = draw(st.permutations(SLOT_NAMES[:n_slots]))[: draw(st.integers(1, n_slots))]
         flavors.append(
             FlavorSpec(
@@ -243,7 +243,8 @@ def test_assemble_combo_f_plus_f_is_four_times_f():
     assert doubled == single.scaled(Coefficient.rational(4))
 
 
-def test_assemble_derives_one_kernel_per_chirality_and_mass(monkeypatch):
+def count_kernels(monkeypatch, model: ModelSpec) -> list[tuple[int, str]]:
+    """(chirality, mass) of each polarization ``assemble(model)`` derives."""
     calls = []
     direct = action_module.polarization
 
@@ -252,9 +253,24 @@ def test_assemble_derives_one_kernel_per_chirality_and_mass(monkeypatch):
         return direct(flavor, pair, *args, **kwargs)
 
     monkeypatch.setattr(action_module, "polarization", counting)
-    model = bf_model()  # six flavors, each with a two-slot combo
     assemble(model)
-    assert sorted(calls) == [(-1, "m"), (1, "m")]
+    return calls
+
+
+def test_assemble_derives_one_kernel_per_mass_class(monkeypatch):
+    # six flavors of both chiralities, all of mass m: one massive kernel
+    assert len(count_kernels(monkeypatch, bf_model())) == 1
+    # both chiralities of masses m, M and 0: one massive and one massless kernel
+    flavors = tuple(
+        FlavorSpec(f"psi{k}", mass, chirality, ONE, ((1, "F"),))
+        for k, (mass, chirality) in enumerate(
+            [("m", +1), ("M", -1), ("0", +1), ("m", -1), ("0", -1), ("M", +1)]
+        )
+    )
+    calls = count_kernels(monkeypatch, one_slot_model(*flavors))
+    assert len(calls) == 2
+    assert all(chirality == +1 for chirality, _ in calls)
+    assert sorted(mass == "0" for _, mass in calls) == [False, True]
 
 
 def test_assemble_rejects_undeclared_combo_slot():

@@ -240,6 +240,38 @@ def test_set_unknown_name_exit_code(capsys, theta_model_path):
     assert "thetaFF" in err
 
 
+@pytest.mark.parametrize("value", ["1/0", "1/0*pi^-1", "e/0"])
+def test_set_zero_denominator_exit_code(capsys, bf_model_path, value):
+    code, out, err = run(capsys, "reduce-bf", str(bf_model_path), "--set", f"LambdaF={value}")
+    assert code == 1
+    assert out == ""
+    assert "zero denominator" in err
+
+
+def test_set_zero_under_negative_power_exit_code(capsys, tmp_path, bf_model_path):
+    # b couples to F through lambda and to f through beta, so reduce-bf divides by CF
+    text = bf_model_path.read_text()
+    for a, b in (("beta/4 combo F", "lambda/4 combo F"), ("lambda/2 combo f", "beta/2 combo f")):
+        text = text.replace(a, b)
+    model = tmp_path / "bf_swapped.eft"
+    model.write_text(text)
+    code, out, _ = run(capsys, "reduce-bf", str(model))
+    assert code == 0 and "CF^-1" in out
+    code, out, err = run(capsys, "reduce-bf", str(model), "--set", "CF=0")
+    assert code == 1
+    assert out == ""
+    assert "divides by zero" in err
+
+
+def test_zero_denominator_in_model_file_exit_code(capsys, tmp_path, theta_model_path):
+    model = tmp_path / "zero_den.eft"
+    model.write_text(theta_model_path.read_text().replace("coeff e*alpha/2", "coeff e*alpha/0"))
+    code, out, err = run(capsys, "compute", str(model))
+    assert code == 1
+    assert out == ""
+    assert "bad-monomial: zero denominator" in err
+
+
 def test_check_quantization_negative_theta(capsys):
     code, out, _ = run(capsys, "check-quantization", "--theta=-2pi", "--nf", "3")
     assert code == 0 and "theta = -2 pi" in out
@@ -267,10 +299,36 @@ def test_check_quantization_bad_theta(capsys):
     assert code == 1 and "pi" in err
 
 
+@pytest.mark.parametrize("theta", ["1/0pi", "-3/00pi"])
+def test_check_quantization_zero_denominator_theta(capsys, theta):
+    code, out, err = run(capsys, "check-quantization", f"--theta={theta}", "--nf", "1")
+    assert code == 1 and out == ""
+    assert "nonzero denominator" in err
+
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--count", "40")
     assert code == 0
     assert "selftest: pass" in out
+
+
+def test_selftest_checks_loop_normalization_per_chirality(capsys, monkeypatch):
+    from dipoleft import cli
+
+    code, out, _ = run(capsys, "selftest", "--count", "5")
+    assert code == 0
+    for chi in ("+1", "-1"):
+        assert f"ok: loop normalization vs matrix integrand, chi={chi}" in out
+    real = cli.loop_normalization_deviation
+
+    def broken_minus(chirality, *args, **kwargs):
+        return (1.0, 0.0) if chirality < 0 else real(chirality, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "loop_normalization_deviation", broken_minus)
+    code, out, _ = run(capsys, "selftest", "--count", "5")
+    assert code == 3
+    assert "FAIL: loop normalization vs matrix integrand, chi=-1" in out
+    assert "selftest: fail" in out
 
 
 @pytest.mark.skipif(shutil.which("dipoleft") is None, reason="console script not on PATH")

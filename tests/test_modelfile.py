@@ -75,6 +75,19 @@ def test_undeclared_constant_in_coeff():
     assert ("bad-monomial", 3) in _codes(text)
 
 
+@pytest.mark.parametrize("coeff", ["e*alpha/0", "1/0*e", "e/0"])
+def test_zero_denominator_in_coeff(coeff):
+    text = (
+        "dim 4\nconstant e\nconstant alpha\nslot F exact A\n"
+        f"flavor p mass m chirality + coeff {coeff} combo F\n"
+    )
+    with pytest.raises(ModelFileError) as info:
+        parse_model(text)
+    (diag,) = info.value.diagnostics
+    assert (diag.code, diag.line) == ("bad-monomial", 5)
+    assert "zero denominator" in diag.message
+
+
 def test_absorb_requires_declared_coupling():
     text = "dim 4\nabsorb alpha^2 as thetaF\n"
     assert ("unknown-constant", 2) in _codes(text)

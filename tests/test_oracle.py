@@ -2,17 +2,15 @@
 normalization against explicit matrices, and the import budget (numpy only
 for numeric checks)."""
 
-import itertools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from dipoleft.action import EPSILON_SECTOR, FlavorSpec, ModelSpec, SlotSpec, assemble
+from dipoleft.action import FlavorSpec, ModelSpec, SlotSpec, assemble
 from dipoleft.algebra import Coefficient, G5, gamma
 from dipoleft.dirac import trace_word
 from dipoleft.oracle import (
@@ -21,6 +19,7 @@ from dipoleft.oracle import (
     dipole_trace_identity_checks,
     euclidean_scalar_integral,
     log_slope,
+    loop_normalization_deviation,
     numeric_trace,
     quadrature_grid_max_relative_error,
     randomized_equivalence_suite,
@@ -111,30 +110,6 @@ def test_import_loads_oracle_but_defers_scipy():
 # ---------------------------------------------------------------------------
 
 
-def _random_field(rng) -> np.ndarray:
-    """A random antisymmetric X_{mn}, indices down."""
-    a = rng.normal(size=(4, 4))
-    return a - a.T
-
-
-def _dipole_vertex(rep: GammaRep, chirality: int, field: np.ndarray) -> np.ndarray:
-    """(1 - i chi g5) sigma^{mn} X_{mn}, with sigma^{mn} = (i/2)[g^m, g^n]."""
-    g = rep.matrices
-    sigma_x = sum(
-        0.5j * field[m, n] * (g[m] @ g[n] - g[n] @ g[m]) for m in range(4) for n in range(4)
-    )
-    return (np.eye(4) - 1j * chirality * rep.g5) @ sigma_x
-
-
-def _eps_contraction(x: np.ndarray, y: np.ndarray) -> float:
-    """eps^{mnrs} X_{mn} Y_{rs} with eps^{0123} = +1."""
-    total = 0.0
-    for perm in itertools.permutations(range(4)):
-        sign = round(np.linalg.det(np.eye(4)[list(perm)]))
-        total += sign * x[perm[0], perm[1]] * y[perm[2], perm[3]]
-    return total
-
-
 def _one_flavor_model(chirality: int, mass: str) -> ModelSpec:
     flavor = FlavorSpec("psi", mass, chirality, Coefficient.one(), ((1, "F"),))
     return ModelSpec(dimension=4, slots=(SlotSpec("F", "A"),), flavors=(flavor,))
@@ -142,30 +117,9 @@ def _one_flavor_model(chirality: int, mass: str) -> ModelSpec:
 
 @pytest.mark.parametrize("chirality", [+1, -1])
 def test_loop_normalization_matches_matrix_integrand(chirality):
-    """The kernel (i/2) x i^2 (vertices) x (-1) (loop) x tr[V1 S V2 S], S = i(g.p + m).
-
-    Its rank-0 part is (1/2) m^2 tr[V1 V2] per unit I0; the engine's
-    eps-sector coefficient must equal it on random fields, which pins the
-    i/2, the i per vertex and the loop sign without the fixtures.
-    """
-    (term,) = assemble(_one_flavor_model(chirality, "m")).terms
-    assert (term.structure, term.slot_a, term.slot_b) == (EPSILON_SECTOR, "F", "F")
-    assert dict(term.coeff.consts) == {"I0": 1, "m": 2}
-    mass = 1.7
-    per_unit_i0 = complex(term.coeff.re, term.coeff.im) * mass**2
-    rep = GammaRep()
-    rng = np.random.default_rng(20121)
-    for _ in range(5):
-        x, y = _random_field(rng), _random_field(rng)
-        v1 = _dipole_vertex(rep, chirality, x)
-        v2 = _dipole_vertex(rep, chirality, y)
-        rank0 = 0.5 * mass**2 * np.trace(v1 @ v2)
-        expected = per_unit_i0 * _eps_contraction(x, y)
-        assert abs(rank0 - expected) <= 1e-12 * max(1.0, abs(expected))
-        rank2 = sum(
-            eta * np.trace(v1 @ g @ v2 @ g) for eta, g in zip((1, -1, -1, -1), rep.matrices)
-        )
-        assert abs(rank2) < 1e-12
+    rank0_dev, rank2 = loop_normalization_deviation(chirality, GammaRep())
+    assert rank0_dev <= 1e-12
+    assert rank2 < 1e-12
 
 
 @pytest.mark.parametrize("chirality", [+1, -1])

@@ -187,13 +187,21 @@ def _with_slot_entries(*entries):
         _payload_with(coefficient={"num": 1, "den": 2, "constants": {"e": 0.5}}),
         _payload_with(coefficient={"num": 1, "den": 2, "constants": ["e"]}),
         _payload_with(coefficient=[1, 2]),
+        _payload_with() | {"terms": 3},
+        _payload_with() | {"terms": [["epsilon", ["F", "G"]]]},
+        {k: v for k, v in _payload_with().items() if k != "slots"},
+        [_payload_with()],
+        _with_slot_entries({"name": ["F"], "potential": "A"}),
+        _with_slot_entries({"name": "F", "potential": 7}),
+        _payload_with(slots=[["F"], "F"]),
     ],
     ids=[
         "one-slot", "three-slots", "slots-string", "no-tensor", "no-coefficient",
         "slot-without-name", "zero-denominator", "duplicate-slot",
         "i-power-2", "i-power-negative", "i-power-bool", "num-string", "num-float",
         "den-null", "no-num", "pi-power-string", "constant-float-exponent",
-        "constants-list", "coefficient-list",
+        "constants-list", "coefficient-list", "terms-int", "term-list", "no-slots",
+        "payload-list", "slot-name-list", "potential-int", "term-slot-list",
     ],
 )
 def test_structured_malformed_entry_rejected(payload):
