@@ -1,20 +1,22 @@
 """Assembly, renormalization and reduction of the one-loop two-point action.
 
-The loop kernel follows the second-order term of the log-det expansion:
-an explicit i/2, a factor i per vertex insertion, propagator numerators
-i(gamma.p + m) and the closed-fermion-loop sign.  The net normalization is
-pinned by the acceptance fixtures: a single flavor with chirality +1,
-vertex coefficient e*alpha/2 and one exact slot produces the epsilon-sector
+The loop kernel (``polarization``) follows the second-order term of the
+log-det expansion: an explicit i/2, a factor i per vertex insertion,
+propagator numerators i(gamma.p + m) and the closed-fermion-loop sign.
+``oracle.loop_normalization_deviation`` pins the net normalization against
+the explicit-matrix integrand on whole models, independently of the
+acceptance fixtures, in which a single flavor with chirality +1, vertex
+coefficient e*alpha/2 and one exact slot produces the epsilon-sector
 coefficient e^2 m^2 alpha^2 I0 before renormalization.
 
-``assemble`` derives that kernel once per mass class within one call,
+``assemble`` derives the kernel once per mass class within one call,
 massless or massive, at chirality +1 and, if massive, on a placeholder
-mass.  Every g5 comes from a vertex projector (1 - i chi g5), so a term's
-power of chi is its g5 count: the g5 traces, each carrying exactly one
-Epsilon, are odd in chi, and the rest are even ((-i chi)^2 = -1 for both
-signs).  A flavor's kernel is therefore K_no-eps + chi K_eps, with the
-placeholder renamed to its mass in the mass symbol, the bubble I0[m] and
-the cutoff log atom.
+mass, and reads it into action terms on the placeholder slots.  Every g5
+comes from a vertex projector (1 - i chi g5), so a term's power of chi is
+its g5 count: the g5 traces, each carrying exactly one Epsilon, are odd in
+chi, and the rest are even ((-i chi)^2 = -1 for both signs).  A flavor's
+kernel is therefore K_no-eps + chi K_eps, with the placeholder renamed to
+its mass in the mass symbol, the bubble I0[m] and the cutoff log atom.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .algebra import (
     Expression,
     FieldSlot,
     G5,
-    Metric,
     Momentum,
     Term,
     _powmap,
@@ -103,12 +104,6 @@ class ModelSpec:
     absorb: tuple[AbsorbDirective, ...] = ()
     constants: tuple[str, ...] = ()
 
-    def slot(self, name: str) -> SlotSpec:
-        for s in self.slots:
-            if s.name == name:
-                return s
-        raise ModelError(f"unknown slot {name!r}")
-
 
 @dataclass(frozen=True)
 class ActionTerm:
@@ -164,40 +159,34 @@ def _propagator_numerator(mass: str, label: str) -> Expression:
     return Expression(tuple(terms))
 
 
-def polarization(
-    flavor: FlavorSpec,
-    pair: tuple[str, str],
-    declared_slots: Iterable[str] | None = None,
-    at_dimension: Optional[int] = 4,
-) -> Expression:
-    """Two-point polarization of one flavor for one ordered slot pair, at k = 0.
+# Placeholder slots and mass of the loop kernel; no model file can declare them.
+_KERNEL_SLOTS = ("!a", "!b")
+_KERNEL_MASS = "!m"
+
+
+def polarization(chirality: int, mass: str, at_dimension: Optional[int] = 4) -> Expression:
+    """The loop kernel: the two-point polarization of a unit-coefficient
+    flavor on the placeholder slots ``!a``/``!b``, at k = 0.
 
     The metric sector multiplies the cutoff-regularized rank-2 bubble and a
     trace that vanishes at d = 4; the epsilon sector carries the symbolic
     log-divergent bubble.  Pass ``at_dimension=None`` to keep the metric
-    sector's d-dependence explicit.  ``assemble`` derives its one-flavor
-    kernel through this function; per pair it is the direct reference.
+    sector's d-dependence explicit.
     """
-    s1, s2 = pair
-    sign1 = _combo_sign(flavor, s1)
-    sign2 = _combo_sign(flavor, s2)
+    a, b = _KERNEL_SLOTS
     mu, nu, rho, sg, q1, q2 = fresh_labels("p", 6)
-    v1 = expand_vertex(
-        flavor.chirality, flavor.coeff, [(sign1, s1)], mu, nu, declared_slots
-    )
-    v2 = expand_vertex(
-        flavor.chirality, flavor.coeff, [(sign2, s2)], rho, sg, declared_slots
-    )
+    v1 = expand_vertex(chirality, a, mu, nu)
+    v2 = expand_vertex(chirality, b, rho, sg)
     kernel = Coefficient.imaginary(1, 2)  # second-order log-det term
     vertex_units = Coefficient.rational(-1)  # i * i, one per vertex insertion
     loop_sign = Coefficient.rational(-1)  # closed fermion loop
     prefactor = kernel * vertex_units * loop_sign
-    product = v1 * _propagator_numerator(flavor.mass, q1)
-    product = product * v2 * _propagator_numerator(flavor.mass, q2)
+    product = v1 * _propagator_numerator(mass, q1)
+    product = product * v2 * _propagator_numerator(mass, q2)
     product = product.scaled(prefactor)
 
     reduced = Expression(
-        tuple(t for term in canonicalize(product).terms for t in integrate(term, flavor.mass).terms)
+        tuple(t for term in canonicalize(product).terms for t in integrate(term, mass).terms)
     )
 
     with_g5 = Expression(tuple(t for t in reduced.terms if t.word and G5 in t.word))
@@ -209,90 +198,50 @@ def polarization(
     return result
 
 
-def _combo_sign(flavor: FlavorSpec, slot: str) -> int:
-    for sign, name in flavor.combo:
-        if name == slot:
-            return sign
-    raise ModelError(f"slot {slot!r} not in combo of flavor {flavor.name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
 
 
-def _pair_representative(structure: str, a: str, b: str) -> Term:
+def _read_kernel(kernel: Expression) -> list[ActionTerm]:
+    """The d = 4 kernel as epsilon-sector action terms on the placeholder slots.
+
+    Each term must carry the canonical eps X_!a X_!b factors; its action
+    coefficient is its coefficient over that representative's.
+    """
     i, j, k, l = fresh_labels("r", 4)
-    if structure == EPSILON_SECTOR:
-        factors = (Epsilon((i, j, k, l)), FieldSlot(a, i, j), FieldSlot(b, k, l))
-    else:
-        factors = (Metric(i, k), Metric(j, l), FieldSlot(a, i, j), FieldSlot(b, k, l))
-    return Term(Coefficient.one(), factors=factors)
-
-
-def _extract_action_terms(expr: Expression, model: ModelSpec) -> list[ActionTerm]:
-    slot_order = {s.name: n for n, s in enumerate(model.slots)}
-    reps: dict[tuple, tuple[str, str, str, Coefficient]] = {}
-    for a in slot_order:
-        for b in slot_order:
-            if slot_order[a] > slot_order[b]:
-                continue
-            for structure in (EPSILON_SECTOR, METRIC_SECTOR):
-                rep = canonicalize(Expression.of(_pair_representative(structure, a, b)))
-                if rep.is_zero():
-                    continue
-                (rep_term,) = rep.terms
-                reps[rep_term.factors] = (structure, a, b, rep_term.coeff)
-    out: list[ActionTerm] = []
-    for term in expr.terms:
-        if term.factors not in reps:
+    a, b = _KERNEL_SLOTS
+    factors = (Epsilon((i, j, k, l)), FieldSlot(a, i, j), FieldSlot(b, k, l))
+    (rep,) = canonicalize(Expression.of(Term(Coefficient.one(), factors=factors))).terms
+    out = []
+    for term in kernel.terms:
+        if term.factors != rep.factors:
             raise ModelError(f"assembled term has unrecognized tensor structure: {term!r}")
-        structure, a, b, rep_coeff = reps[term.factors]
-        out.append(ActionTerm(term.coeff.divide(rep_coeff), structure, a, b))
+        out.append(ActionTerm(term.coeff.divide(rep.coeff), EPSILON_SECTOR, a, b))
     return out
 
 
-# Placeholder slots and mass of the one-flavor kernel; no model file can declare them.
-_KERNEL_SLOTS = ("!a", "!b")
-_KERNEL_MASS = "!m"
-
-
-def _kernel_for(kernel: Expression, flavor: FlavorSpec) -> list[Term]:
+def _kernel_for(kernel: list[ActionTerm], flavor: FlavorSpec) -> list[ActionTerm]:
     """The chirality +1 kernel of the flavor's mass class at its chirality and mass.
 
-    K(chi) = K_no-eps + chi K_eps: the terms carrying an Epsilon factor are
-    exactly the g5 traces, odd in chi, and the rest are even.  The
-    placeholder mass is renamed in the mass symbol, its bubble and its
-    cutoff log atom; ``_powmap`` re-sorts the renamed monomials.
+    K(chi) = K_no-eps + chi K_eps: the epsilon sector holds exactly the g5
+    traces, odd in chi, and the rest is even.  The placeholder mass is
+    renamed in the mass symbol, its bubble and its cutoff log atom;
+    ``_powmap`` re-sorts the renamed monomials.
     """
     consts = {_KERNEL_MASS: flavor.mass, bubble_symbol(_KERNEL_MASS): bubble_symbol(flavor.mass)}
     logs = {cutoff_log_atom(_KERNEL_MASS): cutoff_log_atom(flavor.mass)}
     out = []
-    for t in kernel.terms:
+    for t in kernel:
         coeff = replace(
             t.coeff,
             consts=_powmap((consts.get(n, n), k) for n, k in t.coeff.consts),
             logs=_powmap((logs.get(n, n), k) for n, k in t.coeff.logs),
         )
-        if any(isinstance(f, Epsilon) for f in t.factors):
+        if t.structure == EPSILON_SECTOR:
             coeff = coeff.gaussian_scaled(Fraction(flavor.chirality))
         out.append(replace(t, coeff=coeff))
     return out
-
-
-def _on_slots(kernel: list[Term], a: str, b: str, scale: Coefficient) -> list[Term]:
-    """The kernel's terms moved onto slots (a, b) and multiplied by scale."""
-    names = dict(zip(_KERNEL_SLOTS, (a, b)))
-    return [
-        Term(
-            scale * t.coeff,
-            factors=tuple(
-                replace(f, slot=names[f.slot]) if isinstance(f, FieldSlot) else f
-                for f in t.factors
-            ),
-        )
-        for t in kernel
-    ]
 
 
 def assemble(model: ModelSpec) -> EffectiveAction:
@@ -300,45 +249,40 @@ def assemble(model: ModelSpec) -> EffectiveAction:
 
     A flavor enters the polarization only through its chirality, its mass,
     its coefficient c and the signs s_i of its combo entries, bilinearly in
-    the two vertices.  The kernel, the polarization of a unit-coefficient
-    flavor with chirality +1 on two placeholder slots, is derived once per
-    mass class within one call: massless (mass ``0``) or massive, the latter
-    on a placeholder mass.  Each flavor takes the kernel of its class with
-    the epsilon sector times its chirality and the placeholder renamed to
-    its mass (``_kernel_for``), then adds it on the slots of every ordered
-    pair (i, j) of its combo entries, times c^2 s_i s_j.  Summing over
-    entries rather than slot names makes a combo such as ``F-F`` vanish.
-    Flavor loops are diagonal: cross terms arise only inside one flavor's
-    combo.
+    the two vertices.  The kernel (``polarization``) is read into action
+    terms on the placeholder slots once per mass class within one call:
+    massless (mass ``0``) or massive, the latter on a placeholder mass.
+    Each flavor takes the kernel of its class with the epsilon sector times
+    its chirality and the placeholder renamed to its mass (``_kernel_for``),
+    then adds it on the slots of every ordered pair (i, j) of its combo
+    entries, times c^2 s_i s_j.  Summing over entries rather than slot names
+    makes a combo such as ``F-F`` vanish.  Flavor loops are diagonal: cross
+    terms arise only inside one flavor's combo.  The loop normalization this
+    sum carries is checked against explicit matrices by
+    ``oracle.loop_normalization_deviation``.
 
     Returns the action with divergences still symbolic.
     """
     if model.dimension != 4:
         raise ModelError(f"unsupported dimension {model.dimension}")
     declared = {s.name for s in model.slots}
-    kernels: dict[bool, Expression] = {}
-    terms: list[Term] = []
+    kernels: dict[bool, list[ActionTerm]] = {}
+    terms: list[ActionTerm] = []
     for flavor in model.flavors:
-        massless = flavor.mass == "0"
-        if massless not in kernels:
-            unit = FlavorSpec(
-                "kernel",
-                "0" if massless else _KERNEL_MASS,
-                +1,
-                Coefficient.one(),
-                tuple((1, s) for s in _KERNEL_SLOTS),
-            )
-            kernels[massless] = polarization(unit, _KERNEL_SLOTS)
         for _, name in flavor.combo:
             if name not in declared:
                 raise ModelError(f"unknown slot name {name!r} in vertex combo")
+        massless = flavor.mass == "0"
+        if massless not in kernels:
+            kernels[massless] = _read_kernel(polarization(+1, "0" if massless else _KERNEL_MASS))
         kernel = _kernel_for(kernels[massless], flavor)
         c2 = flavor.coeff * flavor.coeff
         for s1, a in flavor.combo:
             for s2, b in flavor.combo:
-                terms += _on_slots(kernel, a, b, c2 * Coefficient.rational(s1 * s2))
-    action_terms = _extract_action_terms(canonicalize(Expression(tuple(terms))), model)
-    return EffectiveAction(terms=_merge_action_terms(action_terms, model.slots), slots=model.slots)
+                scale = c2 * Coefficient.rational(s1 * s2)
+                terms += [ActionTerm(scale * k.coeff, k.structure, a, b) for k in kernel]
+    terms.sort(key=lambda t: t.coeff.monomial_key())
+    return EffectiveAction(terms=_merge_action_terms(terms, model.slots), slots=model.slots)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .action import (
     EffectiveAction,
     NotReducibleError,
     RenormalizationIncompleteError,
+    _merge_action_terms,
     assemble,
     check_quantization,
     eliminate_bf,
@@ -31,6 +32,7 @@ from .oracle import (
     dipole_trace_identity_checks,
     log_slope,
     loop_normalization_deviation,
+    one_flavor_model,
     quadrature_grid_max_relative_error,
     randomized_equivalence_suite,
 )
@@ -108,6 +110,11 @@ def _emit(action: EffectiveAction, args: argparse.Namespace) -> None:
 
 
 def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
+    """Substitute each ``--set`` value, then return the action normal form.
+
+    Terms a substitution makes zero are dropped and terms it makes alike
+    merge, as in every other stage.
+    """
     if not args.assignments:
         return action
     declared = set(model.constants)
@@ -126,7 +133,7 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
                 f"--set {name}=0 divides by zero: the action carries {name!r} to a negative power"
             )
         terms = [replace(t, coeff=t.coeff.substitute_const(name, value)) for t in terms]
-    return EffectiveAction(terms=tuple(terms), slots=action.slots)
+    return EffectiveAction(terms=_merge_action_terms(terms, action.slots), slots=action.slots)
 
 
 def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
@@ -182,7 +189,8 @@ def _run_selftest(args: argparse.Namespace) -> int:
     )
 
     for chirality in (+1, -1):
-        rank0_dev, rank2 = loop_normalization_deviation(chirality, rep, seed=args.seed)
+        model = one_flavor_model(chirality)
+        rank0_dev, rank2 = loop_normalization_deviation(model, rep, seed=args.seed)
         ok = rank0_dev < 1e-10 and rank2 < 1e-10
         failed |= not ok
         print(

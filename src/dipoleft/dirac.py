@@ -22,7 +22,7 @@ hard error, never a silent choice.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .algebra import (
     G5,
@@ -48,7 +48,9 @@ class SchemeError(ValueError):
 
 
 class ModelError(ValueError):
-    """A vertex references an undeclared field slot."""
+    """A model or assignment the engine cannot use: an undeclared slot, an
+    unsupported dimension or chirality, a term of unrecognized tensor
+    structure, an ambiguous absorb or a bad ``--set``."""
 
 
 def commutator(mu: str, nu: str) -> Expression:
@@ -64,38 +66,21 @@ def sigma_tensor(mu: str, nu: str) -> Expression:
     return commutator(mu, nu).scaled(Coefficient.imaginary(1, 2))
 
 
-def expand_vertex(
-    chirality: int,
-    coeff: Coefficient,
-    combo: Sequence[tuple[int, str]],
-    mu: str = "mu",
-    nu: str = "nu",
-    declared_slots: Iterable[str] | None = None,
-) -> Expression:
-    """Dipole vertex coeff * (1 - i*chi*g5) * sigma^{mu nu} * sum_s sign_s X_s(mu,nu).
+def expand_vertex(chirality: int, slot: str, mu: str, nu: str) -> Expression:
+    """Unit dipole vertex (1 - i*chi*g5) * sigma^{mu nu} * X_slot(mu,nu).
 
     The chirality projector is expanded into its unit part and its g5 part;
-    every returned term carries one field-slot factor on the open (mu, nu)
-    pair.  An empty combo gives the zero expression.
+    every returned term carries the field-slot factor on the open (mu, nu)
+    pair.
     """
     if chirality not in (+1, -1):
         raise ModelError(f"chirality must be +1 or -1, got {chirality!r}")
-    if declared_slots is not None:
-        known = set(declared_slots)
-        for _, name in combo:
-            if name not in known:
-                raise ModelError(f"unknown slot name {name!r} in vertex combo")
     sigma = sigma_tensor(mu, nu)
     g5_factor = Expression.of(Term(Coefficient.imaginary(-chirality), word=(G5,)))
     # (1 - i*chi*g5) sigma = sigma + (-i*chi) sigma g5
     vertex = sigma + sigma * g5_factor
-    terms: list[Term] = []
-    for sign, slot in combo:
-        slot_factor = Expression.of(
-            Term(Coefficient.rational(sign), factors=(FieldSlot(slot, mu, nu),))
-        )
-        terms.extend((vertex * slot_factor).scaled(coeff).terms)
-    return canonicalize(Expression(tuple(terms)))
+    slot_factor = Expression.of(Term(Coefficient.one(), factors=(FieldSlot(slot, mu, nu),)))
+    return canonicalize(vertex * slot_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .algebra import (
     substitute_dimension,
 )
 from .dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
+from .loops import bubble_symbol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -328,45 +329,65 @@ def dipole_trace_identity_checks(rep: GammaRep | None = None) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 
 
-def loop_normalization_deviation(
-    chirality: int, rep: GammaRep | None = None, seed: int = 20121
-) -> tuple[float, float]:
-    """The engine's one-flavor action against the explicit-matrix loop integrand.
+def one_flavor_model(chirality: int, mass: str = "m") -> ModelSpec:
+    """One unit-coefficient flavor of the given chirality and mass on one exact slot F."""
+    flavor = FlavorSpec("psi", mass, chirality, Coefficient.one(), ((1, "F"),))
+    return ModelSpec(dimension=4, slots=(SlotSpec("F", "A"),), flavors=(flavor,))
 
-    The kernel is (i/2) x i^2 (vertices) x (-1) (loop) x tr[V1 S V2 S], with
-    S = i(g.p + m) and V = (1 - i chi g5) sigma^{mn} X_{mn}.  Its rank-0 part,
-    (1/2) m^2 tr[V1 V2] per unit I0, must equal the engine's epsilon-sector
-    coefficient times eps^{mnrs} X_{mn} Y_{rs}, and its rank-2 part
-    eta_ab tr[V1 g^a V2 g^b] must vanish, on five seeded pairs of random
-    antisymmetric fields X and Y.  This pins the i/2, the i per vertex and
-    the loop sign independently of the fixtures.
+
+def loop_normalization_deviation(
+    model: ModelSpec, rep: GammaRep | None = None, seed: int = 20121
+) -> tuple[float, float]:
+    """The engine's assembled action against the explicit-matrix loop integrand.
+
+    Each flavor f contributes (i/2) x i^2 (vertices) x (-1) (loop) x
+    c_f^2 tr[V S V S], with S = i(g.p + m_f), V = V_f(Phi_f) = (1 - i chi_f
+    g5) sigma^{mn} Phi_{mn} and Phi_f = sum_i s_i X_i over its combo.  The
+    rank-0 parts summed over flavors, sum_f I0[m_f] (1/2) m_f^2 c_f^2
+    tr[V_f(Phi_f)^2], must equal sum coeff eps^{mnrs} X_a,mn X_b,rs over
+    the action's terms, and each flavor's rank-2 part eta_ab tr[V g^a V g^b]
+    must vanish.  Five seeded draws give every constant, mass and bubble a
+    random value and every slot a random antisymmetric field.  This pins
+    the i/2, the i per vertex, the loop sign and the combo weights
+    independently of the fixtures.
 
     Returns (largest rank-0 deviation relative to max(1, |expected|),
-    largest |rank-2 part|); an action other than one eps F F term in I0 m^2
-    gives (inf, inf).
+    largest |rank-2 part|); an action term outside the epsilon sector or
+    carrying a log atom or an eps pole gives (inf, inf).
     """
     import numpy as np
 
     if rep is None:
         rep = _default_rep()
-    flavor = FlavorSpec("psi", "m", chirality, Coefficient.one(), ((1, "F"),))
-    action = assemble(ModelSpec(dimension=4, slots=(SlotSpec("F", "A"),), flavors=(flavor,)))
-    shapes = [(t.structure, t.slot_a, t.slot_b, dict(t.coeff.consts)) for t in action.terms]
-    if shapes != [(EPSILON_SECTOR, "F", "F", {"I0": 1, "m": 2})]:
+    action = assemble(model)
+    if any(t.structure != EPSILON_SECTOR or t.coeff.logs or t.coeff.eps_power for t in action.terms):
         return math.inf, math.inf
-    mass = 1.7
-    per_unit_i0 = complex(action.terms[0].coeff.re, action.terms[0].coeff.im) * mass**2
     rng = np.random.default_rng(seed)
     rank0_dev = rank2_dev = 0.0
     for _ in range(5):
-        x, y = _random_field(rng), _random_field(rng)
-        v1 = _dipole_vertex(rep, chirality, x)
-        v2 = _dipole_vertex(rep, chirality, y)
-        expected = per_unit_i0 * _eps_contraction(x, y)
-        rank0 = 0.5 * mass**2 * np.trace(v1 @ v2)
-        rank0_dev = max(rank0_dev, abs(rank0 - expected) / max(1.0, abs(expected)))
-        rank2 = sum(ETA[a] * np.trace(v1 @ g @ v2 @ g) for a, g in enumerate(rep.matrices))
-        rank2_dev = max(rank2_dev, abs(rank2))
+        values = {"0": 0.0}
+
+        def draw(name: str) -> float:
+            if name not in values:
+                values[name] = rng.uniform(0.5, 2.0)
+            return values[name]
+
+        def value(c: Coefficient) -> complex:
+            return complex(c.re, c.im) * math.prod(draw(n) ** k for n, k in c.consts)
+
+        fields = {s.name: _random_field(rng) for s in model.slots}
+        engine = sum(
+            value(t.coeff) * _eps_contraction(fields[t.slot_a], fields[t.slot_b])
+            for t in action.terms
+        )
+        expected = 0.0
+        for f in model.flavors:
+            v = _dipole_vertex(rep, f.chirality, sum(s * fields[n] for s, n in f.combo))
+            weight = draw(bubble_symbol(f.mass)) * 0.5 * draw(f.mass) ** 2 * value(f.coeff * f.coeff)
+            expected += weight * np.trace(v @ v)
+            rank2 = sum(ETA[a] * np.trace(v @ g @ v @ g) for a, g in enumerate(rep.matrices))
+            rank2_dev = max(rank2_dev, abs(rank2))
+        rank0_dev = max(rank0_dev, abs(engine - expected) / max(1.0, abs(expected)))
     return float(rank0_dev), float(rank2_dev)
 
 

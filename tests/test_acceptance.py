@@ -13,7 +13,6 @@ from fractions import Fraction
 from dipoleft.algebra import Coefficient, LOG_LAMBDA
 from dipoleft.action import (
     ActionTerm,
-    FlavorSpec,
     TRI_NONTRIVIAL,
     TRI_TRIVIAL,
     NOT_TRI,
@@ -64,25 +63,15 @@ def test_criterion_1_theta_term_reproduction(capsys, theta_model_path):
     print("PASS criterion 1: theta-term coefficients e^2 thetaF/32pi^2 and thetaF e^2/8pi^2, exact")
 
 
-def _theta_flavor() -> FlavorSpec:
-    return FlavorSpec(
-        name="psi",
-        mass="m",
-        chirality=+1,
-        coeff=Coefficient.monomial(1, 2, e=1, alpha=1),
-        combo=((1, "F"),),
-    )
-
-
 def test_criterion_2_metric_sector_vanishes_exactly():
-    result = polarization(_theta_flavor(), ("F", "F"), ["F"])
+    result = polarization(+1, "m")
     metric_terms = [
         t for t in result.terms if not any(isinstance(f, Epsilon) for f in t.factors)
     ]
     assert metric_terms == []
     # the multiplying integral is genuinely divergent: the cutoff bracket
     # carries a Lambda^2 power, yet the total is the exact zero expression
-    undropped = polarization(_theta_flavor(), ("F", "F"), ["F"], at_dimension=None)
+    undropped = polarization(+1, "m", at_dimension=None)
     assert any(
         t.coeff.const_power("Lambda") == 2
         for t in undropped.terms

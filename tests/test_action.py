@@ -37,6 +37,7 @@ from dipoleft.action import (
     renormalize,
 )
 from dipoleft.dirac import ModelError
+from dipoleft.oracle import loop_normalization_deviation
 
 ONE = Coefficient.one()
 
@@ -67,51 +68,59 @@ def metric_part(expr: Expression) -> Expression:
 
 
 def test_polarization_single_flavor_exact():
-    result = polarization(single_flavor(), ("F", "F"), ["F"])
-    expected = epsilon_pair(Coefficient.monomial(1, 1, e=2, alpha=2, m=2, I0=1), "F", "F")
+    # the kernel is the polarization of one unit-coefficient flavor
+    result = polarization(+1, "m")
+    expected = epsilon_pair(Coefficient.monomial(4, 1, m=2, I0=1), "!a", "!b")
     assert result == expected
     assert metric_part(result).is_zero()  # entire metric sector cancels at d = 4
 
 
 def test_polarization_chirality_flip_negates_epsilon_sector():
-    plus = polarization(single_flavor(+1), ("F", "F"), ["F"])
-    minus = polarization(single_flavor(-1), ("F", "F"), ["F"])
+    plus = polarization(+1, "m")
+    minus = polarization(-1, "m")
     assert canonicalize(plus + minus).is_zero()
 
 
 def test_polarization_metric_remnant_even_under_chirality_flip():
-    plus = polarization(single_flavor(+1), ("F", "F"), ["F"], at_dimension=None)
-    minus = polarization(single_flavor(-1), ("F", "F"), ["F"], at_dimension=None)
+    plus = polarization(+1, "m", at_dimension=None)
+    minus = polarization(-1, "m", at_dimension=None)
     assert not metric_part(plus).is_zero()  # proportional to d - 4 with cutoff bracket
     assert metric_part(plus) == metric_part(minus)
 
 
 def test_polarization_of_mass_M_carries_no_m_atom():
-    result = polarization(single_flavor(mass="M"), ("F", "F"), ["F"], at_dimension=None)
+    result = polarization(+1, "M", at_dimension=None)
     logs = {atom for t in result.terms for atom, _ in t.coeff.logs}
     assert logs == {"log(Lambda/M)"}
     assert all(t.coeff.const_power("m") == 0 for t in result.terms)
 
 
 def test_polarization_massless_flavor_vanishes():
-    assert polarization(single_flavor(mass="0"), ("F", "F"), ["F"]).is_zero()
+    for chirality in (+1, -1):
+        assert polarization(chirality, "0").is_zero()
 
 
 def test_polarization_epsilon_sector_carries_mass_squared_and_one_epsilon():
-    rng = random.Random(99)
-    for _ in range(6):
-        flavor = FlavorSpec(
-            name="psi",
-            mass=rng.choice(["m", "M"]),
-            chirality=rng.choice([+1, -1]),
-            coeff=Coefficient.monomial(rng.randint(1, 3), rng.randint(1, 4), g=1),
-            combo=((rng.choice([+1, -1]), "F"),),
-        )
-        result = polarization(flavor, ("F", "F"), ["F"])
-        assert metric_part(result).is_zero()
-        for term in result.terms:
-            assert sum(isinstance(f, Epsilon) for f in term.factors) == 1
-            assert term.coeff.const_power(flavor.mass) == 2
+    for mass in ("m", "M"):
+        for chirality in (+1, -1):
+            result = polarization(chirality, mass)
+            assert metric_part(result).is_zero()
+            for term in result.terms:
+                assert sum(isinstance(f, Epsilon) for f in term.factors) == 1
+                assert term.coeff.const_power(mass) == 2
+
+
+@pytest.mark.parametrize("mass", ["m", "M", "0"])
+@pytest.mark.parametrize("chirality", [+1, -1])
+def test_kernel_for_equals_direct_kernel(chirality, mass):
+    # the chirality +1 kernel of the mass class, flipped and renamed, is the
+    # kernel derived directly at the flavor's chirality and mass
+    class_mass = "0" if mass == "0" else action_module._KERNEL_MASS
+    flavor = replace(single_flavor(chirality, mass), coeff=ONE)
+    derived = action_module._kernel_for(
+        action_module._read_kernel(polarization(+1, class_mass)), flavor
+    )
+    assert derived == action_module._read_kernel(polarization(chirality, mass))
 
 
 def one_slot_model(*flavors: FlavorSpec) -> ModelSpec:
@@ -187,15 +196,6 @@ def test_assemble_opposite_chirality_pair_cancels():
     assert assemble(model).terms == ()
 
 
-def action_expression(action: EffectiveAction) -> Expression:
-    """The tensor expression an epsilon-sector action stands for."""
-    assert all(t.structure == "epsilon" for t in action.terms)
-    total = Expression.zero()
-    for t in action.terms:
-        total = total + epsilon_pair(t.coeff, t.slot_a, t.slot_b)
-    return canonicalize(total)
-
-
 SLOT_NAMES = ("F", "G", "H")
 
 
@@ -222,14 +222,10 @@ def kernel_models(draw) -> ModelSpec:
 
 @settings(max_examples=25, deadline=None)
 @given(kernel_models())
-def test_assemble_equals_sum_of_direct_polarizations(model):
-    declared = [s.name for s in model.slots]
-    direct = Expression.zero()
-    for flavor in model.flavors:
-        for _, a in flavor.combo:
-            for _, b in flavor.combo:
-                direct = direct + polarization(flavor, (a, b), declared)
-    assert action_expression(assemble(model)) == canonicalize(direct)
+def test_assemble_matches_loop_normalization_oracle(model):
+    rank0_dev, rank2 = loop_normalization_deviation(model)
+    assert rank0_dev <= 1e-10
+    assert rank2 <= 1e-10
 
 
 def test_assemble_combo_f_minus_f_vanishes():
@@ -248,9 +244,9 @@ def count_kernels(monkeypatch, model: ModelSpec) -> list[tuple[int, str]]:
     calls = []
     direct = action_module.polarization
 
-    def counting(flavor, pair, *args, **kwargs):
-        calls.append((flavor.chirality, flavor.mass))
-        return direct(flavor, pair, *args, **kwargs)
+    def counting(chirality, mass, *args, **kwargs):
+        calls.append((chirality, mass))
+        return direct(chirality, mass, *args, **kwargs)
 
     monkeypatch.setattr(action_module, "polarization", counting)
     assemble(model)

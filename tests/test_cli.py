@@ -263,6 +263,31 @@ def test_set_zero_under_negative_power_exit_code(capsys, tmp_path, bf_model_path
     assert "divides by zero" in err
 
 
+def test_set_zero_drops_the_term(capsys, theta_model_path):
+    code, out, err = run(capsys, "compute", str(theta_model_path), "--set", "e=0")
+    assert (code, out, err) == (0, "", "")
+    code, out, _ = run(
+        capsys, "compute", str(theta_model_path), "--set", "e=0", "--format", "structured"
+    )
+    assert code == 0
+    assert json.loads(out)["terms"] == []
+
+
+def test_set_merges_terms_it_makes_alike(capsys, tmp_path, theta_model_path):
+    text = theta_model_path.read_text().replace(
+        "absorb", "constant beta real\nflavor chi mass m chirality + coeff e*beta/2 combo F\nabsorb"
+    )
+    model = tmp_path / "two_couplings.eft"
+    model.write_text(text)
+    code, out, _ = run(capsys, "compute", str(model), "--keep-divergences")
+    assert code == 0 and len(out.splitlines()) == 2
+    code, out, _ = run(capsys, "compute", str(model), "--keep-divergences", "--set", "beta=alpha")
+    assert code == 0
+    assert out.splitlines() == [
+        "(2) * I0 * alpha^2 * e^2 * m^2 * eps[mu nu rho sigma] F[mu nu] F[rho sigma]"
+    ]
+
+
 def test_zero_denominator_in_model_file_exit_code(capsys, tmp_path, theta_model_path):
     model = tmp_path / "zero_den.eft"
     model.write_text(theta_model_path.read_text().replace("coeff e*alpha/2", "coeff e*alpha/0"))
@@ -321,8 +346,9 @@ def test_selftest_checks_loop_normalization_per_chirality(capsys, monkeypatch):
         assert f"ok: loop normalization vs matrix integrand, chi={chi}" in out
     real = cli.loop_normalization_deviation
 
-    def broken_minus(chirality, *args, **kwargs):
-        return (1.0, 0.0) if chirality < 0 else real(chirality, *args, **kwargs)
+    def broken_minus(model, *args, **kwargs):
+        chirality = model.flavors[0].chirality
+        return (1.0, 0.0) if chirality < 0 else real(model, *args, **kwargs)
 
     monkeypatch.setattr(cli, "loop_normalization_deviation", broken_minus)
     code, out, _ = run(capsys, "selftest", "--count", "5")

@@ -23,7 +23,6 @@ from dipoleft.algebra import (
 from dipoleft.dirac import (
     FOUR_DIM,
     SYMBOLIC_DIM,
-    ModelError,
     SchemeError,
     commutator,
     expand_vertex,
@@ -255,14 +254,12 @@ def _expected_vertex(chirality: int, coeff: Coefficient) -> Expression:
 
 
 def test_expand_vertex_positive_chirality():
-    coeff = Coefficient.monomial(1, 2, e=1, alpha=1)
-    assert expand_vertex(+1, coeff, [(1, "F")]) == _expected_vertex(+1, coeff)
+    assert expand_vertex(+1, "F", "mu", "nu") == _expected_vertex(+1, ONE)
 
 
 def test_expand_vertex_chirality_flip_negates_only_g5_part():
-    coeff = Coefficient.monomial(1, 2, e=1, alpha=1)
-    plus = expand_vertex(+1, coeff, [(1, "F")])
-    minus = expand_vertex(-1, coeff, [(1, "F")])
+    plus = expand_vertex(+1, "F", "mu", "nu")
+    minus = expand_vertex(-1, "F", "mu", "nu")
     for term_plus, term_minus in zip(plus.terms, minus.terms):
         assert term_plus.factors == term_minus.factors
         assert term_plus.word == term_minus.word
@@ -270,20 +267,3 @@ def test_expand_vertex_chirality_flip_negates_only_g5_part():
             assert term_plus.coeff == -term_minus.coeff
         else:
             assert term_plus.coeff == term_minus.coeff
-
-
-def test_expand_vertex_empty_combo_is_zero():
-    assert expand_vertex(+1, ONE, []).is_zero()
-
-
-def test_expand_vertex_unknown_slot_is_model_error():
-    with pytest.raises(ModelError, match="unknown slot"):
-        expand_vertex(+1, ONE, [(1, "G")], declared_slots=["F"])
-
-
-def test_expand_vertex_combo_signs_weight_slots():
-    coeff = Coefficient.monomial(1, 2, **{"lambda": 1})
-    both = expand_vertex(+1, coeff, [(1, "F"), (-1, "b")])
-    f_only = expand_vertex(+1, coeff, [(1, "F")])
-    b_only = expand_vertex(+1, coeff, [(-1, "b")])
-    assert both == canonicalize(f_only + b_only)

@@ -6,13 +6,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from dipoleft.action import FlavorSpec, ModelSpec, SlotSpec, assemble
+from dipoleft import oracle
+from dipoleft.action import assemble
 from dipoleft.algebra import Coefficient, G5, gamma
 from dipoleft.dirac import trace_word
+from dipoleft.modelfile import parse_model
 from dipoleft.oracle import (
     DEFAULT_REP,
     GammaRep,
@@ -21,6 +24,7 @@ from dipoleft.oracle import (
     log_slope,
     loop_normalization_deviation,
     numeric_trace,
+    one_flavor_model,
     quadrature_grid_max_relative_error,
     randomized_equivalence_suite,
 )
@@ -110,21 +114,34 @@ def test_import_loads_oracle_but_defers_scipy():
 # ---------------------------------------------------------------------------
 
 
-def _one_flavor_model(chirality: int, mass: str) -> ModelSpec:
-    flavor = FlavorSpec("psi", mass, chirality, Coefficient.one(), ((1, "F"),))
-    return ModelSpec(dimension=4, slots=(SlotSpec("F", "A"),), flavors=(flavor,))
-
-
 @pytest.mark.parametrize("chirality", [+1, -1])
 def test_loop_normalization_matches_matrix_integrand(chirality):
-    rank0_dev, rank2 = loop_normalization_deviation(chirality, GammaRep())
+    rank0_dev, rank2 = loop_normalization_deviation(one_flavor_model(chirality), GammaRep())
     assert rank0_dev <= 1e-12
     assert rank2 < 1e-12
 
 
+@pytest.mark.parametrize("fixture", ["theta_model_path", "bf_model_path"])
+def test_loop_normalization_holds_on_fixtures(request, fixture):
+    model = parse_model(request.getfixturevalue(fixture).read_text())
+    rank0_dev, rank2 = loop_normalization_deviation(model)
+    assert rank0_dev <= 1e-10
+    assert rank2 <= 1e-10
+
+
+def test_loop_normalization_detects_a_flipped_combo_sign(monkeypatch, bf_model_path):
+    model = parse_model(bf_model_path.read_text())
+    first = model.flavors[0]
+    (s1, a), (s2, b) = first.combo
+    flipped = replace(model, flavors=(replace(first, combo=((s1, a), (-s2, b))),) + model.flavors[1:])
+    monkeypatch.setattr(oracle, "assemble", lambda _: assemble(flipped))
+    rank0_dev, _ = loop_normalization_deviation(model)
+    assert rank0_dev > 1e-3
+
+
 @pytest.mark.parametrize("chirality", [+1, -1])
 def test_massless_flavor_assembles_to_zero(chirality):
-    assert assemble(_one_flavor_model(chirality, "0")).terms == ()
+    assert assemble(one_flavor_model(chirality, "0")).terms == ()
 
 
 # ---------------------------------------------------------------------------
