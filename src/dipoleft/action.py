@@ -35,7 +35,6 @@ from .algebra import (
     Term,
     _powmap,
     canonicalize,
-    contract,
     fresh_labels,
     gamma,
     substitute_dimension,
@@ -192,7 +191,7 @@ def polarization(chirality: int, mass: str, at_dimension: Optional[int] = 4) -> 
     with_g5 = Expression(tuple(t for t in reduced.terms if t.word and G5 in t.word))
     without_g5 = Expression(tuple(t for t in reduced.terms if not (t.word and G5 in t.word)))
     traced = trace(without_g5, SYMBOLIC_DIM) + trace(with_g5, FOUR_DIM)
-    result = contract(canonicalize(traced))
+    result = canonicalize(traced)
     if at_dimension is not None:
         result = substitute_dimension(result, at_dimension)
     return result

@@ -11,6 +11,8 @@ carried as a distinguished constant and only ever substituted explicitly.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -113,7 +115,7 @@ class Coefficient:
         )
 
     def __neg__(self) -> "Coefficient":
-        return replace(self, re=-self.re, im=-self.im)
+        return Coefficient(-self.re, -self.im, self.consts, self.logs, self.eps_power)
 
     def plus(self, other: "Coefficient") -> "Coefficient":
         """Sum of two coefficients sharing the same monomial part."""
@@ -193,10 +195,6 @@ class FieldSlot:
 
 TensorFactor = Union[Metric, Epsilon, Momentum, FieldSlot]
 
-# Scan order for canonical dummy naming: structure-rich factors anchor first,
-# fully antisymmetric anonymous factors last.
-_SCAN_CLASS = {FieldSlot: 0, Momentum: 1, Metric: 2, Epsilon: 3}
-
 
 def _factor_labels(f: TensorFactor) -> tuple[str, ...]:
     if isinstance(f, Metric):
@@ -227,6 +225,10 @@ def _relabel_factor(f: TensorFactor, mapping: Mapping[str, str]) -> TensorFactor
     if isinstance(f, Momentum):
         return Momentum(f.name, m(f.i))
     return FieldSlot(f.slot, m(f.i), m(f.j))
+
+
+def _factor_key(f: TensorFactor) -> tuple:
+    return (type(f).__name__, _factor_name(f), _factor_labels(f))
 
 
 def _sort_with_parity(labels: Iterable[str]) -> tuple[tuple[str, ...], int]:
@@ -400,19 +402,19 @@ def _validate_arity(term: Term) -> set[str]:
     return {label for label, c in counts.items() if c == 2}
 
 
-def _scan_sort_key(f: TensorFactor) -> tuple:
-    return (_SCAN_CLASS[type(f)], _factor_name(f), _factor_labels(f))
-
-
 def canonicalize_term(term: Term) -> Optional[Term]:
     """Canonical form of a single term; None when it is identically zero.
 
     Per-factor index conventions are applied first.  A term without dummy
     labels (labels occurring twice) is then final up to the order of its
-    factors.  Only a term with dummies runs the relabel loop: dummies are
-    renamed $0, $1, ... in scan order and the conventions reapplied, until
-    a pass leaves the term unchanged; a term already in canonical form
-    stops after one pass.
+    factors.  Otherwise the dummies are renamed $0, $1, ... (skipping free
+    labels): those of the gamma word in order of first occurrence, then the
+    others grouped by signature, the sorted (type, name) pairs of the two
+    factors a dummy joins, trying every permutation within each group.  The
+    candidate with the least sorted factors wins; if it also comes with the
+    opposite sign, the term equals its negative and is zero.  This is
+    exact: the namings tried do not depend on any dummy's name or on factor
+    order, so equal terms give the same candidates and the same least one.
     """
     if term.coeff.is_zero():
         return None
@@ -422,67 +424,57 @@ def canonicalize_term(term: Term) -> Optional[Term]:
     term = normalized
     dummies = _validate_arity(term)
     if not dummies:
-        return replace(term, factors=tuple(sorted(term.factors, key=_scan_sort_key)))
-    previous = (term.factors, term.word, term.coeff.re, term.coeff.im)
-    for _ in range(16):
-        mapping: dict[str, str] = {}
-
-        def assign(label: str) -> None:
-            if label in dummies and label not in mapping:
-                mapping[label] = f"{_DUMMY_PREFIX}{len(mapping)}"
-
-        if term.word is not None:
-            for label in word_labels(term.word):
-                assign(label)
-        for f in sorted(term.factors, key=_scan_sort_key):
-            for label in _factor_labels(f):
-                assign(label)
-
-        new_factors = tuple(_relabel_factor(f, mapping) for f in term.factors)
-        term = Term(coeff=term.coeff, factors=new_factors, word=_relabel_word(term.word, mapping))
-        term = _local_normalize(term)
-        if term is None:
-            return None
-        dummies = {mapping.get(d, d) for d in dummies}
-        state = (term.factors, term.word, term.coeff.re, term.coeff.im)
-        if state == previous:
-            break
-        previous = state
-    else:  # pragma: no cover - safety net
-        raise RuntimeError(f"canonical relabeling did not converge for {term!r}")
-    return replace(term, factors=tuple(sorted(term.factors, key=_scan_sort_key)))
+        return replace(term, factors=tuple(sorted(term.factors, key=_factor_key)))
+    taken = set(term.labels()) - dummies
+    fresh = (f"{_DUMMY_PREFIX}{k}" for k in itertools.count())
+    names = list(itertools.islice((n for n in fresh if n not in taken), len(dummies)))
+    mapping: dict[str, str] = {}
+    for label in word_labels(term.word or ()):
+        if label in dummies and label not in mapping:
+            mapping[label] = names[len(mapping)]
+    word = _relabel_word(term.word, mapping)
+    joins: dict[str, list[tuple[str, str]]] = {d: [] for d in dummies if d not in mapping}
+    for f in term.factors:
+        for label in _factor_labels(f):
+            if label in joins:
+                joins[label].append((type(f).__name__, _factor_name(f)))
+    groups: dict[tuple, list[str]] = {}
+    for label, signature in joins.items():
+        groups.setdefault(tuple(sorted(signature)), []).append(label)
+    group_names = names[len(mapping) :]
+    best_key, best, zero = None, None, False
+    for perms in itertools.product(*(itertools.permutations(groups[s]) for s in sorted(groups))):
+        mapping.update(zip(itertools.chain.from_iterable(perms), group_names))
+        relabelled = tuple(_relabel_factor(f, mapping) for f in term.factors)
+        candidate = _local_normalize(Term(term.coeff, relabelled))
+        key = tuple(sorted(map(_factor_key, candidate.factors)))
+        if best_key is None or key < best_key:
+            best_key, best, zero = key, candidate, False
+        elif key == best_key and candidate.coeff != best.coeff:
+            zero = True
+    if zero:
+        return None
+    return Term(best.coeff, tuple(sorted(best.factors, key=_factor_key)), word)
 
 
 def canonicalize(expr: Expression) -> Expression:
     """Canonicalize every term, merge like terms, drop zeros, order deterministically."""
-    buckets: dict[tuple, Coefficient] = {}
-    shapes: dict[tuple, Term] = {}
+    merged: dict[tuple, Term] = {}
     for raw in expr.terms:
         term = canonicalize_term(raw)
         if term is None:
             continue
         key = term.structural_key()
-        if key in buckets:
-            buckets[key] = buckets[key].plus(term.coeff)
-        else:
-            buckets[key] = term.coeff
-            shapes[key] = term
-    out = []
-    for key in sorted(buckets, key=_term_order_key):
-        coeff = buckets[key]
-        if coeff.is_zero():
-            continue
-        out.append(replace(shapes[key], coeff=coeff))
-    return Expression(tuple(out))
+        if key in merged:
+            term = Term(merged[key].coeff.plus(term.coeff), term.factors, term.word)
+        merged[key] = term
+    ordered = (merged[key] for key in sorted(merged, key=_term_order_key))
+    return Expression(tuple(t for t in ordered if not t.coeff.is_zero()))
 
 
 def _term_order_key(key: tuple) -> tuple:
     factors, word, monomial = key
-    return (
-        tuple((type(f).__name__, _factor_name(f), _factor_labels(f)) for f in factors),
-        word or (),
-        monomial,
-    )
+    return (tuple(map(_factor_key, factors)), word or (), monomial)
 
 
 # ---------------------------------------------------------------------------
@@ -490,40 +482,23 @@ def _term_order_key(key: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _contract_term(term: Term) -> Optional[Term]:
-    factors = list(term.factors)
-    coeff = term.coeff
-    word = term.word
-    changed = True
-    while changed:
-        changed = False
-        counts: dict[str, int] = {}
-        for f in factors:
-            for label in _factor_labels(f):
-                counts[label] = counts.get(label, 0) + 1
-        if word is not None:
-            for label in word_labels(word):
-                counts[label] = counts.get(label, 0) + 1
-        for pos, f in enumerate(factors):
-            if not isinstance(f, Metric):
-                continue
-            if f.i == f.j and counts.get(f.i, 0) == 2:
-                # both slots of this metric paired with each other: trace = d
-                coeff = coeff.with_consts(d=1)
-                del factors[pos]
-                changed = True
+def _contract_term(term: Term) -> Term:
+    """Absorb the first metric carrying a dummy until none is left; a metric
+    whose two slots pair with each other is a trace and gives d."""
+    while True:
+        counts = Counter(term.labels())
+        for pos, f in enumerate(term.factors):
+            if isinstance(f, Metric) and 2 in (counts[f.i], counts[f.j]):
                 break
-            for a, b in ((f.i, f.j), (f.j, f.i)):
-                if counts.get(a, 0) == 2 and a != b:
-                    del factors[pos]
-                    mapping = {a: b}
-                    factors = [_relabel_factor(g, mapping) for g in factors]
-                    word = _relabel_word(word, mapping)
-                    changed = True
-                    break
-            if changed:
-                break
-    return Term(coeff=coeff, factors=tuple(factors), word=word)
+        else:
+            return term
+        rest = term.factors[:pos] + term.factors[pos + 1 :]
+        if f.i == f.j:
+            term = Term(term.coeff.with_consts(d=1), rest, term.word)
+            continue
+        mapping = {f.i: f.j} if counts[f.i] == 2 else {f.j: f.i}
+        relabelled = tuple(_relabel_factor(g, mapping) for g in rest)
+        term = Term(term.coeff, relabelled, _relabel_word(term.word, mapping))
 
 
 def contract(expr: Expression) -> Expression:

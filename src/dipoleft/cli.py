@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 diagnostics (parse/model/domain errors),
-2 renormalization left divergent terms, 3 numeric-oracle failure.
+2 renormalization left divergent terms, 3 numeric-oracle failure.  Any
+other exception is an engine bug and propagates.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .oracle import (
 from .render import (
     FIELD_STRENGTH,
     POTENTIAL,
+    RenderError,
     render_latex,
     render_structured_json,
     render_text,
@@ -127,7 +129,10 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
             raise ModelError(f"bad --set argument {item!r}; expected NAME=MONOMIAL")
         if name not in declared:
             raise ModelError(f"--set {name!r} names no declared constant, finite name or mass")
-        value = parse_monomial(value_tok, declared)
+        try:
+            value = parse_monomial(value_tok, declared)
+        except ValueError as exc:
+            raise ModelError(str(exc)) from None
         if value.is_zero() and any(t.coeff.const_power(name) < 0 for t in terms):
             raise ModelError(
                 f"--set {name}=0 divides by zero: the action carries {name!r} to a negative power"
@@ -231,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except RenormalizationIncompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, NotReducibleError, DomainError, OSError, ValueError) as exc:
+    except (ModelError, NotReducibleError, DomainError, RenderError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

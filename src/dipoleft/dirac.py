@@ -5,11 +5,12 @@ Conventions, fixed once and enforced by the numeric oracle:
     metric (+,-,-,-),  eps(0,1,2,3) = +1,  g5 = i g0 g1 g2 g3,
     tr(1) = 4,         tr(g^m g^n g^r g^s g5) = -4i eps^{mnrs}.
 
-A trace is built as a flat list of terms, one per leaf of its expansion,
-then canonicalized once.  Traces without g5 are 4 times the signed sum over
-the (2n-1)!! pairings of their 2n labels into metric factors, which holds
-at symbolic dimension.  Traces with g5 are strictly four-dimensional:
-words longer than four gammas are reduced with
+A word's trace is built as a flat list of terms, one per leaf of its
+expansion, then canonicalized once; ``trace`` contracts what it returns.
+Traces without g5 are 4 times the signed sum over the (2n-1)!! pairings
+of their 2n labels into metric factors, which holds at symbolic
+dimension.  Traces with g5 are strictly four-dimensional: words longer
+than four gammas are reduced with
 
     g^m g^n g^r = eta^{mn} g^r - eta^{mr} g^n + eta^{nr} g^m
                   + i eps^{mnrs} g_s g5,
@@ -35,6 +36,7 @@ from .algebra import (
     Term,
     Word,
     canonicalize,
+    contract,
     gamma,
     normalize_word,
 )
@@ -166,7 +168,8 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
 
 
 def trace(expr: Expression, dim_mode: str = SYMBOLIC_DIM) -> Expression:
-    """Trace every pending gamma word in expr; spectator factors pass through."""
+    """Trace every pending gamma word in expr, times its spectator factors,
+    and contract: no returned term holds a metric carrying a dummy."""
     terms: list[Term] = []
     for term in expr.terms:
         if term.word is None:
@@ -175,4 +178,4 @@ def trace(expr: Expression, dim_mode: str = SYMBOLIC_DIM) -> Expression:
         traced = trace_word(term.word, dim_mode)
         rest = Expression.of(Term(term.coeff, factors=term.factors))
         terms.extend((rest * traced).terms)
-    return canonicalize(Expression(tuple(terms)))
+    return contract(Expression(tuple(terms)))

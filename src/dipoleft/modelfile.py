@@ -11,9 +11,10 @@ Directives:
 
 '#' starts a comment.  Constants must be declared before use; reserved
 engine names cannot be declared.  A mass symbol may not be the name of a
-constant, and a constant has at most one absorb directive.  A zero
-denominator (``coeff e*alpha/0``, ``scale 1/0``) is a ``bad-monomial`` or
-``bad-scale`` diagnostic.
+constant, a constant has at most one absorb directive, and two exact slots
+may not share a potential (``duplicate-potential``, citing both lines).  A
+zero denominator (``coeff e*alpha/0``, ``scale 1/0``) is a ``bad-monomial``
+or ``bad-scale`` diagnostic.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ def parse_model(text: str) -> ModelSpec:
     absorb: list[AbsorbDirective] = []
     absorb_lines: dict[str, int] = {}
     mass_lines: dict[str, int] = {}
+    potential_lines: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -145,7 +147,7 @@ def parse_model(text: str) -> ModelSpec:
         head = tokens[0]
 
         if head == "dim":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 diags.add("syntax", line_no, "expected: dim <integer>", raw)
             elif int(tokens[1]) != 4:
                 diags.add("unsupported-dimension", line_no, f"unsupported dimension {tokens[1]}", raw)
@@ -190,6 +192,12 @@ def parse_model(text: str) -> ModelSpec:
             if spec.name in RESERVED_NAMES or (spec.potential in RESERVED_NAMES):
                 diags.add("reserved-name", line_no, "slot and potential names may not be reserved names", raw)
                 continue
+            if spec.potential in potential_lines:
+                where = f"already declared on line {potential_lines[spec.potential]}"
+                diags.add("duplicate-potential", line_no, f"potential {spec.potential!r} {where}", raw)
+                continue
+            if spec.exact:
+                potential_lines[spec.potential] = line_no
             slots.append(spec)
 
         elif head == "flavor":

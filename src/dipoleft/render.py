@@ -37,8 +37,8 @@ class RenderError(ValueError):
     pass
 
 
-def _check_form(form: str) -> None:
-    if form not in _FORMS:
+def _check_form(form: Any) -> None:
+    if not isinstance(form, str) or form not in _FORMS:
         raise RenderError(f"unknown form {form!r}; expected one of {sorted(_FORMS)}")
 
 
@@ -252,9 +252,9 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     """Rebuild an action from its structured form; RenderError for a
     payload that is not an object, ``slots`` or ``terms`` that are not
     lists of objects, an entry that lacks a key, a slot name or potential
-    that is not a string, a malformed coefficient, a repeated slot name, an
-    unknown tensor, or term slots that are not two names listed in
-    ``slots``."""
+    that is not a string, a malformed coefficient, a repeated slot name or
+    potential, an unknown tensor or form, or term slots that are not two
+    names listed in ``slots``."""
     if not isinstance(obj, dict):
         raise RenderError(f"structured action must be an object, got {obj!r}")
     if obj.get("schema") != 1:
@@ -275,8 +275,12 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     declared = {s.name for s in slots}
     if len(declared) != len(slots):
         raise RenderError("two slot entries share a name")
-    terms = []
+    potentials = [s.potential for s in slots if s.exact]
+    if len(set(potentials)) != len(potentials):
+        raise RenderError("two slot entries share a potential")
     form = obj.get("form", FIELD_STRENGTH)
+    _check_form(form)
+    terms = []
     for entry in obj["terms"]:
         missing = {"coefficient", "tensor", "slots"} - entry.keys()
         if missing:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipoleft.algebra import (
+    G5,
     Coefficient,
     Epsilon,
     Expression,
@@ -17,6 +18,7 @@ from dipoleft.algebra import (
     Term,
     canonicalize,
     contract,
+    gamma,
     substitute_dimension,
 )
 
@@ -143,6 +145,74 @@ def test_canonical_form_is_idempotent_and_ignores_factor_order(shape, labels, or
     reference = _pipeline_shape_factors(shape, ["a", "b", "c", "d", "e", "f"])
     if shape != "free":  # dummies renamed: the same tensor, the same form
         assert once == canonicalize(Expression.of(Term(coeff, factors=tuple(reference))))
+
+
+def _canonicity_shape(shape, labels):
+    """The shapes of the canonicity probes, on eight dummy labels: the two
+    pipeline shapes, three with several dummies of one signature, and one
+    with a gamma word; as (factors, word)."""
+    a, b, c, d, e, f, g, h = labels
+    X = lambda i, j: FieldSlot("X", i, j)  # noqa: E731
+    Y = lambda i, j: FieldSlot("Y", i, j)  # noqa: E731
+    return {
+        "eps X Y": ([Epsilon((a, b, c, d)), X(a, b), Y(c, d)], None),
+        "eps X X": ([Epsilon((a, b, c, d)), X(a, c), X(b, d)], None),
+        "eta eta X Y": ([X(a, b), Y(c, d), Metric(a, c), Metric(b, d)], None),
+        "eps X eta Y k": (
+            [Epsilon((a, b, c, d)), X(a, e), Metric(b, f), Y(e, f), Momentum("k", c), Momentum("q", d)],
+            None,
+        ),
+        "eps eps X Y X Y": (
+            [Epsilon((a, b, c, d)), Epsilon((e, f, g, h)), X(a, e), Y(b, f), X(c, g), Y(d, h)],
+            None,
+        ),
+        "word X eta p": (
+            [X(a, b), Metric(c, d), Metric(e, "z"), Momentum("p", c), Momentum("p", e)],
+            (gamma(a), gamma(d), G5, gamma(b)),
+        ),
+    }[shape]
+
+
+_CANONICITY_SHAPES = ["eps X Y", "eps X X", "eta eta X Y", "eps X eta Y k", "eps eps X Y X Y", "word X eta p"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.sampled_from(_CANONICITY_SHAPES),
+    names=st.permutations(["a", "b", "c", "d", "e", "f", "g", "h", "$0", "$1"]),
+    rnd=st.randoms(use_true_random=False),
+    sign=st.sampled_from([1, -1]),
+)
+def test_canonical_form_ignores_dummy_names_and_factor_order(shape, names, rnd, sign):
+    factors, word = _canonicity_shape(shape, "abcdefgh")
+    renamed, renamed_word = _canonicity_shape(shape, names[:8])
+    rnd.shuffle(renamed)
+    coeff = Coefficient.rational(sign)
+    once = canonicalize(Expression.of(Term(coeff, factors=tuple(factors), word=word)))
+    assert len(once.terms) == 1
+    assert canonicalize(once) == once
+    assert canonicalize(Expression.of(Term(coeff, factors=tuple(renamed), word=renamed_word))) == once
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (FieldSlot("X", "a", "b"), Metric("a", "b")),
+        (Epsilon(("a", "b", "c", "d")), Metric("a", "b"), FieldSlot("X", "c", "d")),
+    ],
+    ids=["X eta", "eps eta X"],
+)
+def test_symmetric_times_antisymmetric_canonicalizes_to_zero(factors):
+    assert expr_of(Term(ONE, factors=factors)).is_zero()
+
+
+def test_pair_equal_after_renaming_merges_with_coefficient_two():
+    # renaming 2 <-> 3 in the second term flips the sign of Y: the pair is
+    # twice the first term, not zero
+    first = (FieldSlot("X", "0", "1"), FieldSlot("Y", "2", "3"), Metric("0", "2"), Metric("1", "3"))
+    second = (FieldSlot("X", "0", "1"), FieldSlot("Y", "2", "3"), Metric("0", "3"), Metric("1", "2"))
+    merged = expr_of(Term(ONE, factors=first), Term(Coefficient.rational(-1), factors=second))
+    assert merged == expr_of(Term(Coefficient.rational(2), factors=first))
 
 
 def test_contract_metric_chain():

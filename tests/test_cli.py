@@ -6,6 +6,8 @@ import subprocess
 
 import pytest
 
+from dipoleft import cli
+from dipoleft.algebra import StructuralError
 from dipoleft.cli import main
 from dipoleft.render import structured_to_action
 
@@ -68,6 +70,35 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "compute", "/nonexistent/model.eft")
     assert code == 1
     assert err
+
+
+def test_binary_model_file_exit_code(tmp_path, capsys):
+    model = tmp_path / "binary.eft"
+    model.write_bytes(b"\xff\xfe\x00dim 4\n")
+    code, out, err = run(capsys, "compute", str(model))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 'utf-8' codec")
+
+
+def test_engine_errors_are_not_reported_as_diagnostics(monkeypatch, theta_model_path):
+    # only the documented error classes become an exit-1 diagnostic
+    def broken(model):
+        raise StructuralError("index label(s) ['x'] occur more than twice")
+
+    monkeypatch.setattr(cli, "assemble", broken)
+    with pytest.raises(StructuralError):
+        main(["compute", str(theta_model_path)])
+
+
+def test_duplicate_potential_exit_code(tmp_path, capsys, theta_model_path):
+    text = theta_model_path.read_text().replace(
+        "slot F exact A", "slot F exact A\nslot G exact A"
+    ).replace("combo F", "combo F+G")
+    model = tmp_path / "shared_potential.eft"
+    model.write_text(text)
+    code, out, err = run(capsys, "compute", str(model), "--form", "potential")
+    assert (code, out) == (1, "")
+    assert "line 9: duplicate-potential" in err and "line 8" in err
 
 
 def test_renormalization_incomplete_exit_code(tmp_path, capsys):

@@ -234,6 +234,26 @@ def test_trace_word_term_counts(length, g5, terms):
     assert len(trace_word(word, FOUR_DIM if g5 else SYMBOLIC_DIM).terms) == terms
 
 
+def test_trace_word_keeps_free_labels_that_look_like_canonical_dummies():
+    # the aux dummy of a g5 reduction is renamed away from the free $-labels
+    word = tuple(gamma(f"${k}") for k in range(6)) + (G5,)
+    plain = tuple(gamma(f"x{k}") for k in range(6)) + (G5,)
+    traced = trace_word(word, FOUR_DIM)
+    assert len(traced.terms) == len(trace_word(plain, FOUR_DIM).terms) == 6
+    assignment = {f"${k}": k % 4 for k in range(6)}
+    value = evaluate_expression_numeric(traced, assignment)
+    assert abs(value - numeric_trace(word, assignment)) < 1e-12
+
+
+def test_trace_contracts_spectator_indices():
+    # tr(g^a g^b g^c g^d) X(a,b) Y(c,d) = -8 X(a,b) Y(a,b), no metric left
+    spectators = (FieldSlot("X", "a", "b"), FieldSlot("Y", "c", "d"))
+    word = tuple(gamma(x) for x in "abcd")
+    traced = trace(Expression.of(Term(ONE, factors=spectators, word=word)))
+    expected = Term(Coefficient.rational(-8), factors=(FieldSlot("X", "a", "b"), FieldSlot("Y", "a", "b")))
+    assert traced == canonicalize(Expression.of(expected))
+
+
 # ---------------------------------------------------------------------------
 # Vertex expansion
 # ---------------------------------------------------------------------------

@@ -170,3 +170,16 @@ def test_mass_symbol_equal_to_absorbed_coupling_is_rejected():
 
 def test_constant_may_not_reuse_an_earlier_mass_symbol():
     assert _codes(THETA + "constant m\n") == [("name-clash", 7)]
+
+
+def test_duplicate_potential_cites_both_lines():
+    text = "dim 4\nconstant e\nslot F exact A\nslot G exact A\nslot b fundamental\n"
+    with pytest.raises(ModelFileError) as info:
+        parse_model(text)
+    (diag,) = info.value.diagnostics
+    assert (diag.code, diag.line) == ("duplicate-potential", 4)
+    assert "'A'" in diag.message and "line 3" in diag.message
+
+
+def test_dim_with_a_non_decimal_digit_is_a_syntax_diagnostic():
+    assert _codes("dim ²\n") == [("syntax", 1), ("missing-dim", 0)]

@@ -194,6 +194,11 @@ def _with_slot_entries(*entries):
         _with_slot_entries({"name": ["F"], "potential": "A"}),
         _with_slot_entries({"name": "F", "potential": 7}),
         _payload_with(slots=[["F"], "F"]),
+        _payload_with() | {"form": [FIELD_STRENGTH]},
+        _payload_with(form=[FIELD_STRENGTH]),
+        _payload_with() | {"form": "bogus", "terms": []},
+        _payload_with() | {"form": None},
+        _with_slot_entries({"name": "F", "potential": "A"}, {"name": "G", "potential": "A"}),
     ],
     ids=[
         "one-slot", "three-slots", "slots-string", "no-tensor", "no-coefficient",
@@ -202,6 +207,8 @@ def _with_slot_entries(*entries):
         "den-null", "no-num", "pi-power-string", "constant-float-exponent",
         "constants-list", "coefficient-list", "terms-int", "term-list", "no-slots",
         "payload-list", "slot-name-list", "potential-int", "term-slot-list",
+        "form-list", "term-form-list", "form-bogus-no-terms", "form-null",
+        "duplicate-potential",
     ],
 )
 def test_structured_malformed_entry_rejected(payload):
