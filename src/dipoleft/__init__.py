@@ -59,6 +59,7 @@ from .action import (
     assemble,
     check_quantization,
     eliminate_bf,
+    normal_form,
     polarization,
     renormalize,
 )

@@ -11,12 +11,12 @@ coefficient e^2 m^2 alpha^2 I0 before renormalization.
 
 ``assemble`` derives the kernel once per mass class within one call,
 massless or massive, at chirality +1 and, if massive, on a placeholder
-mass, and reads it into action terms on the placeholder slots.  Every g5
-comes from a vertex projector (1 - i chi g5), so a term's power of chi is
-its g5 count: the g5 traces, each carrying exactly one Epsilon, are odd in
-chi, and the rest are even ((-i chi)^2 = -1 for both signs).  A flavor's
-kernel is therefore K_no-eps + chi K_eps, with the placeholder renamed to
-its mass in the mass symbol, the bubble I0[m] and the cutoff log atom.
+mass, and reads its d = 4 value as epsilon-sector coefficients on the
+placeholder slots: 4 m^2 I0[m] for the massive class, nothing for the
+massless one.  Every g5 comes from a vertex projector (1 - i chi g5) and
+each g5 trace carries exactly one Epsilon, so the epsilon sector is odd in
+chi: a flavor's kernel is chi times its class kernel, with the placeholder
+renamed to its mass in the mass symbol and the bubble I0[m].
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .algebra import (
     Epsilon,
     Expression,
     FieldSlot,
-    G5,
     Momentum,
     Term,
     _powmap,
@@ -39,8 +38,8 @@ from .algebra import (
     gamma,
     substitute_dimension,
 )
-from .dirac import FOUR_DIM, SYMBOLIC_DIM, ModelError, expand_vertex, trace
-from .loops import bubble_symbol, cutoff_log_atom, integrate
+from .dirac import FOUR_DIM, ModelError, expand_vertex, trace
+from .loops import bubble_symbol, integrate
 
 EPSILON_SECTOR = "epsilon"
 METRIC_SECTOR = "metric"
@@ -61,7 +60,7 @@ class NotReducibleError(ValueError):
 
 
 class DomainError(ValueError):
-    """Classifier input outside its domain."""
+    """Command input outside its domain: a classifier argument or a selftest count."""
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +186,8 @@ def polarization(chirality: int, mass: str, at_dimension: Optional[int] = 4) -> 
     reduced = Expression(
         tuple(t for term in canonicalize(product).terms for t in integrate(term, mass).terms)
     )
-
-    with_g5 = Expression(tuple(t for t in reduced.terms if t.word and G5 in t.word))
-    without_g5 = Expression(tuple(t for t in reduced.terms if not (t.word and G5 in t.word)))
-    traced = trace(without_g5, SYMBOLIC_DIM) + trace(with_g5, FOUR_DIM)
-    result = canonicalize(traced)
+    # FOUR_DIM only admits the g5 words; the plain traces hold at symbolic d.
+    result = trace(reduced, FOUR_DIM)
     if at_dimension is not None:
         result = substitute_dimension(result, at_dimension)
     return result
@@ -202,8 +198,8 @@ def polarization(chirality: int, mass: str, at_dimension: Optional[int] = 4) -> 
 # ---------------------------------------------------------------------------
 
 
-def _read_kernel(kernel: Expression) -> list[ActionTerm]:
-    """The d = 4 kernel as epsilon-sector action terms on the placeholder slots.
+def _read_kernel(kernel: Expression) -> list[Coefficient]:
+    """The d = 4 kernel as epsilon-sector coefficients on the placeholder slots.
 
     Each term must carry the canonical eps X_!a X_!b factors; its action
     coefficient is its coefficient over that representative's.
@@ -216,31 +212,16 @@ def _read_kernel(kernel: Expression) -> list[ActionTerm]:
     for term in kernel.terms:
         if term.factors != rep.factors:
             raise ModelError(f"assembled term has unrecognized tensor structure: {term!r}")
-        out.append(ActionTerm(term.coeff.divide(rep.coeff), EPSILON_SECTOR, a, b))
+        out.append(term.coeff.divide(rep.coeff))
     return out
 
 
-def _kernel_for(kernel: list[ActionTerm], flavor: FlavorSpec) -> list[ActionTerm]:
-    """The chirality +1 kernel of the flavor's mass class at its chirality and mass.
-
-    K(chi) = K_no-eps + chi K_eps: the epsilon sector holds exactly the g5
-    traces, odd in chi, and the rest is even.  The placeholder mass is
-    renamed in the mass symbol, its bubble and its cutoff log atom;
-    ``_powmap`` re-sorts the renamed monomials.
-    """
-    consts = {_KERNEL_MASS: flavor.mass, bubble_symbol(_KERNEL_MASS): bubble_symbol(flavor.mass)}
-    logs = {cutoff_log_atom(_KERNEL_MASS): cutoff_log_atom(flavor.mass)}
-    out = []
-    for t in kernel:
-        coeff = replace(
-            t.coeff,
-            consts=_powmap((consts.get(n, n), k) for n, k in t.coeff.consts),
-            logs=_powmap((logs.get(n, n), k) for n, k in t.coeff.logs),
-        )
-        if t.structure == EPSILON_SECTOR:
-            coeff = coeff.gaussian_scaled(Fraction(flavor.chirality))
-        out.append(replace(t, coeff=coeff))
-    return out
+def _kernel_for(kernel: list[Coefficient], mass: str) -> list[Coefficient]:
+    """The kernel of a mass class on the given mass: the placeholder mass is
+    renamed in the mass symbol and its bubble; ``_powmap`` re-sorts the
+    renamed monomials."""
+    names = {_KERNEL_MASS: mass, bubble_symbol(_KERNEL_MASS): bubble_symbol(mass)}
+    return [replace(k, consts=_powmap((names.get(n, n), p) for n, p in k.consts)) for k in kernel]
 
 
 def assemble(model: ModelSpec) -> EffectiveAction:
@@ -251,10 +232,10 @@ def assemble(model: ModelSpec) -> EffectiveAction:
     the two vertices.  The kernel (``polarization``) is read into action
     terms on the placeholder slots once per mass class within one call:
     massless (mass ``0``) or massive, the latter on a placeholder mass.
-    Each flavor takes the kernel of its class with the epsilon sector times
-    its chirality and the placeholder renamed to its mass (``_kernel_for``),
-    then adds it on the slots of every ordered pair (i, j) of its combo
-    entries, times c^2 s_i s_j.  Summing over entries rather than slot names
+    Each flavor takes the kernel of its class with the placeholder renamed
+    to its mass (``_kernel_for``), then adds it as epsilon-sector terms on
+    the slots of every ordered pair (i, j) of its combo entries, times
+    c^2 chi s_i s_j.  Summing over entries rather than slot names
     makes a combo such as ``F-F`` vanish.  Flavor loops are diagonal: cross
     terms arise only inside one flavor's combo.  The loop normalization this
     sum carries is checked against explicit matrices by
@@ -265,7 +246,7 @@ def assemble(model: ModelSpec) -> EffectiveAction:
     if model.dimension != 4:
         raise ModelError(f"unsupported dimension {model.dimension}")
     declared = {s.name for s in model.slots}
-    kernels: dict[bool, list[ActionTerm]] = {}
+    kernels: dict[bool, list[Coefficient]] = {}
     terms: list[ActionTerm] = []
     for flavor in model.flavors:
         for _, name in flavor.combo:
@@ -274,14 +255,14 @@ def assemble(model: ModelSpec) -> EffectiveAction:
         massless = flavor.mass == "0"
         if massless not in kernels:
             kernels[massless] = _read_kernel(polarization(+1, "0" if massless else _KERNEL_MASS))
-        kernel = _kernel_for(kernels[massless], flavor)
+        kernel = _kernel_for(kernels[massless], flavor.mass)
         c2 = flavor.coeff * flavor.coeff
         for s1, a in flavor.combo:
             for s2, b in flavor.combo:
-                scale = c2 * Coefficient.rational(s1 * s2)
-                terms += [ActionTerm(scale * k.coeff, k.structure, a, b) for k in kernel]
+                scale = c2 * Coefficient.rational(flavor.chirality * s1 * s2)
+                terms += [ActionTerm(scale * k, EPSILON_SECTOR, a, b) for k in kernel]
     terms.sort(key=lambda t: t.coeff.monomial_key())
-    return EffectiveAction(terms=_merge_action_terms(terms, model.slots), slots=model.slots)
+    return normal_form(terms, model.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +321,7 @@ def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) 
         new_terms.append(replace(term, coeff=absorbed))
     if residual:
         raise RenormalizationIncompleteError(residual)
-    return EffectiveAction(terms=_merge_action_terms(new_terms, action.slots), slots=action.slots)
+    return normal_form(new_terms, action.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +329,7 @@ def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) 
 # ---------------------------------------------------------------------------
 
 
-def _merge_action_terms(terms: Iterable[ActionTerm], slots: tuple[SlotSpec, ...]) -> tuple[ActionTerm, ...]:
+def normal_form(terms: Iterable[ActionTerm], slots: tuple[SlotSpec, ...]) -> EffectiveAction:
     """The action normal form: like terms merged, zeros dropped, ordered by slots.
 
     Terms on one slot pair keep the order in which they first appear.
@@ -367,7 +348,7 @@ def _merge_action_terms(terms: Iterable[ActionTerm], slots: tuple[SlotSpec, ...]
         if not coeff.is_zero():
             out.append(ActionTerm(coeff, structure, a, b))
     out.sort(key=lambda t: (t.structure, order[t.slot_a], order[t.slot_b]))
-    return tuple(out)
+    return EffectiveAction(terms=tuple(out), slots=slots)
 
 
 def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
@@ -444,8 +425,7 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
             substituted.append(ActionTerm(factor * term.coeff, term.structure, a, bslot))
 
     new_slots = tuple(s for s in action.slots if s.name not in (b, target))
-    merged = _merge_action_terms(substituted, action.slots)
-    return EffectiveAction(terms=merged, slots=new_slots), True
+    return normal_form(substituted, new_slots), True
 
 
 # ---------------------------------------------------------------------------

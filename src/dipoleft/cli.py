@@ -20,10 +20,10 @@ from .action import (
     EffectiveAction,
     NotReducibleError,
     RenormalizationIncompleteError,
-    _merge_action_terms,
     assemble,
     check_quantization,
     eliminate_bf,
+    normal_form,
     renormalize,
 )
 from .dirac import ModelError
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run the numeric-oracle suites")
     p_self.add_argument("--seed", type=int, default=42)
-    p_self.add_argument("--count", type=int, default=500)
+    p_self.add_argument("--count", type=int, default=500, help="random equivalence checks to run (positive)")
     return parser
 
 
@@ -138,7 +138,7 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
                 f"--set {name}=0 divides by zero: the action carries {name!r} to a negative power"
             )
         terms = [replace(t, coeff=t.coeff.substitute_const(name, value)) for t in terms]
-    return EffectiveAction(terms=_merge_action_terms(terms, action.slots), slots=action.slots)
+    return normal_form(terms, action.slots)
 
 
 def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
@@ -171,6 +171,8 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_selftest(args: argparse.Namespace) -> int:
+    if args.count <= 0:
+        raise DomainError(f"--count must be a positive integer, got {args.count}")
     failed = False
 
     rep = GammaRep()

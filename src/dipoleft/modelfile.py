@@ -9,12 +9,15 @@ Directives:
     flavor <name> mass <sym> chirality +|- coeff <monomial> combo <signed-slot-sum>
     absorb <constant>^2 as <name> [scale <rational>[/pi^<k>]]
 
-'#' starts a comment.  Constants must be declared before use; reserved
-engine names cannot be declared.  A mass symbol may not be the name of a
-constant, a constant has at most one absorb directive, and two exact slots
-may not share a potential (``duplicate-potential``, citing both lines).  A
-zero denominator (``coeff e*alpha/0``, ``scale 1/0``) is a ``bad-monomial``
-or ``bad-scale`` diagnostic.
+'#' starts a comment.  Every declared name has one kind (constant, slot,
+potential, flavor, mass or finite name) and one declaring line, and only a
+mass symbol may repeat (across flavors); mass ``0`` is not a name.  A
+reserved engine name is ``reserved-name``, a name declared again as the
+same kind ``duplicate-<kind>`` and as another kind ``name-clash``, each
+citing the earlier line.  Constants must be declared before use, and a
+constant has at most one absorb directive (``duplicate-absorb``).  A zero
+denominator (``coeff e*alpha/0``, ``scale 1/0``) is a ``bad-monomial`` or
+``bad-scale`` diagnostic.
 """
 
 from __future__ import annotations
@@ -131,13 +134,32 @@ def parse_model(text: str) -> ModelSpec:
     diagnostic found (each carrying a line number)."""
     diags = _Collector()
     dimension: int | None = None
-    constants: set[str] = set()
+    names: dict[str, tuple[str, int]] = {}  # name -> (kind, declaring line)
     slots: list[SlotSpec] = []
     flavors: list[FlavorSpec] = []
     absorb: list[AbsorbDirective] = []
     absorb_lines: dict[str, int] = {}
-    mass_lines: dict[str, int] = {}
-    potential_lines: dict[str, int] = {}
+
+    def declare(name: str, kind: str, line_no: int, raw: str) -> bool:
+        """Enter name as kind; False, with a diagnostic, if the table refuses it."""
+        if name in RESERVED_NAMES:
+            diags.add("reserved-name", line_no, f"{name!r} is reserved by the engine", raw)
+            return False
+        if name not in names:
+            names[name] = (kind, line_no)
+            return True
+        prior, prior_line = names[name]
+        if prior == kind == "mass":
+            return True
+        if prior == kind:
+            code, message = f"duplicate-{kind.replace(' ', '-')}", "already declared"
+        else:
+            code, message = "name-clash", f"already declared as a {prior}"
+        diags.add(code, line_no, f"{kind} {name!r} {message} on line {prior_line}", raw)
+        return False
+
+    def declared(kind: str) -> set[str]:
+        return {name for name, (k, _) in names.items() if k == kind}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -158,25 +180,11 @@ def parse_model(text: str) -> ModelSpec:
             if len(tokens) < 2 or not _IDENT.match(tokens[1]):
                 diags.add("syntax", line_no, "expected: constant <name> [real] [positive]", raw)
                 continue
-            name = tokens[1]
-            if name in RESERVED_NAMES:
-                diags.add("reserved-name", line_no, f"{name!r} is reserved by the engine", raw)
-                continue
-            if name in constants:
-                diags.add("duplicate-constant", line_no, f"constant {name!r} already declared", raw)
-                continue
-            if name in mass_lines:
-                diags.add(
-                    "name-clash",
-                    line_no,
-                    f"constant {name!r} is the mass symbol of line {mass_lines[name]}",
-                    raw,
-                )
+            if not declare(tokens[1], "constant", line_no, raw):
                 continue
             for flag in tokens[2:]:
                 if flag not in ("real", "positive"):
                     diags.add("syntax", line_no, f"unknown constant flag {flag!r}", raw)
-            constants.add(name)
 
         elif head == "slot":
             if len(tokens) == 3 and tokens[2] == "fundamental":
@@ -186,18 +194,10 @@ def parse_model(text: str) -> ModelSpec:
             else:
                 diags.add("syntax", line_no, "expected: slot <name> exact <potential> | slot <name> fundamental", raw)
                 continue
-            if any(s.name == spec.name for s in slots):
-                diags.add("duplicate-slot", line_no, f"slot {spec.name!r} already declared", raw)
+            if not declare(spec.name, "slot", line_no, raw):
                 continue
-            if spec.name in RESERVED_NAMES or (spec.potential in RESERVED_NAMES):
-                diags.add("reserved-name", line_no, "slot and potential names may not be reserved names", raw)
+            if spec.exact and not declare(spec.potential, "potential", line_no, raw):
                 continue
-            if spec.potential in potential_lines:
-                where = f"already declared on line {potential_lines[spec.potential]}"
-                diags.add("duplicate-potential", line_no, f"potential {spec.potential!r} {where}", raw)
-                continue
-            if spec.exact:
-                potential_lines[spec.potential] = line_no
             slots.append(spec)
 
         elif head == "flavor":
@@ -213,20 +213,18 @@ def parse_model(text: str) -> ModelSpec:
                 )
                 continue
             name, mass, chir_tok, coeff_tok, combo_tok = tokens[1], tokens[3], tokens[5], tokens[7], tokens[9]
-            if any(f.name == name for f in flavors):
-                diags.add("duplicate-flavor", line_no, f"flavor {name!r} already declared", raw)
+            if not declare(name, "flavor", line_no, raw):
                 continue
-            if mass != "0" and (not _IDENT.match(mass) or mass in RESERVED_NAMES):
+            if mass != "0" and not _IDENT.match(mass):
                 diags.add("reserved-name", line_no, f"bad mass symbol {mass!r}", raw)
                 continue
-            if mass in constants:
-                diags.add("name-clash", line_no, f"mass symbol {mass!r} is a declared constant", raw)
+            if mass != "0" and not declare(mass, "mass", line_no, raw):
                 continue
             if chir_tok not in ("+", "-"):
                 diags.add("syntax", line_no, "chirality must be + or -", raw)
                 continue
             try:
-                coeff = parse_monomial(coeff_tok, constants)
+                coeff = parse_monomial(coeff_tok, declared("constant"))
             except ValueError as exc:
                 diags.add("bad-monomial", line_no, str(exc), raw)
                 continue
@@ -235,12 +233,10 @@ def parse_model(text: str) -> ModelSpec:
             except ValueError as exc:
                 diags.add("bad-combo", line_no, str(exc), raw)
                 continue
-            known_slots = {s.name for s in slots}
-            missing = [s for _, s in combo if s not in known_slots]
+            missing = [s for _, s in combo if s not in declared("slot")]
             if missing:
                 diags.add("unknown-slot", line_no, f"combo references undeclared slot(s) {missing}", raw)
                 continue
-            mass_lines.setdefault(mass, line_no)
             flavors.append(
                 FlavorSpec(
                     name=name,
@@ -261,11 +257,10 @@ def parse_model(text: str) -> ModelSpec:
                 diags.add("syntax", line_no, "expected: absorb <constant>^2 as <name> [scale <rational>[/pi^<k>]]", raw)
                 continue
             coupling, finite, scale_tok = m.groups()
-            if coupling not in constants:
+            if coupling not in declared("constant"):
                 diags.add("unknown-constant", line_no, f"absorb references undeclared constant {coupling!r}", raw)
                 continue
-            if finite in RESERVED_NAMES:
-                diags.add("reserved-name", line_no, f"{finite!r} is reserved by the engine", raw)
+            if not declare(finite, "finite name", line_no, raw):
                 continue
             if coupling in absorb_lines:
                 diags.add(
@@ -297,5 +292,5 @@ def parse_model(text: str) -> ModelSpec:
         slots=tuple(slots),
         flavors=tuple(flavors),
         absorb=tuple(absorb),
-        constants=tuple(sorted(constants)),
+        constants=tuple(sorted(declared("constant"))),
     )

@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .action import ActionTerm, EffectiveAction, EPSILON_SECTOR, METRIC_SECTOR, SlotSpec
+from .action import ActionTerm, EffectiveAction, EPSILON_SECTOR, METRIC_SECTOR, SlotSpec, normal_form
 from .algebra import Coefficient
 
 FIELD_STRENGTH = "field-strength"
@@ -254,7 +254,8 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     lists of objects, an entry that lacks a key, a slot name or potential
     that is not a string, a malformed coefficient, a repeated slot name or
     potential, an unknown tensor or form, or term slots that are not two
-    names listed in ``slots``."""
+    names listed in ``slots``.  The terms are returned in the action normal
+    form (``normal_form``): equal terms merged, zero terms dropped."""
     if not isinstance(obj, dict):
         raise RenderError(f"structured action must be an object, got {obj!r}")
     if obj.get("schema") != 1:
@@ -306,7 +307,7 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
             doubling = sum(1 for s in (a, b) if action.slot(s).exact)
             coeff = coeff.gaussian_scaled(Fraction(1, 2**doubling))
         terms.append(ActionTerm(coeff, tensor, a, b))
-    return EffectiveAction(terms=tuple(terms), slots=slots), form
+    return normal_form(terms, slots), form
 
 
 def render_structured_json(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:

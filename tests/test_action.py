@@ -113,13 +113,13 @@ def test_polarization_epsilon_sector_carries_mass_squared_and_one_epsilon():
 @pytest.mark.parametrize("mass", ["m", "M", "0"])
 @pytest.mark.parametrize("chirality", [+1, -1])
 def test_kernel_for_equals_direct_kernel(chirality, mass):
-    # the chirality +1 kernel of the mass class, flipped and renamed, is the
-    # kernel derived directly at the flavor's chirality and mass
+    # the chirality +1 kernel of the mass class, renamed and times chi, is
+    # the kernel derived directly at the flavor's chirality and mass
     class_mass = "0" if mass == "0" else action_module._KERNEL_MASS
-    flavor = replace(single_flavor(chirality, mass), coeff=ONE)
-    derived = action_module._kernel_for(
-        action_module._read_kernel(polarization(+1, class_mass)), flavor
+    renamed = action_module._kernel_for(
+        action_module._read_kernel(polarization(+1, class_mass)), mass
     )
+    derived = [k.gaussian_scaled(Fraction(chirality)) for k in renamed]
     assert derived == action_module._read_kernel(polarization(chirality, mass))
 
 

@@ -223,6 +223,30 @@ def test_compute_rejects_mass_named_like_a_constant(tmp_path, capsys, theta_mode
 
 
 @pytest.mark.parametrize(
+    "edit",
+    [
+        {"as thetaF": "as e"},
+        {"as thetaF": "as m"},
+        {"as thetaF": "as alpha"},
+        {"slot F exact A": "slot e exact A\nslot F exact A"},
+        {"slot F exact A": "slot F exact m"},
+    ],
+    ids=["absorb-as-coupling", "absorb-as-mass", "absorb-as-absorbed", "slot-e", "potential-m"],
+)
+def test_compute_rejects_a_name_declared_as_two_kinds(tmp_path, capsys, theta_model_path, edit):
+    # without the check the finite name or mass folds into the other name's powers
+    text = theta_model_path.read_text()
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    model = tmp_path / "clash.eft"
+    model.write_text(text)
+    code, out, err = run(capsys, "compute", str(model))
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert ": name-clash: " in line
+
+
+@pytest.mark.parametrize(
     "edit, culprit",
     [
         (
@@ -366,6 +390,13 @@ def test_selftest_small(capsys):
     code, out, _ = run(capsys, "selftest", "--count", "40")
     assert code == 0
     assert "selftest: pass" in out
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_selftest_rejects_a_count_that_runs_no_check(capsys, count):
+    code, out, err = run(capsys, "selftest", "--count", count)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --count")
 
 
 def test_selftest_checks_loop_normalization_per_chirality(capsys, monkeypatch):

@@ -37,10 +37,14 @@ def test_parse_bf_model_file(bf_model_path):
     assert scales["CF"] == Coefficient.rational(1, 4)
 
 
-def _codes(text: str) -> list[tuple[str, int]]:
+def _diagnostics(text: str):
     with pytest.raises(ModelFileError) as info:
         parse_model(text)
-    return [(d.code, d.line) for d in info.value.diagnostics]
+    return info.value.diagnostics
+
+
+def _codes(text: str) -> list[tuple[str, int]]:
+    return [(d.code, d.line) for d in _diagnostics(text)]
 
 
 def test_unsupported_dimension_diagnostic():
@@ -170,6 +174,47 @@ def test_mass_symbol_equal_to_absorbed_coupling_is_rejected():
 
 def test_constant_may_not_reuse_an_earlier_mass_symbol():
     assert _codes(THETA + "constant m\n") == [("name-clash", 7)]
+
+
+# A snippet declaring the name X as each kind; i keeps its other names apart.
+KIND_SNIPPETS = {
+    "constant": lambda i: "constant X",
+    "slot": lambda i: "slot X fundamental",
+    "potential": lambda i: f"slot S{i} exact X",
+    "flavor": lambda i: "flavor X mass 0 chirality + coeff e combo F",
+    "mass": lambda i: f"flavor chi{i} mass X chirality + coeff e combo F",
+    "finite name": lambda i: f"absorb g{i}^2 as X",
+}
+KIND_HEADER = "dim 4\nconstant e\nconstant g1\nconstant g2\nslot F exact A\n"
+
+
+@pytest.mark.parametrize("second", sorted(KIND_SNIPPETS))
+@pytest.mark.parametrize("first", sorted(KIND_SNIPPETS))
+def test_every_name_has_one_kind_and_one_line(first, second):
+    text = KIND_HEADER + f"{KIND_SNIPPETS[first](1)}\n{KIND_SNIPPETS[second](2)}\n"
+    if first == second == "mass":
+        # flavors may share a mass symbol
+        assert [f.mass for f in parse_model(text).flavors] == ["X", "X"]
+        return
+    (diag,) = _diagnostics(text)
+    code = "duplicate-" + first.replace(" ", "-") if first == second else "name-clash"
+    assert (diag.code, diag.line) == (code, 7)
+    assert "'X'" in diag.message and "line 6" in diag.message
+    assert first in diag.message and second in diag.message
+
+
+def test_slot_named_like_its_own_potential_clashes():
+    (diag,) = _diagnostics("dim 4\nslot A exact A\n")
+    assert (diag.code, diag.line) == ("name-clash", 2)
+    assert "line 2" in diag.message
+
+
+def test_combo_naming_a_rejected_slot_adds_no_diagnostic():
+    text = (
+        "dim 4\nconstant e\nslot F exact A\nslot G exact A\n"
+        "flavor psi mass m chirality + coeff e combo F+G\n"
+    )
+    assert _codes(text) == [("duplicate-potential", 4)]
 
 
 def test_duplicate_potential_cites_both_lines():

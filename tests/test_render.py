@@ -220,3 +220,13 @@ def test_structured_declared_slots_and_tensors_accepted():
     for tensor in ("epsilon", "metric"):
         action, _ = structured_to_action(_payload_with(tensor=tensor, slots=["F", "G"]))
         assert action.terms == (ActionTerm(Coefficient.rational(1, 2), tensor, "F", "G"),)
+
+
+def test_structured_terms_come_back_in_normal_form():
+    # equal terms merge and a zero term is dropped, as at every other stage
+    payload = _payload_with()
+    (term,) = payload["terms"]
+    payload["terms"] = [term, term, term | {"coefficient": {"num": 0, "den": 1}}]
+    action, _ = structured_to_action(payload)
+    assert action.terms == (ActionTerm(Coefficient.one(), "epsilon", "F", "F"),)
+    assert len(render_text(action).splitlines()) == 1
