@@ -9,11 +9,13 @@ acceptance fixtures, in which a single flavor with chirality +1, vertex
 coefficient e*alpha/2 and one exact slot produces the epsilon-sector
 coefficient e^2 m^2 alpha^2 I0 before renormalization.
 
-``assemble`` derives the kernel once per mass class within one call,
+``assemble`` derives the kernel once per mass class per process,
 massless or massive, at chirality +1 and, if massive, on a placeholder
 mass, and reads its d = 4 value as epsilon-sector coefficients on the
 placeholder slots: 4 m^2 I0[m] for the massive class, nothing for the
-massless one.  Every g5 comes from a vertex projector (1 - i chi g5) and
+massless one.  The two class kernels are kept for the function bound to
+``polarization``: rebinding it (a tracer, a test double) starts them
+afresh.  Every g5 comes from a vertex projector (1 - i chi g5) and
 each g5 trace carries exactly one Epsilon, so the epsilon sector is odd in
 chi: a flavor's kernel is chi times its class kernel, with the placeholder
 renamed to its mass in the mass symbol and the bubble I0[m].
@@ -216,7 +218,24 @@ def _read_kernel(kernel: Expression) -> list[Coefficient]:
     return out
 
 
-def _kernel_for(kernel: list[Coefficient], mass: str) -> list[Coefficient]:
+# (polarization function, {massless: class kernel}) of the last derivation.
+_class_kernels: tuple[object, dict[bool, tuple[Coefficient, ...]]] = (None, {})
+
+
+def _class_kernel(massless: bool) -> tuple[Coefficient, ...]:
+    """The d = 4 kernel of a mass class, derived on first use and kept for
+    the process while ``polarization`` stays bound to the same function."""
+    global _class_kernels
+    derive, kernels = _class_kernels
+    if derive is not polarization:
+        derive, kernels = polarization, {}
+        _class_kernels = derive, kernels
+    if massless not in kernels:
+        kernels[massless] = tuple(_read_kernel(derive(+1, "0" if massless else _KERNEL_MASS)))
+    return kernels[massless]
+
+
+def _kernel_for(kernel: Sequence[Coefficient], mass: str) -> list[Coefficient]:
     """The kernel of a mass class on the given mass: the placeholder mass is
     renamed in the mass symbol and its bubble; ``_powmap`` re-sorts the
     renamed monomials."""
@@ -230,37 +249,36 @@ def assemble(model: ModelSpec) -> EffectiveAction:
     A flavor enters the polarization only through its chirality, its mass,
     its coefficient c and the signs s_i of its combo entries, bilinearly in
     the two vertices.  The kernel (``polarization``) is read into action
-    terms on the placeholder slots once per mass class within one call:
+    terms on the placeholder slots once per mass class per process
+    (``_class_kernel``, keyed on the function bound to ``polarization``):
     massless (mass ``0``) or massive, the latter on a placeholder mass.
     Each flavor takes the kernel of its class with the placeholder renamed
-    to its mass (``_kernel_for``), then adds it as epsilon-sector terms on
-    the slots of every ordered pair (i, j) of its combo entries, times
-    c^2 chi s_i s_j.  Summing over entries rather than slot names
-    makes a combo such as ``F-F`` vanish.  Flavor loops are diagonal: cross
-    terms arise only inside one flavor's combo.  The loop normalization this
-    sum carries is checked against explicit matrices by
-    ``oracle.loop_normalization_deviation``.
+    to its mass (``_kernel_for``), weighs it once by c^2 chi, then adds it
+    as epsilon-sector terms on the slots of every ordered pair (i, j) of
+    its combo entries, negated where s_i s_j < 0.  Summing over entries
+    rather than slot names makes a combo such as ``F-F`` vanish.  Flavor
+    loops are diagonal: cross terms arise only inside one flavor's combo.
+    The loop normalization this sum carries is checked against explicit
+    matrices by ``oracle.loop_normalization_deviation``.
 
     Returns the action with divergences still symbolic.
     """
     if model.dimension != 4:
         raise ModelError(f"unsupported dimension {model.dimension}")
     declared = {s.name for s in model.slots}
-    kernels: dict[bool, list[Coefficient]] = {}
     terms: list[ActionTerm] = []
     for flavor in model.flavors:
         for _, name in flavor.combo:
             if name not in declared:
                 raise ModelError(f"unknown slot name {name!r} in vertex combo")
-        massless = flavor.mass == "0"
-        if massless not in kernels:
-            kernels[massless] = _read_kernel(polarization(+1, "0" if massless else _KERNEL_MASS))
-        kernel = _kernel_for(kernels[massless], flavor.mass)
-        c2 = flavor.coeff * flavor.coeff
+        kernel = _kernel_for(_class_kernel(flavor.mass == "0"), flavor.mass)
+        weight = flavor.coeff * flavor.coeff * Coefficient.rational(flavor.chirality)
+        weighted = [weight * k for k in kernel]
+        negated = [-k for k in weighted]
         for s1, a in flavor.combo:
             for s2, b in flavor.combo:
-                scale = c2 * Coefficient.rational(flavor.chirality * s1 * s2)
-                terms += [ActionTerm(scale * k, EPSILON_SECTOR, a, b) for k in kernel]
+                pair = weighted if s1 * s2 > 0 else negated
+                terms += [ActionTerm(k, EPSILON_SECTOR, a, b) for k in pair]
     terms.sort(key=lambda t: t.coeff.monomial_key())
     return normal_form(terms, model.slots)
 

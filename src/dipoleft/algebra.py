@@ -36,8 +36,8 @@ class ExpressionError(ValueError):
     """Operation applied to an expression outside its contract."""
 
 
-def _powmap(items: Mapping[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    if isinstance(items, Mapping):
+def _powmap(items: dict[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    if isinstance(items, dict):
         items = items.items()
     merged: dict[str, int] = {}
     for name, exp in items:

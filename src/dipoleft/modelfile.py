@@ -11,13 +11,14 @@ Directives:
 
 '#' starts a comment.  Every declared name has one kind (constant, slot,
 potential, flavor, mass or finite name) and one declaring line, and only a
-mass symbol may repeat (across flavors); mass ``0`` is not a name.  A
-reserved engine name is ``reserved-name``, a name declared again as the
-same kind ``duplicate-<kind>`` and as another kind ``name-clash``, each
-citing the earlier line.  Constants must be declared before use, and a
-constant has at most one absorb directive (``duplicate-absorb``).  A zero
-denominator (``coeff e*alpha/0``, ``scale 1/0``) is a ``bad-monomial`` or
-``bad-scale`` diagnostic.
+mass symbol may repeat (across flavors); mass ``0`` is not a name.  A name
+that is not an identifier (a letter or ``_``, then letters, digits or
+``_``) is ``bad-name``, a reserved engine name ``reserved-name``, a name
+declared again as the same kind ``duplicate-<kind>`` and as another kind
+``name-clash``, each citing the earlier line.  Constants must be declared
+before use, and a constant has at most one absorb directive
+(``duplicate-absorb``).  A zero denominator (``coeff e*alpha/0``,
+``scale 1/0``) is a ``bad-monomial`` or ``bad-scale`` diagnostic.
 """
 
 from __future__ import annotations
@@ -142,6 +143,9 @@ def parse_model(text: str) -> ModelSpec:
 
     def declare(name: str, kind: str, line_no: int, raw: str) -> bool:
         """Enter name as kind; False, with a diagnostic, if the table refuses it."""
+        if not _IDENT.match(name):
+            diags.add("bad-name", line_no, f"{kind} name {name!r} is not an identifier", raw)
+            return False
         if name in RESERVED_NAMES:
             diags.add("reserved-name", line_no, f"{name!r} is reserved by the engine", raw)
             return False
@@ -177,7 +181,7 @@ def parse_model(text: str) -> ModelSpec:
                 dimension = 4
 
         elif head == "constant":
-            if len(tokens) < 2 or not _IDENT.match(tokens[1]):
+            if len(tokens) < 2:
                 diags.add("syntax", line_no, "expected: constant <name> [real] [positive]", raw)
                 continue
             if not declare(tokens[1], "constant", line_no, raw):
@@ -214,9 +218,6 @@ def parse_model(text: str) -> ModelSpec:
                 continue
             name, mass, chir_tok, coeff_tok, combo_tok = tokens[1], tokens[3], tokens[5], tokens[7], tokens[9]
             if not declare(name, "flavor", line_no, raw):
-                continue
-            if mass != "0" and not _IDENT.match(mass):
-                diags.add("reserved-name", line_no, f"bad mass symbol {mass!r}", raw)
                 continue
             if mass != "0" and not declare(mass, "mass", line_no, raw):
                 continue

@@ -1,8 +1,12 @@
 """Polarization, assembly, renormalization, multiplier reduction, classifier."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -239,8 +243,9 @@ def test_assemble_combo_f_plus_f_is_four_times_f():
     assert doubled == single.scaled(Coefficient.rational(4))
 
 
-def count_kernels(monkeypatch, model: ModelSpec) -> list[tuple[int, str]]:
-    """(chirality, mass) of each polarization ``assemble(model)`` derives."""
+def counting_polarization(monkeypatch) -> list[tuple[int, str]]:
+    """Rebind ``polarization`` to a double; the list fills with the
+    (chirality, mass) of each polarization derived from then on."""
     calls = []
     direct = action_module.polarization
 
@@ -249,6 +254,12 @@ def count_kernels(monkeypatch, model: ModelSpec) -> list[tuple[int, str]]:
         return direct(chirality, mass, *args, **kwargs)
 
     monkeypatch.setattr(action_module, "polarization", counting)
+    return calls
+
+
+def count_kernels(monkeypatch, model: ModelSpec) -> list[tuple[int, str]]:
+    """(chirality, mass) of each polarization ``assemble(model)`` derives."""
+    calls = counting_polarization(monkeypatch)
     assemble(model)
     return calls
 
@@ -267,6 +278,68 @@ def test_assemble_derives_one_kernel_per_mass_class(monkeypatch):
     assert len(calls) == 2
     assert all(chirality == +1 for chirality, _ in calls)
     assert sorted(mass == "0" for _, mass in calls) == [False, True]
+
+
+def mixed_mass_model() -> ModelSpec:
+    # both chiralities of masses m, M and 0 on one slot
+    return one_slot_model(
+        *(
+            FlavorSpec(f"psi{k}", mass, chirality, ONE, ((1, "F"),))
+            for k, (mass, chirality) in enumerate(
+                [("m", +1), ("M", -1), ("0", +1), ("m", -1), ("0", -1), ("M", +1)]
+            )
+        )
+    )
+
+
+def test_assemble_keeps_each_class_kernel_across_calls(monkeypatch):
+    calls = counting_polarization(monkeypatch)
+    for model in (mixed_mass_model(), bf_model(), theta_model(), mixed_mass_model()):
+        assemble(model)
+    assert sorted(calls) == sorted([(+1, "0"), (+1, action_module._KERNEL_MASS)])
+
+
+def test_rebinding_polarization_derives_the_kernel_again(monkeypatch):
+    first = counting_polarization(monkeypatch)
+    assemble(theta_model())
+    second = counting_polarization(monkeypatch)  # wraps the first double
+    assemble(theta_model())
+    assemble(theta_model())
+    assert len(second) == 1
+    assert len(first) == 2  # its own derivation and the one the second double passed on
+
+
+def test_class_kernel_is_a_tuple_of_the_read_kernel():
+    massive = action_module._class_kernel(False)
+    assert isinstance(massive, tuple)
+    assert list(massive) == action_module._read_kernel(
+        polarization(+1, action_module._KERNEL_MASS)
+    )
+    assert action_module._class_kernel(True) == ()
+
+
+def assemble_cold(model: ModelSpec):
+    action_module._class_kernels = (None, {})
+    return assemble(model)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kernel_models(), kernel_models())
+def test_assemble_is_the_same_with_a_cold_or_a_warm_kernel_cache(first, second):
+    for model, other in ((first, second), (second, first)):
+        cold = assemble_cold(model)
+        assemble_cold(other)  # warms the classes of the other model only
+        assert assemble(model) == cold
+
+
+def test_import_derives_no_kernel():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import dipoleft; from dipoleft import action; print(action._class_kernels)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "(None, {})"
 
 
 def test_assemble_rejects_undeclared_combo_slot():

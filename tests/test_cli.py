@@ -246,6 +246,18 @@ def test_compute_rejects_a_name_declared_as_two_kinds(tmp_path, capsys, theta_mo
     assert ": name-clash: " in line
 
 
+def test_compute_rejects_a_potential_name_that_is_not_an_identifier(tmp_path, capsys, theta_model_path):
+    # without the check it printed dA-1[mu nu], which reads as dA - 1
+    text = theta_model_path.read_text().replace("slot F exact A", "slot F exact A-1")
+    model = tmp_path / "bad_name.eft"
+    model.write_text(text)
+    slot_line = next(n for n, line in enumerate(text.splitlines(), 1) if line.startswith("slot"))
+    code, out, err = run(capsys, "compute", str(model), "--form", "potential")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert f"line {slot_line}: bad-name: " in line
+
+
 @pytest.mark.parametrize(
     "edit, culprit",
     [

@@ -203,6 +203,27 @@ def test_every_name_has_one_kind_and_one_line(first, second):
     assert first in diag.message and second in diag.message
 
 
+@pytest.mark.parametrize(
+    "line, kind",
+    [
+        ("slot G exact B-1", "potential"),
+        ("slot F-1 exact A", "slot"),
+        ("slot F-1 fundamental", "slot"),
+        ("flavor p-s mass m chirality + coeff e combo F", "flavor"),
+        ("flavor psi mass 2m chirality + coeff e combo F", "mass"),
+        ("constant 3x", "constant"),
+    ],
+)
+def test_a_name_that_is_not_an_identifier_is_a_bad_name(line, kind):
+    (diag,) = _diagnostics(f"dim 4\nconstant e\nslot F exact A\n{line}\n")
+    assert (diag.code, diag.line) == ("bad-name", 4)
+    assert kind in diag.message
+
+
+def test_constant_without_a_name_is_a_syntax_diagnostic():
+    assert _codes("dim 4\nconstant\n") == [("syntax", 2)]
+
+
 def test_slot_named_like_its_own_potential_clashes():
     (diag,) = _diagnostics("dim 4\nslot A exact A\n")
     assert (diag.code, diag.line) == ("name-clash", 2)
