@@ -227,8 +227,17 @@ def _relabel_factor(f: TensorFactor, mapping: Mapping[str, str]) -> TensorFactor
     return FieldSlot(f.slot, m(f.i), m(f.j))
 
 
+# Sort key of each factor type: (type name, name, labels).
+_FACTOR_KEYS = {
+    Metric: lambda f: ("Metric", "", (f.i, f.j)),
+    Epsilon: lambda f: ("Epsilon", "", f.idx),
+    Momentum: lambda f: ("Momentum", f.name, (f.i,)),
+    FieldSlot: lambda f: ("FieldSlot", f.slot, (f.i, f.j)),
+}
+
+
 def _factor_key(f: TensorFactor) -> tuple:
-    return (type(f).__name__, _factor_name(f), _factor_labels(f))
+    return _FACTOR_KEYS[type(f)](f)
 
 
 def _sort_with_parity(labels: Iterable[str]) -> tuple[tuple[str, ...], int]:
@@ -424,7 +433,7 @@ def canonicalize_term(term: Term) -> Optional[Term]:
     term = normalized
     dummies = _validate_arity(term)
     if not dummies:
-        return replace(term, factors=tuple(sorted(term.factors, key=_factor_key)))
+        return Term(term.coeff, tuple(sorted(term.factors, key=_factor_key)), term.word)
     taken = set(term.labels()) - dummies
     fresh = (f"{_DUMMY_PREFIX}{k}" for k in itertools.count())
     names = list(itertools.islice((n for n in fresh if n not in taken), len(dummies)))

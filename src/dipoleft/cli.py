@@ -30,6 +30,7 @@ from .dirac import ModelError
 from .modelfile import ModelFileError, parse_model, parse_monomial
 from .oracle import (
     GammaRep,
+    cutoff_tensor_grid_max_relative_error,
     dipole_trace_identity_checks,
     log_slope,
     loop_normalization_deviation,
@@ -209,6 +210,11 @@ def _run_selftest(args: argparse.Namespace) -> int:
     ok = grid_err < 1e-8
     failed |= not ok
     print(f"{'ok' if ok else 'FAIL'}: radial quadrature vs closed form (max rel err {grid_err:.2e})")
+
+    tensor_err = cutoff_tensor_grid_max_relative_error()
+    ok = tensor_err < 1e-6
+    failed |= not ok
+    print(f"{'ok' if ok else 'FAIL'}: rank-2 cutoff bracket vs radial quadrature (max rel err {tensor_err:.2e})")
 
     slope = log_slope()
     target = 1.0 / (8 * math.pi**2)

@@ -85,23 +85,32 @@ def laurent_expand() -> Expression:
 def cutoff_tensor_bracket(mass: str = "m") -> Expression:
     """Scalar bracket multiplying eta(a,b) in the cutoff rank-2 table entry.
 
-    Lambda^2/(16 pi^2) + (m^2/(4 pi^2)) log(Lambda/m), subleading terms
-    dropped, with m the given mass symbol.  The rational prefactors are
-    tabulated as published values and are not re-derived here; every
-    in-scope use multiplies a trace that vanishes at d = 4.
+    Derived under the convention of ``integrate``: Wick rotation and
+    symmetric integration turn p^a p^b over (p^2 - m^2)^2 with measure
+    d^4p/(2pi)^4 into -(i/4) eta^{ab} E, with the Euclidean radial integral
+
+        E = (1/(16 pi^2)) Int_0^{Lambda^2} du u^2/(u + m^2)^2
+          = (1/(16 pi^2)) (Lambda^2 - 4 m^2 log(Lambda/m) + m^2) + O(m^4/Lambda^2),
+
+    m the given mass symbol.  Like the rank-0 entry I0, the table carries
+    the divergent terms of E; its finite remainder m^2/(16 pi^2) is
+    dropped, which leaves every in-scope use unchanged, since each
+    multiplies a trace that vanishes at d = 4.  The oracle checks E,
+    remainder included, by quadrature.
     """
-    terms = [Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2))]
+    unit = Coefficient.imaginary(-1, 64).with_consts(pi=-2)  # -(i/4) / (16 pi^2)
+    terms = [Term(unit.with_consts(Lambda=2))]
     if mass != "0":
-        bracket_log = Coefficient.monomial(1, 4, pi=-2, **{mass: 2}).with_log(cutoff_log_atom(mass))
-        terms.append(Term(bracket_log))
+        log = unit.gaussian_scaled(Fraction(-4)).with_consts(**{mass: 2})
+        terms.append(Term(log.with_log(cutoff_log_atom(mass))))
     return canonicalize(Expression(tuple(terms)))
 
 
 def evaluate_cutoff(term: Term, mass: str) -> Expression:
     """Cutoff value of the quadratically divergent rank-2 bubble in a term.
 
-    Replaces the two loop-momentum factors p_a p_b by
-    [Lambda^2/(16 pi^2) + (m^2/(4 pi^2)) log(Lambda/m)] eta(a,b).
+    Replaces the two loop-momentum factors p_a p_b by eta(a,b) times
+    ``cutoff_tensor_bracket(mass)``.
     """
     p, q = _loop_momenta(term)
     rest = tuple(f for f in term.factors if f not in (p, q))

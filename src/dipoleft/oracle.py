@@ -2,9 +2,17 @@
 
 Explicit 4x4 gamma matrices in the Dirac representation verify every trace
 rule and the loop normalization of the assembled action, and
-one-dimensional quadrature verifies the regularized radial integral.  The
-representation is fixed for reproducibility; anything with metric
-(+,-,-,-) and eps(0,1,2,3) = +1 would do.
+one-dimensional quadrature verifies the regularized radial integrals of
+both cutoff table entries.  The representation is fixed for
+reproducibility; anything with metric (+,-,-,-) and eps(0,1,2,3) = +1
+would do.
+
+A symbolic trace is evaluated as written, the way ``trace_word`` returns
+it: eta = diag(1,-1,-1,-1), eps^{0123} = +1, d = 4, and a label occurring
+twice summed over 0..3 with one index lowered.  The evaluator uses none of
+the engine's algebra (no contraction, dimension substitution or
+canonicalization), so a fault there cannot cancel against the same fault
+in the value it is checked against.
 
 Importing this module does not load numpy: it loads on the first numeric
 call (building a ``GammaRep``, reading ``DEFAULT_REP``, a matrix trace, the
@@ -23,6 +31,7 @@ from typing import TYPE_CHECKING
 
 from .action import EPSILON_SECTOR, FlavorSpec, ModelSpec, SlotSpec, assemble
 from .algebra import (
+    LOG_LAMBDA,
     Coefficient,
     G5,
     Expression,
@@ -30,9 +39,7 @@ from .algebra import (
     Epsilon,
     Term,
     Word,
-    contract,
     gamma,
-    substitute_dimension,
 )
 from .dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
 from .loops import bubble_symbol
@@ -131,45 +138,97 @@ def numeric_trace(word: Word, assignment: dict[str, int], rep: GammaRep | None =
     return complex(np.trace(product))
 
 
-def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
-    if term.word is not None:
-        raise ValueError("numeric evaluation handles traced terms only")
-    coeff = term.coeff
-    if coeff.consts or coeff.logs or coeff.eps_power:
-        raise ValueError(f"coefficient {coeff!r} is not a pure Gaussian rational")
-    labels: dict[str, int] = {}
-    for f in term.factors:
-        for x in (f.i, f.j) if isinstance(f, Metric) else f.idx if isinstance(f, Epsilon) else ():
-            labels[x] = labels.get(x, 0) + 1
-    unassigned = [x for x in labels if x not in assignment]
-    if unassigned:
-        # remaining contraction pair: plain sum over the shared label
-        label = unassigned[0]
-        if labels[label] != 2:
-            raise ValueError(f"free index {label!r} has no assigned value")
-        return sum(
-            evaluate_term_numeric(term, {**assignment, label: v}) for v in range(4)
-        )
-    value = complex(coeff.re) + 1j * complex(coeff.im)
-    for f in term.factors:
-        if isinstance(f, Metric):
-            i, j = assignment[f.i], assignment[f.j]
-            value *= ETA[i] if i == j else 0.0
-        elif isinstance(f, Epsilon):
-            value *= _epsilon_value(tuple(assignment[x] for x in f.idx))
+def _tensor_product(factors: list[tuple[bool, tuple[str, ...]]], env: dict[str, int]) -> float:
+    """Product of eta^{ij} and eps^{klmn} components, all indices up, at ``env``."""
+    value = 1.0
+    for is_eps, idx in factors:
+        if is_eps:
+            value *= _epsilon_value(tuple(env[x] for x in idx))
         else:
-            raise ValueError(f"factor {f!r} has no numeric value")
+            i, j = env[idx[0]], env[idx[1]]
+            value *= ETA[i] if i == j else 0.0
+        if not value:
+            break
     return value
 
 
-def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) -> complex:
-    """Substitute eta = diag(1,-1,-1,-1), eps(0,1,2,3) = +1 and d = 4.
+def _dummy_sum(stages: list[tuple[str, list]], env: dict[str, int], k: int = 0) -> float:
+    """Sum over the dummies of stages[k:], one index of each lowered by eta.
 
-    Internal metric contractions are absorbed first; any contraction that
-    survives (a label shared by two factors) is summed directly, matching
-    the engine's one-up-one-down label convention.
+    Each stage is (dummy, factors complete once it is bound); a factor that
+    vanishes prunes the remaining dummies of that branch.
     """
-    expr = contract(substitute_dimension(expr, 4))
+    if k == len(stages):
+        return 1.0
+    label, ready = stages[k]
+    total = 0.0
+    for v in range(4):
+        env[label] = v
+        value = ETA[v] * _tensor_product(ready, env)
+        if value:
+            total += value * _dummy_sum(stages, env, k + 1)
+    del env[label]
+    return total
+
+
+def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
+    """Value of one term as written; see ``evaluate_expression_numeric``."""
+    if term.word is not None:
+        raise ValueError("numeric evaluation handles traced terms only")
+    coeff = term.coeff
+    if coeff.logs or coeff.eps_power or any(name != "d" for name, _ in coeff.consts):
+        raise ValueError(f"coefficient {coeff!r} is not a pure Gaussian rational")
+    factors: list[tuple[bool, tuple[str, ...]]] = []
+    counts: dict[str, int] = {}
+    for f in term.factors:
+        if type(f) is Metric:
+            idx = (f.i, f.j)
+        elif type(f) is Epsilon:
+            idx = f.idx
+        else:
+            raise ValueError(f"factor {f!r} has no numeric value")
+        factors.append((type(f) is Epsilon, idx))
+        for x in idx:
+            counts[x] = counts.get(x, 0) + 1
+    dummies = []
+    for label, count in counts.items():
+        if count == 2:
+            dummies.append(label)
+        elif count > 2:
+            raise ValueError(f"index {label!r} occurs {count} times")
+        elif label not in assignment:
+            raise ValueError(f"free index {label!r} has no assigned value")
+    if not dummies:
+        value = _tensor_product(factors, assignment)
+    else:
+        # each factor is evaluated as soon as the last dummy it carries is bound
+        bound = {d: k for k, d in enumerate(dummies)}
+        stages = [(d, []) for d in dummies]
+        first = []
+        for factor in factors:
+            last = max((bound[x] for x in factor[1] if x in bound), default=-1)
+            (stages[last][1] if last >= 0 else first).append(factor)
+        env = {x: assignment[x] for x in counts if x not in bound}
+        value = _tensor_product(first, env)
+        if value:
+            value *= _dummy_sum(stages, env)
+    if not value:
+        return 0j
+    return complex(coeff.re, coeff.im) * 4.0 ** dict(coeff.consts).get("d", 0) * value
+
+
+def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) -> complex:
+    """Value of an expression as written, at the free-index values ``assignment``.
+
+    Every factor is read with upper indices, eta = diag(1,-1,-1,-1) and
+    eps^{0123} = +1, and each power of d is 4.  A label occurring twice in
+    a term is summed over 0..3 with one index lowered by eta; a label
+    occurring once takes its value from ``assignment``.  No engine algebra
+    runs: the expression is neither contracted nor canonicalized, so the
+    value checks the form ``trace_word`` returns.  Terms with a pending
+    gamma word, log atoms, eps poles, a constant other than d, or a factor
+    other than eta and eps raise ``ValueError``.
+    """
     return sum((evaluate_term_numeric(t, assignment) for t in expr.terms), 0j)
 
 
@@ -242,17 +301,27 @@ def randomized_equivalence_suite(
 # ---------------------------------------------------------------------------
 
 
-def euclidean_scalar_integral(mass: float, cutoff: float) -> float:
-    """(1/(16 pi^2)) Int_0^{cutoff^2} du u/(u + mass^2)^2 by adaptive quadrature."""
+def _radial_integral(power: int, mass: float, cutoff: float) -> float:
+    """(1/(16 pi^2)) Int_0^{cutoff^2} du u^power/(u + mass^2)^2 by adaptive quadrature."""
     from scipy import integrate  # scipy's only use; deferred to keep import dipoleft light
 
     if not (cutoff > mass > 0):
         raise ValueError("require cutoff > mass > 0")
     m2 = mass * mass
     value, _ = integrate.quad(
-        lambda u: u / (u + m2) ** 2, 0.0, cutoff * cutoff, epsabs=0.0, epsrel=1e-12, limit=400
+        lambda u: u**power / (u + m2) ** 2, 0.0, cutoff * cutoff, epsabs=0.0, epsrel=1e-12, limit=400
     )
     return value / (16 * math.pi**2)
+
+
+def euclidean_scalar_integral(mass: float, cutoff: float) -> float:
+    """(1/(16 pi^2)) Int_0^{cutoff^2} du u/(u + mass^2)^2: the rank-0 bubble below the cutoff."""
+    return _radial_integral(1, mass, cutoff)
+
+
+def euclidean_tensor_integral(mass: float, cutoff: float) -> float:
+    """(1/(16 pi^2)) Int_0^{cutoff^2} du u^2/(u + mass^2)^2: the E of p^a p^b -> -(i/4) eta^{ab} E."""
+    return _radial_integral(2, mass, cutoff)
 
 
 def quadrature_grid_max_relative_error(
@@ -268,6 +337,40 @@ def quadrature_grid_max_relative_error(
             exact = cutoff_scalar_closed_form(mass, cutoff)
             approx = euclidean_scalar_integral(mass, cutoff)
             worst = max(worst, abs(approx - exact) / abs(exact))
+    return worst
+
+
+def cutoff_tensor_grid_max_relative_error(
+    masses=(0.5, 1.0, 2.0, 5.0), ratios=(1e2, 1e3, 1e4, 1e5)
+) -> float:
+    """``loops.cutoff_tensor_bracket()`` against -(i/4) E by quadrature; max relative error.
+
+    The bracket's symbols take the grid's values and the log atom
+    log(Lambda/m) its float value.  The bracket leaves out E's finite
+    remainder m^2/(16 pi^2), which is added back, and O(m^4/Lambda^2), a
+    relative 3 (m/Lambda)^4.
+    """
+    from . import loops
+
+    bracket = loops.cutoff_tensor_bracket()
+    worst = 0.0
+    for mass in masses:
+        for ratio in ratios:
+            cutoff = mass * ratio
+            consts = {"Lambda": cutoff, "m": mass, "pi": math.pi}
+            logs = {LOG_LAMBDA: math.log(ratio)}
+            engine = -0.25j * mass**2 / (16 * math.pi**2)
+            for t in bracket.terms:
+                c = t.coeff
+                if t.factors or c.eps_power:
+                    raise ValueError(f"bracket term {t!r} is not a number")
+                engine += (
+                    complex(c.re, c.im)
+                    * math.prod(consts[n] ** k for n, k in c.consts)
+                    * math.prod(logs[a] ** k for a, k in c.logs)
+                )
+            expected = -0.25j * euclidean_tensor_integral(mass, cutoff)
+            worst = max(worst, abs(engine - expected) / abs(expected))
     return worst
 
 

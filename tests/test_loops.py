@@ -53,11 +53,13 @@ def test_integrate_rank_two_is_cutoff_tensor():
     assert integrate(term, "m") == evaluate_cutoff(term, "m")
 
 
+# p^a p^b -> -(i/4) eta^{ab} E: the unit -(i/4)/(16 pi^2) of the rank-2 entry
+RANK_TWO_UNIT = Coefficient.imaginary(-1, 64).with_consts(pi=-2)
+
+
 def test_integrate_massless_bracket_is_quadratic_only():
     (only,) = integrate(Term(ONE, factors=_momenta("a", "b")), "0").terms
-    assert only == Term(
-        Coefficient.monomial(1, 16, pi=-2, Lambda=2), factors=(Metric("a", "b"),)
-    )
+    assert only == Term(RANK_TWO_UNIT.with_consts(Lambda=2), factors=(Metric("a", "b"),))
 
 
 def test_integrate_rank_four_unsupported():
@@ -95,13 +97,15 @@ def test_laurent_linear_in_logs_single_pole():
 
 
 def test_cutoff_rank_two_bracket_exact():
+    # -(i/4) eta(a,b) (Lambda^2 - 4 m^2 log(Lambda/m)) / (16 pi^2)
     result = evaluate_cutoff(Term(ONE, factors=_momenta("a", "b")), "m")
+    eta = (Metric("a", "b"),)
     expected = canonicalize(
         Expression.of(
-            Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2), factors=(Metric("a", "b"),)),
+            Term(RANK_TWO_UNIT.with_consts(Lambda=2), factors=eta),
             Term(
-                Coefficient.monomial(1, 4, pi=-2, m=2).with_log(LOG_LAMBDA),
-                factors=(Metric("a", "b"),),
+                RANK_TWO_UNIT.gaussian_scaled(Fraction(-4)).with_consts(m=2).with_log(LOG_LAMBDA),
+                factors=eta,
             ),
         )
     )
@@ -111,7 +115,7 @@ def test_cutoff_rank_two_bracket_exact():
 def test_cutoff_quadratic_coefficient():
     bracket = cutoff_tensor_bracket()
     (quad,) = [t for t in bracket.terms if t.coeff.const_power("Lambda") == 2]
-    assert quad.coeff == Coefficient.monomial(1, 16, pi=-2, Lambda=2)
+    assert quad.coeff == Coefficient.imaginary(-1, 64).with_consts(pi=-2, Lambda=2)
 
 
 def test_scheme_independence_of_the_log():

@@ -1,6 +1,6 @@
-"""Gamma representation invariants, equivalence suite, radial integral, loop
-normalization against explicit matrices, and the import budget (numpy only
-for numeric checks)."""
+"""Gamma representation invariants, the as-written evaluator, equivalence
+suite, radial integrals, loop normalization against explicit matrices, and
+the import budget (numpy only for numeric checks, SymPy never)."""
 
 import math
 import os
@@ -9,18 +9,38 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
+import itertools
 
-from dipoleft import oracle
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dipoleft import loops, oracle
 from dipoleft.action import assemble
-from dipoleft.algebra import Coefficient, G5, gamma
-from dipoleft.dirac import trace_word
+from dipoleft.algebra import (
+    LOG_LAMBDA,
+    Coefficient,
+    Epsilon,
+    Expression,
+    G5,
+    Metric,
+    Momentum,
+    Term,
+    contract,
+    gamma,
+    substitute_dimension,
+)
+from dipoleft.dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
 from dipoleft.modelfile import parse_model
 from dipoleft.oracle import (
     DEFAULT_REP,
+    ETA,
     GammaRep,
+    cutoff_tensor_grid_max_relative_error,
     dipole_trace_identity_checks,
     euclidean_scalar_integral,
+    euclidean_tensor_integral,
+    evaluate_expression_numeric,
     log_slope,
     loop_normalization_deviation,
     numeric_trace,
@@ -44,6 +64,112 @@ def test_numeric_trace_base_cases():
     word = (G5, gamma("a"), gamma("b"), gamma("c"), gamma("d"))
     assignment = {"a": 0, "b": 1, "c": 2, "d": 3}
     assert numeric_trace(word, assignment) == pytest.approx(-4j)
+
+
+# ---------------------------------------------------------------------------
+# The evaluator reads a trace as written
+# ---------------------------------------------------------------------------
+
+
+def _scheme(word) -> str:
+    return FOUR_DIM if sum(1 for letter in word if letter == G5) % 2 else SYMBOLIC_DIM
+
+
+def _matrix_value(word, assignment: dict[str, int]) -> complex:
+    """numeric_trace summed over the values of each label used twice, one index lowered."""
+    labels = [letter[1] for letter in word if letter != G5]
+    dummies = sorted({x for x in labels if labels.count(x) == 2})
+    total = 0j
+    for values in itertools.product(range(4), repeat=len(dummies)):
+        lowered = math.prod(ETA[v] for v in values)
+        total += lowered * numeric_trace(word, {**assignment, **dict(zip(dummies, values))})
+    return total
+
+
+@st.composite
+def words_with_assignment(draw):
+    """Words of 0-8 gammas, a-d usable twice, with 0-2 g5, and values for the labels used once."""
+    length = draw(st.integers(min_value=0, max_value=8))
+    labels = draw(st.permutations(["a", "a", "b", "b", "c", "c", "d", "d", "e", "f"]))[:length]
+    word = [gamma(label) for label in labels]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        word.insert(draw(st.integers(min_value=0, max_value=len(word))), G5)
+    free = sorted(x for x in set(labels) if labels.count(x) == 1)
+    return tuple(word), {x: draw(st.integers(min_value=0, max_value=3)) for x in free}
+
+
+def _word(text: str, g5: int = 0):
+    return tuple(gamma(x) for x in text) + (G5,) * g5
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=words_with_assignment())
+@example(case=(_word("aabbcc"), {}))
+@example(case=(_word("abab"), {}))
+@example(case=(_word("abcabd", 1), {"d": 0}))
+def test_value_is_unchanged_by_contraction_and_dimension_substitution(case):
+    word, assignment = case
+    expr = trace_word(word, _scheme(word))
+    as_written = evaluate_expression_numeric(expr, assignment)
+    contracted = evaluate_expression_numeric(contract(substitute_dimension(expr, 4)), assignment)
+    assert abs(as_written - contracted) <= 1e-9 * max(1.0, abs(as_written))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=words_with_assignment())
+@example(case=(_word("aabbcc"), {}))
+@example(case=(_word("abcabc", 2), {}))
+@example(case=(_word("abcdab", 1), {"c": 2, "d": 3}))
+def test_value_matches_matrix_trace_summed_over_dummies(case):
+    word, assignment = case
+    value = evaluate_expression_numeric(trace_word(word, _scheme(word)), assignment)
+    want = _matrix_value(word, assignment)
+    assert abs(value - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_eps_eps_dummy_is_summed_with_one_index_lowered():
+    # eps^{012x} eps^{012}_x = eta_33 = -1
+    expr = Expression.of(Term(Coefficient.one(), (Epsilon(("a", "b", "c", "x")), Epsilon(("d", "e", "f", "x")))))
+    assignment = {"a": 0, "b": 1, "c": 2, "d": 0, "e": 1, "f": 2}
+    assert evaluate_expression_numeric(expr, assignment) == -1
+
+
+def test_dimension_made_by_contraction_is_four():
+    word = _word("abcdeabcde")
+    expr = trace_word(word)
+    assert any(t.coeff.const_power("d") for t in contract(substitute_dimension(expr, 4)).terms)
+    want = _matrix_value(word, {})
+    assert want == pytest.approx(256)
+    assert evaluate_expression_numeric(expr, {}) == pytest.approx(want)
+    assert evaluate_expression_numeric(contract(expr), {}) == pytest.approx(want)
+
+
+def test_dimension_powers_are_four():
+    term = Term(Coefficient.monomial(3, 1, d=2), (Metric("a", "b"),))
+    assert evaluate_expression_numeric(Expression.of(term), {"a": 1, "b": 1}) == -48
+
+
+@pytest.mark.parametrize(
+    "term, assignment",
+    [
+        (Term(Coefficient.one(), word=(gamma("a"),)), {"a": 0}),
+        (Term(Coefficient.one().with_log(LOG_LAMBDA)), {}),
+        (Term(Coefficient.one().with_eps(-1)), {}),
+        (Term(Coefficient.monomial(1, 1, m=2)), {}),
+        (Term(Coefficient.one(), (Momentum("p", "a"),)), {"a": 0}),
+        (Term(Coefficient.one(), (Metric("a", "b"),)), {"a": 0}),
+        (Term(Coefficient.one(), (Metric("a", "a"), Metric("a", "b"))), {"b": 0}),
+    ],
+    ids=["word", "log", "pole", "constant", "momentum", "unassigned", "thrice"],
+)
+def test_evaluator_rejects_what_is_not_a_number(term, assignment):
+    with pytest.raises(ValueError):
+        evaluate_expression_numeric(Expression.of(term), assignment)
+
+
+def test_oracle_uses_no_engine_algebra():
+    for name in ("contract", "substitute_dimension", "canonicalize"):
+        assert not hasattr(oracle, name)
 
 
 def test_equivalence_suite_passes_deterministically():
@@ -87,6 +213,44 @@ def test_euclidean_scalar_integral_domain():
         euclidean_scalar_integral(1.0, 0.5)
     with pytest.raises(ValueError):
         euclidean_scalar_integral(-1.0, 2.0)
+
+
+def test_euclidean_tensor_integral_matches_closed_form():
+    # Int_0^{L^2} u^2/(u+m^2)^2 du = L^2 - 2 m^2 log(1 + L^2/m^2) + m^2 - m^4/(L^2 + m^2)
+    mass, cutoff = 0.5, 20.0
+    m2, l2 = mass**2, cutoff**2
+    exact = (l2 - 2 * m2 * math.log1p(l2 / m2) + m2 - m2 * m2 / (l2 + m2)) / (16 * math.pi**2)
+    assert euclidean_tensor_integral(mass, cutoff) == pytest.approx(exact, rel=1e-10)
+
+
+def test_cutoff_tensor_bracket_matches_quadrature():
+    assert cutoff_tensor_grid_max_relative_error() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [
+        # the former table: + log, no -i/4
+        Expression.of(
+            Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2)),
+            Term(Coefficient.monomial(1, 4, pi=-2, m=2).with_log(LOG_LAMBDA)),
+        ),
+        # the log sign fixed, still no -i/4
+        Expression.of(
+            Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2)),
+            Term(Coefficient.monomial(-1, 4, pi=-2, m=2).with_log(LOG_LAMBDA)),
+        ),
+        # -i/4 applied, the former + log kept
+        Expression.of(
+            Term(Coefficient.monomial(1, 16, pi=-2, Lambda=2)),
+            Term(Coefficient.monomial(1, 4, pi=-2, m=2).with_log(LOG_LAMBDA)),
+        ).scaled(Coefficient.imaginary(-1, 4)),
+    ],
+    ids=["former-table", "no-minus-i-over-4", "plus-log"],
+)
+def test_cutoff_tensor_check_rejects_a_wrong_bracket(monkeypatch, bracket):
+    monkeypatch.setattr(loops, "cutoff_tensor_bracket", lambda mass="m": bracket)
+    assert cutoff_tensor_grid_max_relative_error() > 1e-5
 
 
 def test_quadrature_grid_twenty_points():
@@ -173,6 +337,10 @@ def test_import_does_not_load_numpy():
     assert _probe("import sys, dipoleft; print('numpy' in sys.modules)") == ["False"]
 
 
+def test_import_does_not_load_sympy():
+    assert _probe("import sys, dipoleft; print('sympy' in sys.modules)") == ["False"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -193,7 +361,7 @@ def test_selftest_loads_numpy():
 
 def test_oracle_names_still_importable():
     from dipoleft import GammaRep as exported
-    from dipoleft import oracle
+    from dipoleft import loops, oracle
     from dipoleft.oracle import DEFAULT_REP as first
 
     assert exported is GammaRep
