@@ -15,6 +15,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 # Names the engine owns; model files may not declare them as constants.
@@ -196,59 +197,51 @@ class FieldSlot:
 TensorFactor = Union[Metric, Epsilon, Momentum, FieldSlot]
 
 
-def _factor_labels(f: TensorFactor) -> tuple[str, ...]:
-    if isinstance(f, Metric):
-        return (f.i, f.j)
-    if isinstance(f, Epsilon):
-        return f.idx
-    if isinstance(f, Momentum):
-        return (f.i,)
-    return (f.i, f.j)
-
-
-def _factor_name(f: TensorFactor) -> str:
-    if isinstance(f, FieldSlot):
-        return f.slot
-    if isinstance(f, Momentum):
-        return f.name
-    return ""
-
-
-def _relabel_factor(f: TensorFactor, mapping: Mapping[str, str]) -> TensorFactor:
-    def m(label: str) -> str:
-        return mapping.get(label, label)
-
-    if isinstance(f, Metric):
-        return Metric(m(f.i), m(f.j))
-    if isinstance(f, Epsilon):
-        return Epsilon(tuple(m(x) for x in f.idx))
-    if isinstance(f, Momentum):
-        return Momentum(f.name, m(f.i))
-    return FieldSlot(f.slot, m(f.i), m(f.j))
-
-
-# Sort key of each factor type: (type name, name, labels).
-_FACTOR_KEYS = {
+# The parts of each factor type, (type name, name, labels), and the factor
+# rebuilt from its key, the flat tuple (type name, name, *labels).
+_FACTOR_PARTS = {
     Metric: lambda f: ("Metric", "", (f.i, f.j)),
     Epsilon: lambda f: ("Epsilon", "", f.idx),
     Momentum: lambda f: ("Momentum", f.name, (f.i,)),
     FieldSlot: lambda f: ("FieldSlot", f.slot, (f.i, f.j)),
 }
+_FACTOR_OF = {
+    "Metric": lambda k: Metric(k[2], k[3]),
+    "Epsilon": lambda k: Epsilon(k[2:]),
+    "Momentum": lambda k: Momentum(k[1], k[2]),
+    "FieldSlot": lambda k: FieldSlot(k[1], k[2], k[3]),
+}
 
 
-def _factor_key(f: TensorFactor) -> tuple:
-    return _FACTOR_KEYS[type(f)](f)
+def _factor_of(key: tuple) -> TensorFactor:
+    return _FACTOR_OF[key[0]](key)
 
 
-def _sort_with_parity(labels: Iterable[str]) -> tuple[tuple[str, ...], int]:
-    items = list(labels)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j] > items[j + 1]:
-                items[j], items[j + 1] = items[j + 1], items[j]
-                sign = -sign
-    return tuple(items), sign
+def _relabel_factor(f: TensorFactor, mapping: Mapping[str, str]) -> TensorFactor:
+    kind, name, labels = _FACTOR_PARTS[type(f)](f)
+    return _factor_of((kind, name, *(mapping.get(x, x) for x in labels)))
+
+
+def _keyed(kind: str, name: str, labels: tuple[str, ...]) -> tuple[tuple, int]:
+    """A factor's key and the sign its index convention costs; sign 0 means
+    the factor is zero.  The key, also the factor's sort key, has the labels
+    in convention order: metric and field-slot labels ascending, the latter
+    with a sign per swap, and eps labels ascending with their parity."""
+    if kind == "Metric":
+        i, j = labels
+        return ((kind, name, i, j) if i <= j else (kind, name, j, i)), 1
+    if kind == "FieldSlot":
+        i, j = labels
+        if i == j:
+            return (), 0
+        return ((kind, name, i, j), 1) if i < j else ((kind, name, j, i), -1)
+    if kind == "Epsilon":
+        if len(set(labels)) < 4:
+            return (), 0
+        a, b, c, d = labels
+        inversions = (a > b) + (a > c) + (a > d) + (b > c) + (b > d) + (c > d)
+        return (kind, name, *sorted(labels)), -1 if inversions % 2 else 1
+    return (kind, name, *labels), 1
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +300,9 @@ class Term:
 
     def labels(self) -> Iterator[str]:
         for f in self.factors:
-            yield from _factor_labels(f)
+            yield from _FACTOR_PARTS[type(f)](f)[2]
         if self.word is not None:
             yield from word_labels(self.word)
-
-    def structural_key(self) -> tuple:
-        return (self.factors, self.word, self.coeff.monomial_key())
 
 
 @dataclass(frozen=True)
@@ -369,121 +359,122 @@ class Expression:
 # ---------------------------------------------------------------------------
 
 
-def _local_normalize(term: Term) -> Optional[Term]:
-    """Apply per-factor index conventions; None means the term is zero."""
-    coeff = term.coeff
-    factors: list[TensorFactor] = []
-    for f in term.factors:
-        if isinstance(f, Metric):
-            if f.i > f.j:
-                f = Metric(f.j, f.i)
-        elif isinstance(f, Epsilon):
-            if len(set(f.idx)) < 4:
-                return None
-            idx, sign = _sort_with_parity(f.idx)
-            if sign < 0:
-                coeff = -coeff
-            f = Epsilon(idx)
-        elif isinstance(f, FieldSlot):
-            if f.i == f.j:
-                return None
-            if f.i > f.j:
-                coeff = -coeff
-                f = FieldSlot(f.slot, f.j, f.i)
-        factors.append(f)
-    word = term.word
-    if word is not None:
-        sign, word = normalize_word(word)
-        if sign < 0:
-            coeff = -coeff
-    return Term(coeff=coeff, factors=tuple(factors), word=word)
+def canonicalize_term(term: Term) -> Optional[tuple[tuple, Term]]:
+    """Canonical form of a single term with its sort key, the sorted keys of
+    its factors; None when the term is identically zero.
 
-
-def _validate_arity(term: Term) -> set[str]:
-    counts: dict[str, int] = {}
-    for label in term.labels():
-        counts[label] = counts.get(label, 0) + 1
-    bad = [label for label, c in counts.items() if c > 2]
-    if bad:
-        raise StructuralError(
-            f"index label(s) {sorted(bad)} occur more than twice in term {term!r}"
-        )
-    return {label for label, c in counts.items() if c == 2}
-
-
-def canonicalize_term(term: Term) -> Optional[Term]:
-    """Canonical form of a single term; None when it is identically zero.
-
-    Per-factor index conventions are applied first.  A term without dummy
-    labels (labels occurring twice) is then final up to the order of its
-    factors.  Otherwise the dummies are renamed $0, $1, ... (skipping free
-    labels): those of the gamma word in order of first occurrence, then the
-    others grouped by signature, the sorted (type, name) pairs of the two
-    factors a dummy joins, trying every permutation within each group.  The
-    candidate with the least sorted factors wins; if it also comes with the
-    opposite sign, the term equals its negative and is zero.  This is
-    exact: the namings tried do not depend on any dummy's name or on factor
-    order, so equal terms give the same candidates and the same least one.
+    One walk over the factors applies the per-factor index conventions
+    (``_keyed``), pushes g5 right in the word and collects the labels; a
+    label occurring more than twice is a StructuralError.  A term whose
+    labels are all distinct is then final up to the order of its factors.
+    Otherwise the dummies (labels occurring twice) are renamed $0, $1, ...
+    (skipping free labels): those of the gamma word in order of first
+    occurrence, then the others grouped by signature, the sorted (type,
+    name) pairs of the two factors a dummy joins, trying every permutation
+    within each group.  Factors carrying no grouped dummy are keyed once;
+    each naming relabels and keys only the others.  The naming with the
+    least sorted keys wins; if it also comes with the opposite sign, the
+    term equals its negative and is zero.  This is exact: the namings tried
+    do not depend on any dummy's name or on factor order, so equal terms
+    give the same candidates and the same least one.
     """
     if term.coeff.is_zero():
         return None
-    normalized = _local_normalize(term)
-    if normalized is None:
-        return None
-    term = normalized
-    dummies = _validate_arity(term)
-    if not dummies:
-        return Term(term.coeff, tuple(sorted(term.factors, key=_factor_key)), term.word)
-    taken = set(term.labels()) - dummies
-    fresh = (f"{_DUMMY_PREFIX}{k}" for k in itertools.count())
-    names = list(itertools.islice((n for n in fresh if n not in taken), len(dummies)))
-    mapping: dict[str, str] = {}
-    for label in word_labels(term.word or ()):
-        if label in dummies and label not in mapping:
-            mapping[label] = names[len(mapping)]
-    word = _relabel_word(term.word, mapping)
-    joins: dict[str, list[tuple[str, str]]] = {d: [] for d in dummies if d not in mapping}
+    sign = 1
+    keyed: list[tuple[tuple, Optional[TensorFactor]]] = []
+    labels: list[str] = []
     for f in term.factors:
-        for label in _factor_labels(f):
+        kind, name, f_labels = _FACTOR_PARTS[type(f)](f)
+        key, f_sign = _keyed(kind, name, f_labels)
+        if not f_sign:
+            return None
+        sign *= f_sign
+        keyed.append((key, f if key[2:] == f_labels else None))
+        labels += f_labels
+    word = term.word
+    if word is not None:
+        word_sign, word = normalize_word(word)
+        sign *= word_sign
+        labels += word_labels(word)
+    coeff = term.coeff if sign > 0 else -term.coeff
+    if len(set(labels)) == len(labels):
+        keyed.sort(key=itemgetter(0))
+        factors = tuple([f or _factor_of(key) for key, f in keyed])
+        return tuple([key for key, _ in keyed]), Term(coeff, factors, word)
+    counts = Counter(labels)
+    bad = [label for label, c in counts.items() if c > 2]
+    if bad:
+        normalized = Term(coeff, tuple(f or _factor_of(key) for key, f in keyed), word)
+        raise StructuralError(
+            f"index label(s) {sorted(bad)} occur more than twice in term {normalized!r}"
+        )
+    free = {label for label, c in counts.items() if c == 1}
+    fresh = (f"{_DUMMY_PREFIX}{k}" for k in itertools.count())
+    names = (n for n in fresh if n not in free)
+    mapping = {label: label for label in free}
+    for label in word_labels(word or ()):
+        if label not in mapping:
+            mapping[label] = next(names)
+    word = _relabel_word(word, mapping)
+    joins: dict[str, list[tuple]] = {d: [] for d in counts if d not in mapping}
+    fixed: list[tuple] = []
+    moving: list[tuple] = []
+    fixed_sign = 1
+    for key, _ in keyed:
+        carried = False
+        for label in key[2:]:
             if label in joins:
-                joins[label].append((type(f).__name__, _factor_name(f)))
+                joins[label].append(key[:2])
+                carried = True
+        if carried:
+            moving.append(key)
+        else:
+            key, f_sign = _keyed(key[0], key[1], tuple(map(mapping.__getitem__, key[2:])))
+            fixed.append(key)
+            fixed_sign *= f_sign
     groups: dict[tuple, list[str]] = {}
     for label, signature in joins.items():
         groups.setdefault(tuple(sorted(signature)), []).append(label)
-    group_names = names[len(mapping) :]
-    best_key, best, zero = None, None, False
+    group_names = list(itertools.islice(names, len(joins)))
+    best_key, best_sign, zero = None, 0, False
     for perms in itertools.product(*(itertools.permutations(groups[s]) for s in sorted(groups))):
         mapping.update(zip(itertools.chain.from_iterable(perms), group_names))
-        relabelled = tuple(_relabel_factor(f, mapping) for f in term.factors)
-        candidate = _local_normalize(Term(term.coeff, relabelled))
-        key = tuple(sorted(map(_factor_key, candidate.factors)))
-        if best_key is None or key < best_key:
-            best_key, best, zero = key, candidate, False
-        elif key == best_key and candidate.coeff != best.coeff:
+        candidate, candidate_sign = list(fixed), fixed_sign
+        for key in moving:
+            key, f_sign = _keyed(key[0], key[1], tuple(map(mapping.__getitem__, key[2:])))
+            candidate.append(key)
+            candidate_sign *= f_sign
+        candidate.sort()
+        candidate = tuple(candidate)
+        if best_key is None or candidate < best_key:
+            best_key, best_sign, zero = candidate, candidate_sign, False
+        elif candidate == best_key and candidate_sign != best_sign:
             zero = True
     if zero:
         return None
-    return Term(best.coeff, tuple(sorted(best.factors, key=_factor_key)), word)
+    if best_sign < 0:
+        coeff = -coeff
+    return best_key, Term(coeff, tuple(map(_factor_of, best_key)), word)
 
 
 def canonicalize(expr: Expression) -> Expression:
-    """Canonicalize every term, merge like terms, drop zeros, order deterministically."""
+    """Canonicalize every term, merge like terms, drop zeros, order deterministically.
+
+    Like terms share their factor keys, word and monomial; terms are
+    ordered by those keys, with a missing word sorted as the empty one.
+    """
     merged: dict[tuple, Term] = {}
     for raw in expr.terms:
-        term = canonicalize_term(raw)
-        if term is None:
+        found = canonicalize_term(raw)
+        if found is None:
             continue
-        key = term.structural_key()
+        keys, term = found
+        key = (keys, term.word, term.coeff.monomial_key())
         if key in merged:
             term = Term(merged[key].coeff.plus(term.coeff), term.factors, term.word)
         merged[key] = term
-    ordered = (merged[key] for key in sorted(merged, key=_term_order_key))
-    return Expression(tuple(t for t in ordered if not t.coeff.is_zero()))
-
-
-def _term_order_key(key: tuple) -> tuple:
-    factors, word, monomial = key
-    return (tuple(map(_factor_key, factors)), word or (), monomial)
+    ordered = sorted(merged.items(), key=lambda item: (item[0][0], item[0][1] or (), item[0][2]))
+    return Expression(tuple(t for _, t in ordered if not t.coeff.is_zero()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ than four gammas are reduced with
 
 whose sign is pinned by the conventions above; every leaf is -4i times a
 sign, a metric for each reduction step and one eps, followed in the eps
-branch by a pairing.  Requesting a g5 trace at symbolic dimension is a
-hard error, never a silent choice.
+branch by a pairing.  The eps branch's contracted s is paired at once with
+each later label, so the leaves carry only the word's own labels.
+Requesting a g5 trace at symbolic dimension is a hard error, never a
+silent choice.
 """
 
 from __future__ import annotations
@@ -108,9 +110,7 @@ def _pairings(labels: tuple[str, ...]) -> Iterator[tuple[int, tuple[Metric, ...]
             yield sign * sub_sign, (metric,) + sub
 
 
-def _g5_pairings(
-    labels: tuple[str, ...], depth: int = 0
-) -> Iterator[tuple[int, tuple[TensorFactor, ...]]]:
+def _g5_pairings(labels: tuple[str, ...]) -> Iterator[tuple[int, tuple[TensorFactor, ...]]]:
     """tr(g^{a1}...g^{an} g5) at d = 4, n even, as (sign, factors) leaves.
 
     The trace is -4i times the signed sum of the leaves.  Words of four
@@ -118,10 +118,12 @@ def _g5_pairings(
     their first three labels.  Its three metric branches recurse on the
     word two gammas shorter.  Its eps branch, +i eps^{abcs} g_s g5, leaves
     the inserted g5 to hop over the odd-length remainder (sign -1) and
-    square away: a plain trace against eps^{abc s} with net coefficient -i,
-    so each pairing of (s, rest) is a leaf.  The contracted s is the aux
-    label ``!t<depth>``, distinct at every depth.  That gives 1, 6, 33 and
-    204 leaves for 4, 6, 8 and 10 gammas.
+    square away: a plain trace against eps^{abc s} with net coefficient -i.
+    Its first pairing step contracts s with each later label r_j in turn,
+    sign (-1)^j, so a leaf is eps^{abc r_j} times a pairing of the other
+    labels: no label is added, and a word of distinct labels gives leaves
+    without dummies.  That gives 1, 6, 33 and 204 leaves for 4, 6, 8 and 10
+    gammas.
     """
     n = len(labels)
     if n < 4:
@@ -133,12 +135,13 @@ def _g5_pairings(
     rest = labels[3:]
     for sign, pair, keep in ((1, (a, b), c), (-1, (a, c), b), (1, (b, c), a)):
         metric = Metric(*pair)
-        for sub_sign, sub in _g5_pairings((keep,) + rest, depth + 1):
+        for sub_sign, sub in _g5_pairings((keep,) + rest):
             yield sign * sub_sign, (metric,) + sub
-    aux = f"!t{depth}"
-    eps = Epsilon((a, b, c, aux))
-    for sub_sign, sub in _pairings((aux,) + rest):
-        yield sub_sign, (eps,) + sub
+    for j, partner in enumerate(rest):
+        eps = Epsilon((a, b, c, partner))
+        sign = -1 if j % 2 else 1
+        for sub_sign, sub in _pairings(rest[:j] + rest[j + 1 :]):
+            yield sign * sub_sign, (eps,) + sub
 
 
 def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:

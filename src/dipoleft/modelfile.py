@@ -18,7 +18,9 @@ declared again as the same kind ``duplicate-<kind>`` and as another kind
 ``name-clash``, each citing the earlier line.  Constants must be declared
 before use, and a constant has at most one absorb directive
 (``duplicate-absorb``).  A zero denominator (``coeff e*alpha/0``,
-``scale 1/0``) is a ``bad-monomial`` or ``bad-scale`` diagnostic.
+``scale 1/0``) is a ``bad-monomial`` or ``bad-scale`` diagnostic, and so
+is a zero scale (``scale 0``, ``0/pi^2``), which would silently replace
+the divergent bundle by zero.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ def _parse_scale(token: str) -> Coefficient:
             raise ValueError(f"bad scale suffix {tail!r}")
         token = head
     coeff = Coefficient(re=_parse_rational(token))
+    if coeff.is_zero():
+        raise ValueError("a zero scale would replace the divergent bundle by zero")
     if pi_power:
         coeff = coeff.with_consts(pi=pi_power)
     return coeff

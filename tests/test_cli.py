@@ -364,6 +364,15 @@ def test_zero_denominator_in_model_file_exit_code(capsys, tmp_path, theta_model_
     assert "bad-monomial: zero denominator" in err
 
 
+def test_zero_absorb_scale_exits_1(capsys, tmp_path, theta_model_path):
+    # a zero scale would replace the divergent bundle by zero and print nothing
+    model = tmp_path / "zero_scale.eft"
+    model.write_text(theta_model_path.read_text().replace("scale 1/32/pi^2", "scale 0"))
+    code, out, err = run(capsys, "compute", str(model))
+    assert (code, out) == (1, "")
+    assert "bad-scale" in err
+
+
 def test_check_quantization_negative_theta(capsys):
     code, out, _ = run(capsys, "check-quantization", "--theta=-2pi", "--nf", "3")
     assert code == 0 and "theta = -2 pi" in out

@@ -179,7 +179,7 @@ def _product_pairing_trace(labels):
     return out
 
 
-def _product_g5_trace(labels, depth=0):
+def _product_g5_trace(labels):
     if len(labels) < 4:
         return Expression.zero()
     if len(labels) == 4:
@@ -189,10 +189,14 @@ def _product_g5_trace(labels, depth=0):
     out = Expression.zero()
     for coeff, pair, keep in ((ONE, (a, b), c), (Coefficient.rational(-1), (a, c), b), (ONE, (b, c), a)):
         metric = Expression.of(Term(coeff, factors=(Metric(*pair),)))
-        out = out + metric * _product_g5_trace((keep,) + rest, depth + 1)
-    aux = f"!t{depth}"
-    eps_term = Expression.of(Term(Coefficient.imaginary(-1), factors=(Epsilon((a, b, c, aux)),)))
-    return out + eps_term * _product_pairing_trace((aux,) + rest)
+        out = out + metric * _product_g5_trace((keep,) + rest)
+    # eps^{abcs} against the plain trace of (s, rest): s pairs with each rest[j]
+    sign = Coefficient.imaginary(-1)
+    for j, partner in enumerate(rest):
+        eps_term = Expression.of(Term(sign, factors=(Epsilon((a, b, c, partner)),)))
+        out = out + eps_term * _product_pairing_trace(rest[:j] + rest[j + 1 :])
+        sign = -sign
+    return out
 
 
 def _product_trace_word(word):
@@ -234,8 +238,17 @@ def test_trace_word_term_counts(length, g5, terms):
     assert len(trace_word(word, FOUR_DIM if g5 else SYMBOLIC_DIM).terms) == terms
 
 
+@pytest.mark.parametrize("length", [6, 8, 10])
+def test_g5_trace_of_distinct_labels_repeats_no_label(length):
+    # the eps branch names its partner label directly: no term has a dummy
+    word = tuple(gamma(f"x{k}") for k in range(length)) + (G5,)
+    for term in trace_word(word, FOUR_DIM).terms:
+        assert sorted(term.labels()) == sorted(f"x{k}" for k in range(length))
+
+
 def test_trace_word_keeps_free_labels_that_look_like_canonical_dummies():
-    # the aux dummy of a g5 reduction is renamed away from the free $-labels
+    # free labels spelled like canonical dummies ($0, $1, ...) stay free:
+    # no term is renamed or merged away
     word = tuple(gamma(f"${k}") for k in range(6)) + (G5,)
     plain = tuple(gamma(f"x{k}") for k in range(6)) + (G5,)
     traced = trace_word(word, FOUR_DIM)

@@ -121,6 +121,14 @@ def test_parse_monomial_forms():
         parse_monomial("e**2", declared)
 
 
+@pytest.mark.parametrize("scale", ["0", "0/pi^2", "-0/3/pi"])
+def test_zero_scale_is_a_diagnostic(scale):
+    text = f"dim 4\nconstant g\nabsorb g^2 as G scale {scale}\n"
+    (diag,) = _diagnostics(text)
+    assert (diag.code, diag.line) == ("bad-scale", 3)
+    assert "zero scale" in diag.message
+
+
 def test_scale_without_pi_power():
     model = parse_model(
         "dim 4\nconstant g\nslot F exact A\n"
