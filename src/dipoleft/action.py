@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from .algebra import (
     Coefficient,
@@ -42,9 +42,6 @@ from .algebra import (
 )
 from .dirac import FOUR_DIM, ModelError, expand_vertex, trace
 from .loops import bubble_symbol, integrate
-
-EPSILON_SECTOR = "epsilon"
-METRIC_SECTOR = "metric"
 
 
 class RenormalizationIncompleteError(ValueError):
@@ -107,8 +104,11 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ActionTerm:
+    """coeff eps X_a X_b, the only d = 4 structure ``_read_kernel`` admits;
+    ``structure`` is its schema-1 ``"tensor"`` value, not a field."""
+
+    structure: ClassVar[str] = "epsilon"
     coeff: Coefficient
-    structure: str  # EPSILON_SECTOR or METRIC_SECTOR
     slot_a: str
     slot_b: str
 
@@ -124,12 +124,8 @@ class EffectiveAction:
                 return s
         raise ModelError(f"unknown slot {name!r}")
 
-    @property
-    def divergent_terms(self) -> tuple[ActionTerm, ...]:
-        return tuple(t for t in self.terms if is_divergent(t.coeff))
-
     def is_divergent(self) -> bool:
-        return bool(self.divergent_terms)
+        return any(is_divergent(t.coeff) for t in self.terms)
 
     def scaled(self, factor: Coefficient) -> "EffectiveAction":
         return EffectiveAction(
@@ -278,7 +274,7 @@ def assemble(model: ModelSpec) -> EffectiveAction:
         for s1, a in flavor.combo:
             for s2, b in flavor.combo:
                 pair = weighted if s1 * s2 > 0 else negated
-                terms += [ActionTerm(k, EPSILON_SECTOR, a, b) for k in pair]
+                terms += [ActionTerm(k, a, b) for k in pair]
     terms.sort(key=lambda t: t.coeff.monomial_key())
     return normal_form(terms, model.slots)
 
@@ -334,7 +330,7 @@ def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) 
             continue
         absorbed = _match_directive(term.coeff, directives)
         if absorbed is None or is_divergent(absorbed):
-            residual.append(render_term_text(replace(term, coeff=term.coeff), action))
+            residual.append(render_term_text(term, action))
             continue
         new_terms.append(replace(term, coeff=absorbed))
     if residual:
@@ -356,16 +352,16 @@ def normal_form(terms: Iterable[ActionTerm], slots: tuple[SlotSpec, ...]) -> Eff
     buckets: dict[tuple, Coefficient] = {}
     for t in terms:
         a, b = sorted((t.slot_a, t.slot_b), key=lambda n: order[n])
-        key = (t.structure, a, b, t.coeff.monomial_key())
+        key = (a, b, t.coeff.monomial_key())
         if key in buckets:
             buckets[key] = buckets[key].plus(t.coeff)
         else:
             buckets[key] = t.coeff
     out = []
-    for (structure, a, b, _), coeff in buckets.items():
+    for (a, b, _), coeff in buckets.items():
         if not coeff.is_zero():
-            out.append(ActionTerm(coeff, structure, a, b))
-    out.sort(key=lambda t: (t.structure, order[t.slot_a], order[t.slot_b]))
+            out.append(ActionTerm(coeff, a, b))
+    out.sort(key=lambda t: (order[t.slot_a], order[t.slot_b]))
     return EffectiveAction(terms=tuple(out), slots=slots)
 
 
@@ -398,8 +394,6 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
             continue
         if all(touches):
             raise NotReducibleError(f"multiplier slot {b!r} appears quadratically")
-        if term.structure != EPSILON_SECTOR:
-            raise NotReducibleError("multiplier couplings must sit in the epsilon sector")
         partner = term.slot_b if term.slot_a == b else term.slot_a
         if not action.slot(partner).exact:
             raise NotReducibleError("multiplier must couple to exact field strengths only")
@@ -440,7 +434,7 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
                     new_pieces.append((factor * ratio, pair[0], pair[1]))
             pieces = new_pieces
         for factor, a, bslot in pieces:
-            substituted.append(ActionTerm(factor * term.coeff, term.structure, a, bslot))
+            substituted.append(ActionTerm(factor * term.coeff, a, bslot))
 
     new_slots = tuple(s for s in action.slots if s.name not in (b, target))
     return normal_form(substituted, new_slots), True

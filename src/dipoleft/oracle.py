@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .action import EPSILON_SECTOR, FlavorSpec, ModelSpec, SlotSpec, assemble
+from .action import FlavorSpec, ModelSpec, SlotSpec, assemble
 from .algebra import (
     LOG_LAMBDA,
     Coefficient,
@@ -455,15 +455,15 @@ def loop_normalization_deviation(
     independently of the fixtures.
 
     Returns (largest rank-0 deviation relative to max(1, |expected|),
-    largest |rank-2 part|); an action term outside the epsilon sector or
-    carrying a log atom or an eps pole gives (inf, inf).
+    largest |rank-2 part|); an action term carrying a log atom or an eps
+    pole gives (inf, inf).
     """
     import numpy as np
 
     if rep is None:
         rep = _default_rep()
     action = assemble(model)
-    if any(t.structure != EPSILON_SECTOR or t.coeff.logs or t.coeff.eps_power for t in action.terms):
+    if any(t.coeff.logs or t.coeff.eps_power for t in action.terms):
         return math.inf, math.inf
     rng = np.random.default_rng(seed)
     rank0_dev = rank2_dev = 0.0

@@ -1,7 +1,8 @@
 """Plain-text, LaTeX and structured renderers for effective actions.
 
-Rendering is deterministic; the structured form is versioned (schema 1)
-and round-trips back into an EffectiveAction exactly.
+Every action term is ``eps X_a X_b``, the one tensor rendered.  Rendering
+is deterministic; the structured form is versioned (schema 1) and
+round-trips back into an EffectiveAction exactly.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .action import ActionTerm, EffectiveAction, EPSILON_SECTOR, METRIC_SECTOR, SlotSpec, normal_form
+from .action import ActionTerm, EffectiveAction, SlotSpec, normal_form
 from .algebra import Coefficient
+from .modelfile import _IDENT
 
 FIELD_STRENGTH = "field-strength"
 POTENTIAL = "potential"
@@ -91,11 +93,7 @@ def render_term_text(term: ActionTerm, action: EffectiveAction, form: str = FIEL
     a = _slot_display(action.slot(term.slot_a), form)
     b = _slot_display(action.slot(term.slot_b), form)
     i1, i2, i3, i4 = _INDEX_NAMES
-    if term.structure == EPSILON_SECTOR:
-        tensor = f"eps[{i1} {i2} {i3} {i4}] {a}[{i1} {i2}] {b}[{i3} {i4}]"
-    else:
-        tensor = f"eta[{i1} {i3}] eta[{i2} {i4}] {a}[{i1} {i2}] {b}[{i3} {i4}]"
-    return f"{coeff} * {tensor}"
+    return f"{coeff} * eps[{i1} {i2} {i3} {i4}] {a}[{i1} {i2}] {b}[{i3} {i4}]"
 
 
 def render_text(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
@@ -154,12 +152,7 @@ def render_term_latex(term: ActionTerm, action: EffectiveAction, form: str = FIE
             parts.append(r"\partial_{%s} %s_{%s}" % (pair[0], slot.potential, pair[1]))
         else:
             parts.append(r"%s_{%s%s}" % (slot.name, pair[0], pair[1]))
-    if term.structure == EPSILON_SECTOR:
-        tensor = f"{eps} {parts[0]} {parts[1]}"
-    else:
-        etas = r"\eta^{%s%s} \eta^{%s%s}" % (idx[0], idx[2], idx[1], idx[3])
-        tensor = f"{etas} {parts[0]} {parts[1]}"
-    return f"{coeff}\\, {tensor}"
+    return f"{coeff}\\, {eps} {parts[0]} {parts[1]}"
 
 
 def render_latex(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
@@ -197,9 +190,17 @@ def _structured_int(value: Any, what: str) -> int:
     return value
 
 
+def _identifier(name: Any, what: str) -> str:
+    """``name`` if the model-file parser would take it as a name."""
+    if not isinstance(name, str) or not _IDENT.fullmatch(name):
+        raise RenderError(f"{what} {name!r} is not an identifier")
+    return name
+
+
 def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
     """Inverse of ``coefficient_structured``; RenderError for a missing
-    num/den, a non-integer number or exponent, or an i_power other than 0 or 1."""
+    num/den, a non-integer number or exponent, an i_power other than 0 or 1,
+    or a constant that is not an identifier or bubble I0[mass], or is pi or d."""
     if not isinstance(obj, dict) or {"num", "den"} - obj.keys():
         raise RenderError(f"coefficient {obj!r} needs integer 'num' and 'den'")
     num = _structured_int(obj["num"], "num")
@@ -212,6 +213,10 @@ def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
     constants = obj.get("constants", {})
     if not isinstance(constants, dict):
         raise RenderError(f"coefficient constants {constants!r} is not an object")
+    for name in constants:
+        bubble = isinstance(name, str) and name.startswith("I0[") and name.endswith("]")
+        if _identifier(name[3:-1] if bubble else name, "constant name") in ("pi", "d"):
+            raise RenderError(f"constant {name!r} cannot be listed in 'constants'")
     powers = {
         name: _structured_int(exp, f"exponent of {name!r}") for name, exp in constants.items()
     }
@@ -233,7 +238,7 @@ def render_structured(action: EffectiveAction, form: str = FIELD_STRENGTH) -> di
     terms = [
         {
             "coefficient": coefficient_structured(_display_coeff(t, action, form)),
-            "tensor": t.structure,
+            "tensor": ActionTerm.structure,
             "slots": [t.slot_a, t.slot_b],
             "form": form,
         }
@@ -248,14 +253,26 @@ def render_structured(action: EffectiveAction, form: str = FIELD_STRENGTH) -> di
     }
 
 
+def _slot_from_structured(entry: dict[str, Any]) -> SlotSpec:
+    """An identifier ``name``; ``kind`` "exact" with a potential or
+    "fundamental" without one."""
+    name = _identifier(entry.get("name"), "slot name")
+    kind, potential = entry.get("kind"), entry.get("potential")
+    if kind == "fundamental" and potential is None:
+        return SlotSpec(name)
+    if kind != "exact" or potential is None:
+        raise RenderError(f"slot {name!r} of kind {kind!r} with potential {potential!r}")
+    return SlotSpec(name, _identifier(potential, "potential"))
+
+
 def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     """Rebuild an action from its structured form; RenderError for a
     payload that is not an object, ``slots`` or ``terms`` that are not
-    lists of objects, an entry that lacks a key, a slot name or potential
-    that is not a string, a malformed coefficient, a repeated slot name or
-    potential, an unknown tensor or form, or term slots that are not two
-    names listed in ``slots``.  The terms are returned in the action normal
-    form (``normal_form``): equal terms merged, zero terms dropped."""
+    lists of objects, an entry that lacks a key, a malformed slot entry
+    (``_slot_from_structured``) or coefficient, a name used twice among the
+    slot names and potentials, a tensor other than ``"epsilon"``, an unknown
+    form, or term slots that are not two names listed in ``slots``.  The
+    terms come back in the action normal form (``normal_form``)."""
     if not isinstance(obj, dict):
         raise RenderError(f"structured action must be an object, got {obj!r}")
     if obj.get("schema") != 1:
@@ -264,21 +281,11 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
         entries = obj.get(key)
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise RenderError(f"{key!r} must be a list of objects, got {entries!r}")
-    if any(not isinstance(s.get("name"), str) for s in obj["slots"]):
-        raise RenderError("every slot entry needs a string 'name'")
-    if any(not isinstance(s.get("potential", ""), (str, type(None))) for s in obj["slots"]):
-        raise RenderError("a slot entry's 'potential' must be a string")
-    slots = tuple(
-        SlotSpec(name=s["name"], potential=s.get("potential"))
-        for s in obj["slots"]
-    )
-    action = EffectiveAction(terms=(), slots=slots)
-    declared = {s.name for s in slots}
-    if len(declared) != len(slots):
-        raise RenderError("two slot entries share a name")
-    potentials = [s.potential for s in slots if s.exact]
-    if len(set(potentials)) != len(potentials):
-        raise RenderError("two slot entries share a potential")
+    slots = tuple(_slot_from_structured(s) for s in obj["slots"])
+    declared = {s.name: s.exact for s in slots}
+    names = [s.name for s in slots] + [s.potential for s in slots if s.exact]
+    if len(set(names)) != len(names):
+        raise RenderError("two slot entries share a name or potential")
     form = obj.get("form", FIELD_STRENGTH)
     _check_form(form)
     terms = []
@@ -287,11 +294,8 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
         if missing:
             raise RenderError(f"term entry lacks {sorted(missing)}")
         coeff = _coefficient_from_structured(entry["coefficient"])
-        tensor = entry["tensor"]
-        if tensor not in (EPSILON_SECTOR, METRIC_SECTOR):
-            raise RenderError(
-                f"unknown tensor {tensor!r}; expected {EPSILON_SECTOR!r} or {METRIC_SECTOR!r}"
-            )
+        if entry["tensor"] != ActionTerm.structure:
+            raise RenderError(f"unknown tensor {entry['tensor']!r}; every term is 'epsilon'")
         names = entry["slots"]
         if not isinstance(names, list) or len(names) != 2 or not all(
             isinstance(n, str) for n in names
@@ -304,9 +308,8 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
         entry_form = entry.get("form", form)
         _check_form(entry_form)
         if entry_form == POTENTIAL:
-            doubling = sum(1 for s in (a, b) if action.slot(s).exact)
-            coeff = coeff.gaussian_scaled(Fraction(1, 2**doubling))
-        terms.append(ActionTerm(coeff, tensor, a, b))
+            coeff = coeff.gaussian_scaled(Fraction(1, 2 ** (declared[a] + declared[b])))
+        terms.append(ActionTerm(coeff, a, b))
     return normal_form(terms, slots), form
 
 

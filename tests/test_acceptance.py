@@ -85,7 +85,7 @@ def test_criterion_3_epsilon_sector_structure(theta_model_path):
     action = assemble(model)
     assert action.terms == (
         ActionTerm(
-            Coefficient.monomial(1, 1, e=2, m=2, alpha=2, I0=1), "epsilon", "F", "F"
+            Coefficient.monomial(1, 1, e=2, m=2, alpha=2, I0=1), "F", "F"
         ),
     )
     print("PASS criterion 3: unrenormalized epsilon sector equals e^2 m^2 alpha^2 I0 eps, exact")

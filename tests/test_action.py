@@ -170,7 +170,7 @@ def test_assemble_theta_model_single_term():
     action = assemble(theta_model())
     assert action.terms == (
         ActionTerm(
-            Coefficient.monomial(1, 1, e=2, alpha=2, m=2, I0=1), "epsilon", "F", "F"
+            Coefficient.monomial(1, 1, e=2, alpha=2, m=2, I0=1), "F", "F"
         ),
     )
 
@@ -352,7 +352,7 @@ def test_renormalize_theta_model():
     model = theta_model()
     action = renormalize(assemble(model), model.absorb)
     assert action.terms == (
-        ActionTerm(Coefficient.monomial(1, 32, pi=-2, e=2, thetaF=1), "epsilon", "F", "F"),
+        ActionTerm(Coefficient.monomial(1, 32, pi=-2, e=2, thetaF=1), "F", "F"),
     )
     assert not action.is_divergent()
 
@@ -371,7 +371,7 @@ def test_renormalize_merges_flavors_of_different_masses():
     model = one_slot_model(single_flavor(), heavy)
     action = renormalize(assemble(model), model.absorb)
     assert action.terms == (
-        ActionTerm(Coefficient.monomial(1, 16, pi=-2, e=2, thetaF=1), "epsilon", "F", "F"),
+        ActionTerm(Coefficient.monomial(1, 16, pi=-2, e=2, thetaF=1), "F", "F"),
     )
 
 
@@ -394,7 +394,7 @@ def test_renormalize_rejects_ambiguous_absorb():
 
 def test_renormalize_keeps_finite_terms():
     finite = EffectiveAction(
-        terms=(ActionTerm(Coefficient.monomial(1, 3, e=2), "epsilon", "F", "F"),),
+        terms=(ActionTerm(Coefficient.monomial(1, 3, e=2), "F", "F"),),
         slots=(SlotSpec("F", "A"),),
     )
     assert renormalize(finite, ()) == finite
@@ -406,7 +406,7 @@ def test_eliminate_bf_golden_path():
     reduced, did = eliminate_bf(action)
     assert did
     assert reduced.terms == (
-        ActionTerm(Coefficient.monomial(1, 4, CF=1), "epsilon", "F", "F"),
+        ActionTerm(Coefficient.monomial(1, 4, CF=1), "F", "F"),
     )
 
 
@@ -420,16 +420,7 @@ def test_eliminate_bf_without_fundamental_slot_is_noop():
 
 def test_eliminate_bf_rejects_quadratic_multiplier():
     action = EffectiveAction(
-        terms=(ActionTerm(ONE, "epsilon", "b", "b"),),
-        slots=(SlotSpec("F", "A"), SlotSpec("b", None)),
-    )
-    with pytest.raises(NotReducibleError):
-        eliminate_bf(action)
-
-
-def test_eliminate_bf_rejects_metric_sector_coupling():
-    action = EffectiveAction(
-        terms=(ActionTerm(ONE, "metric", "F", "b"),),
+        terms=(ActionTerm(ONE, "b", "b"),),
         slots=(SlotSpec("F", "A"), SlotSpec("b", None)),
     )
     with pytest.raises(NotReducibleError):
@@ -440,9 +431,9 @@ def test_eliminate_bf_rejects_doubly_fed_partner():
     # two monomials on (f, b): the ratio for the substitution is not a monomial
     action = EffectiveAction(
         terms=(
-            ActionTerm(ONE.with_consts(LambdaF=1), "epsilon", "F", "b"),
-            ActionTerm(ONE.with_consts(LambdaF=1), "epsilon", "f", "b"),
-            ActionTerm(ONE.with_consts(CF=1), "epsilon", "f", "b"),
+            ActionTerm(ONE.with_consts(LambdaF=1), "F", "b"),
+            ActionTerm(ONE.with_consts(LambdaF=1), "f", "b"),
+            ActionTerm(ONE.with_consts(CF=1), "f", "b"),
         ),
         slots=(SlotSpec("F", "A"), SlotSpec("f", "a"), SlotSpec("b", None)),
     )
@@ -464,15 +455,15 @@ def test_eliminate_bf_unequal_couplings_scale_the_result():
     # constraint gives f -> 2F and the Ff cross term doubles.
     action = EffectiveAction(
         terms=(
-            ActionTerm(Coefficient.rational(2), "epsilon", "F", "b"),
-            ActionTerm(ONE, "epsilon", "f", "b"),
-            ActionTerm(ONE.with_consts(CF=1), "epsilon", "F", "f"),
+            ActionTerm(Coefficient.rational(2), "F", "b"),
+            ActionTerm(ONE, "f", "b"),
+            ActionTerm(ONE.with_consts(CF=1), "F", "f"),
         ),
         slots=(SlotSpec("F", "A"), SlotSpec("f", "a"), SlotSpec("b", None)),
     )
     reduced, _ = eliminate_bf(action)
     assert reduced.terms == (
-        ActionTerm(Coefficient.rational(2).with_consts(CF=1), "epsilon", "F", "F"),
+        ActionTerm(Coefficient.rational(2).with_consts(CF=1), "F", "F"),
     )
 
 

@@ -139,6 +139,22 @@ def test_reduce_bf_negative_constant(capsys, bf_model_path):
     assert out.strip().startswith("(-1/8) * e^2 * pi^-1")
 
 
+def test_reduce_bf_eliminates_the_last_declared_coupled_potential(tmp_path, capsys, bf_model_path):
+    # b couples to F and f; the later-declared of the two is eliminated, so
+    # reversing the slot lines keeps da where the fixture keeps dA.
+    slots = ["slot F exact A", "slot f exact a", "slot b fundamental"]
+    text = bf_model_path.read_text()
+    assert "\n".join(slots) in text
+    model = tmp_path / "bf_reversed.eft"
+    model.write_text(text.replace("\n".join(slots), "\n".join(reversed(slots))))
+    for path, kept in ((bf_model_path, "dA"), (model, "da")):
+        code, out, _ = run(capsys, "reduce-bf", str(path), "--form", "potential")
+        assert code == 0
+        assert out.strip() == (
+            f"(1) * CF * eps[mu nu rho sigma] {kept}[mu nu] {kept}[rho sigma]"
+        )
+
+
 def test_reduce_bf_noop_notice(capsys, theta_model_path):
     code, out, err = run(capsys, "reduce-bf", str(theta_model_path))
     assert code == 0

@@ -1,11 +1,21 @@
 """Text, LaTeX and structured rendering; structured round trip."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipoleft.algebra import Coefficient
-from dipoleft.action import ActionTerm, EffectiveAction, SlotSpec, assemble, renormalize
+from dipoleft.action import (
+    ActionTerm,
+    EffectiveAction,
+    SlotSpec,
+    assemble,
+    normal_form,
+    renormalize,
+)
 from dipoleft.modelfile import parse_model
 from dipoleft.render import (
     FIELD_STRENGTH,
@@ -13,7 +23,6 @@ from dipoleft.render import (
     RenderError,
     render_latex,
     render_structured,
-    render_term_text,
     render_text,
     structured_to_action,
 )
@@ -104,18 +113,19 @@ def test_empty_action_renders_empty_output():
     assert rebuilt == empty
 
 
-def test_metric_sector_term_renders():
-    action = EffectiveAction(
-        terms=(ActionTerm(Coefficient.rational(1, 3), "metric", "F", "F"),),
-        slots=(SlotSpec("F", "A"),),
-    )
-    line = render_term_text(action.terms[0], action)
-    assert line == "(1/3) * eta[mu rho] eta[nu sigma] F[mu nu] F[rho sigma]"
+def test_metric_sector_term_rejected():
+    # An action term is eps X X only: the factor 2 per exact slot in potential
+    # form holds under eps, so a metric term on F would print a wrong number.
+    assert [f.name for f in fields(ActionTerm)] == ["coeff", "slot_a", "slot_b"]
+    assert ActionTerm.structure == "epsilon"
+    payload = _payload_with(tensor="metric", form=POTENTIAL) | {"form": POTENTIAL}
+    with pytest.raises(RenderError, match="'metric'"):
+        structured_to_action(payload)
 
 
 def test_mixed_gaussian_coefficient_rejected():
     bad = EffectiveAction(
-        terms=(ActionTerm(Coefficient(re=Fraction(1), im=Fraction(1)), "epsilon", "F", "F"),),
+        terms=(ActionTerm(Coefficient(re=Fraction(1), im=Fraction(1)), "F", "F"),),
         slots=(SlotSpec("F", "A"),),
     )
     with pytest.raises(RenderError):
@@ -173,9 +183,13 @@ def _with_slot_entries(*entries):
         _payload_with(slots="FG"),
         _without("tensor"),
         _without("coefficient"),
-        _with_slot_entries({"name": "F", "potential": "A"}, {"kind": "fundamental"}),
+        _with_slot_entries(
+            {"name": "F", "kind": "exact", "potential": "A"}, {"kind": "fundamental"}
+        ),
         _payload_with(coefficient={"num": 1, "den": 0}),
-        _with_slot_entries({"name": "F", "potential": "A"}, {"name": "F"}),
+        _with_slot_entries(
+            {"name": "F", "kind": "exact", "potential": "A"}, {"name": "F", "kind": "fundamental"}
+        ),
         _payload_with(coefficient={"num": 1, "den": 2, "i_power": 2}),
         _payload_with(coefficient={"num": 1, "den": 2, "i_power": -1}),
         _payload_with(coefficient={"num": 1, "den": 2, "i_power": True}),
@@ -191,14 +205,32 @@ def _with_slot_entries(*entries):
         _payload_with() | {"terms": [["epsilon", ["F", "G"]]]},
         {k: v for k, v in _payload_with().items() if k != "slots"},
         [_payload_with()],
-        _with_slot_entries({"name": ["F"], "potential": "A"}),
-        _with_slot_entries({"name": "F", "potential": 7}),
+        _with_slot_entries({"name": ["F"], "kind": "exact", "potential": "A"}),
+        _with_slot_entries({"name": "F", "kind": "exact", "potential": 7}),
         _payload_with(slots=[["F"], "F"]),
         _payload_with() | {"form": [FIELD_STRENGTH]},
         _payload_with(form=[FIELD_STRENGTH]),
         _payload_with() | {"form": "bogus", "terms": []},
         _payload_with() | {"form": None},
-        _with_slot_entries({"name": "F", "potential": "A"}, {"name": "G", "potential": "A"}),
+        _with_slot_entries(
+            {"name": "F", "kind": "exact", "potential": "A"},
+            {"name": "G", "kind": "exact", "potential": "A"},
+        ),
+        _with_slot_entries({"name": "F", "kind": "exact"}),
+        _with_slot_entries({"name": "F", "kind": "fundamental", "potential": "A"}),
+        _with_slot_entries({"name": "F", "kind": "exact", "potential": ""}),
+        _with_slot_entries({"name": "F G", "kind": "exact", "potential": "A"}),
+        _with_slot_entries({"name": "F", "kind": "exact", "potential": "A-1"}),
+        _with_slot_entries({"name": "F", "potential": "A"}),
+        _with_slot_entries({"name": "F", "kind": "closed", "potential": "A"}),
+        _with_slot_entries({"name": "F\n", "kind": "exact", "potential": "A"}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"e f": 2}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"I0[m-1]": 1}}),
+        _payload_with(coefficient={"num": 1, "den": 1, "pi_power": 1, "constants": {"pi": 2}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"d": 1}}),
+        _with_slot_entries(
+            {"name": "F", "kind": "exact", "potential": "A"}, {"name": "A", "kind": "fundamental"}
+        ),
     ],
     ids=[
         "one-slot", "three-slots", "slots-string", "no-tensor", "no-coefficient",
@@ -208,7 +240,10 @@ def _with_slot_entries(*entries):
         "constants-list", "coefficient-list", "terms-int", "term-list", "no-slots",
         "payload-list", "slot-name-list", "potential-int", "term-slot-list",
         "form-list", "term-form-list", "form-bogus-no-terms", "form-null",
-        "duplicate-potential",
+        "duplicate-potential", "exact-without-potential", "fundamental-with-potential",
+        "potential-empty", "slot-name-space", "potential-not-identifier", "no-kind",
+        "kind-bogus", "slot-name-newline", "constant-name-space", "bubble-not-identifier",
+        "constant-pi", "constant-d", "slot-name-is-a-potential",
     ],
 )
 def test_structured_malformed_entry_rejected(payload):
@@ -217,9 +252,10 @@ def test_structured_malformed_entry_rejected(payload):
 
 
 def test_structured_declared_slots_and_tensors_accepted():
-    for tensor in ("epsilon", "metric"):
-        action, _ = structured_to_action(_payload_with(tensor=tensor, slots=["F", "G"]))
-        assert action.terms == (ActionTerm(Coefficient.rational(1, 2), tensor, "F", "G"),)
+    action, _ = structured_to_action(_payload_with(tensor="epsilon", slots=["F", "G"]))
+    assert action.terms == (ActionTerm(Coefficient.rational(1, 2), "F", "G"),)
+    with pytest.raises(RenderError, match="'metric'"):
+        structured_to_action(_payload_with(tensor="metric", slots=["F", "G"]))
 
 
 def test_structured_terms_come_back_in_normal_form():
@@ -228,5 +264,73 @@ def test_structured_terms_come_back_in_normal_form():
     (term,) = payload["terms"]
     payload["terms"] = [term, term, term | {"coefficient": {"num": 0, "den": 1}}]
     action, _ = structured_to_action(payload)
-    assert action.terms == (ActionTerm(Coefficient.one(), "epsilon", "F", "F"),)
+    assert action.terms == (ActionTerm(Coefficient.one(), "F", "F"),)
     assert len(render_text(action).splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Structured round trip over drawn epsilon-only actions
+# ---------------------------------------------------------------------------
+
+_SLOT_NAMES = (("F", "A"), ("G", "B"), ("b", "c"))
+_CONSTANTS = ("e", "alpha", "thetaF", "m", "M", "pi", "I0", "I0[M]")
+_NOT_IDENTIFIERS = ("", "1F", "F G", "A-1", "F\n", "\u03b1")
+
+
+@st.composite
+def _monomials(draw):
+    value = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    coeff = Coefficient(im=value) if draw(st.booleans()) else Coefficient(re=value)
+    exponents = st.integers(-3, 3).filter(bool)
+    powers = draw(st.dictionaries(st.sampled_from(_CONSTANTS), exponents, max_size=3))
+    return coeff.with_consts(**powers)
+
+
+@st.composite
+def _eps_actions(draw, min_terms=0):
+    """1-3 slots, each exact or fundamental, and up to 5 terms on them, in
+    no particular order: like terms, zeros and both orientations occur."""
+    n = draw(st.integers(1, 3))
+    slots = tuple(
+        SlotSpec(name, potential if draw(st.booleans()) else None)
+        for name, potential in _SLOT_NAMES[:n]
+    )
+    names = st.sampled_from([s.name for s in slots])
+    terms = draw(
+        st.lists(st.builds(ActionTerm, _monomials(), names, names), min_size=min_terms, max_size=5)
+    )
+    return EffectiveAction(terms=tuple(terms), slots=slots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(action=_eps_actions())
+def test_structured_round_trip_returns_normal_form(action):
+    expected = normal_form(action.terms, action.slots)
+    for form in (FIELD_STRENGTH, POTENTIAL):
+        assert structured_to_action(render_structured(action, form)) == (expected, form)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    action=_eps_actions(min_terms=1),
+    form=st.sampled_from([FIELD_STRENGTH, POTENTIAL]),
+    mutation=st.sampled_from(["metric", "kind", "slot-name", "potential", "constant"]),
+    bad_name=st.sampled_from(_NOT_IDENTIFIERS),
+    data=st.data(),
+)
+def test_structured_mutation_rejected(action, form, mutation, bad_name, data):
+    payload = render_structured(action, form)
+    term = data.draw(st.sampled_from(payload["terms"]))
+    slot = data.draw(st.sampled_from(payload["slots"]))
+    if mutation == "metric":
+        term["tensor"] = "metric"
+    elif mutation == "kind":
+        slot["kind"] = "fundamental" if slot["kind"] == "exact" else "exact"
+    elif mutation == "slot-name":
+        slot["name"] = bad_name
+    elif mutation == "potential":
+        slot["kind"], slot["potential"] = "exact", bad_name
+    else:
+        term["coefficient"]["constants"][bad_name] = 1
+    with pytest.raises(RenderError):
+        structured_to_action(payload)
