@@ -65,7 +65,6 @@ from .action import (
 )
 from .modelfile import Diagnostic, ModelFileError, parse_model
 from .oracle import (
-    GammaRep,
     SuiteReport,
     euclidean_scalar_integral,
     numeric_trace,

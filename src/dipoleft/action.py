@@ -275,7 +275,6 @@ def assemble(model: ModelSpec) -> EffectiveAction:
             for s2, b in flavor.combo:
                 pair = weighted if s1 * s2 > 0 else negated
                 terms += [ActionTerm(k, a, b) for k in pair]
-    terms.sort(key=lambda t: t.coeff.monomial_key())
     return normal_form(terms, model.slots)
 
 
@@ -344,24 +343,25 @@ def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) 
 
 
 def normal_form(terms: Iterable[ActionTerm], slots: tuple[SlotSpec, ...]) -> EffectiveAction:
-    """The action normal form: like terms merged, zeros dropped, ordered by slots.
+    """The action normal form: like terms merged, zeros dropped, ordered by
+    slot pair in declaration order, then by monomial.
 
-    Terms on one slot pair keep the order in which they first appear.
+    The result depends only on the sum the terms make, not on their order.
     """
     order = {s.name: n for n, s in enumerate(slots)}
     buckets: dict[tuple, Coefficient] = {}
     for t in terms:
-        a, b = sorted((t.slot_a, t.slot_b), key=lambda n: order[n])
-        key = (a, b, t.coeff.monomial_key())
+        i, j = sorted((order[t.slot_a], order[t.slot_b]))
+        key = (i, j, t.coeff.monomial_key())
         if key in buckets:
             buckets[key] = buckets[key].plus(t.coeff)
         else:
             buckets[key] = t.coeff
-    out = []
-    for (a, b, _), coeff in buckets.items():
-        if not coeff.is_zero():
-            out.append(ActionTerm(coeff, a, b))
-    out.sort(key=lambda t: (order[t.slot_a], order[t.slot_b]))
+    out = [
+        ActionTerm(coeff, slots[i].name, slots[j].name)
+        for (i, j, _), coeff in sorted(buckets.items())
+        if not coeff.is_zero()
+    ]
     return EffectiveAction(terms=tuple(out), slots=slots)
 
 
@@ -419,22 +419,15 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
         (name, coeff.divide(target_coeff)) for name, coeff in constraint[:-1]
     ]
 
-    substituted: list[ActionTerm] = []
-    for term in remaining:
-        pieces = [(Coefficient.one(), term.slot_a, term.slot_b)]
-        for pick in (0, 1):
-            new_pieces = []
-            for factor, a, bslot in pieces:
-                slot = (a, bslot)[pick]
-                if slot != target:
-                    new_pieces.append((factor, a, bslot))
-                    continue
-                for name, ratio in replacement:
-                    pair = (name, bslot) if pick == 0 else (a, name)
-                    new_pieces.append((factor * ratio, pair[0], pair[1]))
-            pieces = new_pieces
-        for factor, a, bslot in pieces:
-            substituted.append(ActionTerm(factor * term.coeff, a, bslot))
+    def expand(slot: str) -> list[tuple[str, Coefficient]]:
+        return replacement if slot == target else [(slot, Coefficient.one())]
+
+    substituted = [
+        ActionTerm(ratio_x * ratio_y * term.coeff, x, y)
+        for term in remaining
+        for x, ratio_x in expand(term.slot_a)
+        for y, ratio_y in expand(term.slot_b)
+    ]
 
     new_slots = tuple(s for s in action.slots if s.name not in (b, target))
     return normal_form(substituted, new_slots), True

@@ -29,11 +29,12 @@ from .action import (
 from .dirac import ModelError
 from .modelfile import ModelFileError, parse_model, parse_monomial
 from .oracle import (
-    GammaRep,
+    convention_trace,
     cutoff_tensor_grid_max_relative_error,
     dipole_trace_identity_checks,
     log_slope,
     loop_normalization_deviation,
+    max_clifford_deviation,
     one_flavor_model,
     quadrature_grid_max_relative_error,
     randomized_equivalence_suite,
@@ -171,58 +172,48 @@ def _run_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_selftest(args: argparse.Namespace) -> int:
-    if args.count <= 0:
-        raise DomainError(f"--count must be a positive integer, got {args.count}")
-    failed = False
+def _selftest_checks(seed: int, count: int):
+    """The numeric-oracle checks in order, each as (passed, line)."""
+    clifford = max_clifford_deviation()
+    convention = abs(convention_trace() - (-4j))
+    yield all(v < 1e-12 for v in (clifford, convention)), (
+        f"gamma representation (clifford={clifford:.2e}, convention={convention:.2e})"
+    )
 
-    rep = GammaRep()
-    clifford = rep.max_clifford_deviation()
-    convention = abs(rep.convention_trace() - (-4j))
-    ok = clifford < 1e-12 and convention < 1e-12
-    failed |= not ok
-    print(f"{'ok' if ok else 'FAIL'}: gamma representation (clifford={clifford:.2e}, convention={convention:.2e})")
+    report = randomized_equivalence_suite(seed=seed, count=count)
+    yield report.passed, "\n".join(report.lines())
 
-    report = randomized_equivalence_suite(seed=args.seed, count=args.count)
-    failed |= not report.passed
-    for line in report.lines():
-        print(("ok: " if report.passed else "") + line if line.startswith("equivalence") else line)
-
-    eps_dev, contracted_dev = dipole_trace_identity_checks(rep)
-    ok = eps_dev < 1e-10 and contracted_dev < 1e-10
-    failed |= not ok
-    print(
-        f"{'ok' if ok else 'FAIL'}: dipole trace identities over 256 index tuples "
-        f"(eps={eps_dev:.2e}, contracted={contracted_dev:.2e})"
+    eps_dev, contracted_dev = dipole_trace_identity_checks()
+    yield all(v < 1e-10 for v in (eps_dev, contracted_dev)), (
+        f"dipole trace identities over 256 index tuples (eps={eps_dev:.2e}, contracted={contracted_dev:.2e})"
     )
 
     for chirality in (+1, -1):
-        model = one_flavor_model(chirality)
-        rank0_dev, rank2 = loop_normalization_deviation(model, rep, seed=args.seed)
-        ok = rank0_dev < 1e-10 and rank2 < 1e-10
-        failed |= not ok
-        print(
-            f"{'ok' if ok else 'FAIL'}: loop normalization vs matrix integrand, chi={chirality:+d} "
+        rank0_dev, rank2 = loop_normalization_deviation(one_flavor_model(chirality), seed=seed)
+        yield all(v < 1e-10 for v in (rank0_dev, rank2)), (
+            f"loop normalization vs matrix integrand, chi={chirality:+d} "
             f"(rank0={rank0_dev:.2e}, rank2={rank2:.2e})"
         )
 
     grid_err = quadrature_grid_max_relative_error()
-    ok = grid_err < 1e-8
-    failed |= not ok
-    print(f"{'ok' if ok else 'FAIL'}: radial quadrature vs closed form (max rel err {grid_err:.2e})")
+    yield grid_err < 1e-8, f"radial quadrature vs closed form (max rel err {grid_err:.2e})"
 
     tensor_err = cutoff_tensor_grid_max_relative_error()
-    ok = tensor_err < 1e-6
-    failed |= not ok
-    print(f"{'ok' if ok else 'FAIL'}: rank-2 cutoff bracket vs radial quadrature (max rel err {tensor_err:.2e})")
+    yield tensor_err < 1e-6, f"rank-2 cutoff bracket vs radial quadrature (max rel err {tensor_err:.2e})"
 
     slope = log_slope()
     target = 1.0 / (8 * math.pi**2)
-    ok = abs(slope - target) / target < 0.01
-    failed |= not ok
-    print(f"{'ok' if ok else 'FAIL'}: log-cutoff slope {slope:.6e} vs {target:.6e}")
+    yield abs(slope - target) / target < 0.01, f"log-cutoff slope {slope:.6e} vs {target:.6e}"
 
-    print("selftest: " + ("pass" if not failed else "fail"))
+
+def _run_selftest(args: argparse.Namespace) -> int:
+    if args.count <= 0:
+        raise DomainError(f"--count must be a positive integer, got {args.count}")
+    failed = False
+    for passed, line in _selftest_checks(args.seed, args.count):
+        failed |= not passed
+        print(f"{'ok' if passed else 'FAIL'}: {line}")
+    print("selftest: " + ("fail" if failed else "pass"))
     return 3 if failed else 0
 
 

@@ -15,8 +15,8 @@ canonicalization), so a fault there cannot cancel against the same fault
 in the value it is checked against.
 
 Importing this module does not load numpy: it loads on the first numeric
-call (building a ``GammaRep``, reading ``DEFAULT_REP``, a matrix trace, the
-log-slope fit), so only ``selftest`` and direct oracle users pay for it.
+call (the first use of the gamma matrices, the log-slope fit), so only
+``selftest`` and direct oracle users pay for it.
 The quadrature loads scipy the same way.
 """
 
@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .action import FlavorSpec, ModelSpec, SlotSpec, assemble
@@ -63,78 +63,62 @@ def _epsilon_value(indices: tuple[int, ...]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class GammaRep:
-    """Dirac-representation gamma matrices with g5 = i g0 g1 g2 g3."""
-
-    matrices: tuple[np.ndarray, ...] = field(default=None)  # type: ignore[assignment]
-    g5: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.matrices is not None:
-            return
-        import numpy as np
-
-        s0 = np.eye(2, dtype=complex)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        sz = np.array([[1, 0], [0, -1]], dtype=complex)
-        zero = np.zeros((2, 2), dtype=complex)
-        g0 = np.block([[s0, zero], [zero, -s0]])
-        spatial = tuple(np.block([[zero, s], [-s, zero]]) for s in (sx, sy, sz))
-        mats = (g0,) + spatial
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "g5", 1j * mats[0] @ mats[1] @ mats[2] @ mats[3])
-
-    def max_clifford_deviation(self) -> float:
-        """Largest entrywise violation of {g^m, g^n} = 2 eta^{mn}, g5^2 = 1, {g5, g^m} = 0."""
-        import numpy as np
-
-        dev = 0.0
-        for m in range(4):
-            for n in range(4):
-                anti = self.matrices[m] @ self.matrices[n] + self.matrices[n] @ self.matrices[m]
-                eta_mn = ETA[m] if m == n else 0.0
-                dev = max(dev, np.max(np.abs(anti - 2 * eta_mn * np.eye(4))))
-        dev = max(dev, np.max(np.abs(self.g5 @ self.g5 - np.eye(4))))
-        for m in range(4):
-            dev = max(dev, np.max(np.abs(self.g5 @ self.matrices[m] + self.matrices[m] @ self.g5)))
-        return float(dev)
-
-    def convention_trace(self) -> complex:
-        """tr(g5 g0 g1 g2 g3); must be -4i for eps(0,1,2,3) = +1."""
-        import numpy as np
-
-        m = self.g5
-        for k in range(4):
-            m = m @ self.matrices[k]
-        return complex(np.trace(m))
-
-
 @functools.cache
-def _default_rep() -> GammaRep:
-    return GammaRep()
+def _gammas() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(g^0..g^3, g5) in the Dirac representation, g5 = i g0 g1 g2 g3; numpy loads here."""
+    import numpy as np
+
+    s0 = np.eye(2, dtype=complex)
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    zero = np.zeros((2, 2), dtype=complex)
+    g0 = np.block([[s0, zero], [zero, -s0]])
+    mats = (g0,) + tuple(np.block([[zero, s], [-s, zero]]) for s in (sx, sy, sz))
+    g5 = 1j * mats[0] @ mats[1] @ mats[2] @ mats[3]
+    for g in mats + (g5,):
+        g.flags.writeable = False  # cached: every caller shares these arrays
+    return mats, g5
 
 
-def __getattr__(name: str):
-    # DEFAULT_REP is built on first access, so that importing the module leaves numpy unloaded.
-    if name == "DEFAULT_REP":
-        return _default_rep()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def max_clifford_deviation() -> float:
+    """Largest entrywise violation of {g^m, g^n} = 2 eta^{mn}, g5^2 = 1, {g5, g^m} = 0."""
+    import numpy as np
+
+    mats, g5 = _gammas()
+    dev = 0.0
+    for m in range(4):
+        for n in range(4):
+            anti = mats[m] @ mats[n] + mats[n] @ mats[m]
+            eta_mn = ETA[m] if m == n else 0.0
+            dev = max(dev, np.max(np.abs(anti - 2 * eta_mn * np.eye(4))))
+    dev = max(dev, np.max(np.abs(g5 @ g5 - np.eye(4))))
+    for m in range(4):
+        dev = max(dev, np.max(np.abs(g5 @ mats[m] + mats[m] @ g5)))
+    return float(dev)
 
 
-def numeric_trace(word: Word, assignment: dict[str, int], rep: GammaRep | None = None) -> complex:
+def convention_trace() -> complex:
+    """tr(g5 g0 g1 g2 g3); must be -4i for eps(0,1,2,3) = +1."""
+    import numpy as np
+
+    mats, m = _gammas()
+    for k in range(4):
+        m = m @ mats[k]
+    return complex(np.trace(m))
+
+
+def numeric_trace(word: Word, assignment: dict[str, int]) -> complex:
     """Trace of the explicit matrix product for concretely assigned indices."""
     import numpy as np
 
-    if rep is None:
-        rep = _default_rep()
+    mats, g5 = _gammas()
     product = np.eye(4, dtype=complex)
     for letter in word:
         if letter == G5:
-            product = product @ rep.g5
+            product = product @ g5
         else:
-            product = product @ rep.matrices[assignment[letter[1]]]
+            product = product @ mats[assignment[letter[1]]]
     return complex(np.trace(product))
 
 
@@ -267,12 +251,12 @@ def randomized_equivalence_suite(
     seed: int = 42,
     count: int = 500,
     trace_fn=None,
-    tolerance: float = 1e-10,
 ) -> SuiteReport:
     """Compare symbolic and matrix traces on seeded random gamma words.
 
     Words have length at most 8 with optional g5 insertions; deviations are
-    relative to max(1, |matrix value|).  Deterministic for a fixed seed.
+    relative to max(1, |matrix value|), and a word fails above 1e-10.
+    Deterministic for a fixed seed.
     """
     rng = random.Random(seed)
     symbolic = trace_fn or trace_word
@@ -291,7 +275,7 @@ def randomized_equivalence_suite(
         num_value = numeric_trace(word_t, assignment)
         deviation = abs(sym_value - num_value) / max(1.0, abs(num_value))
         worst = max(worst, deviation)
-        if deviation > tolerance:
+        if deviation > 1e-10:
             failures.append(f"{_word_name(word_t, assignment)} deviation={deviation:.3e}")
     return SuiteReport(seed=seed, count=count, max_deviation=worst, failures=tuple(failures))
 
@@ -324,15 +308,16 @@ def euclidean_tensor_integral(mass: float, cutoff: float) -> float:
     return _radial_integral(2, mass, cutoff)
 
 
-def quadrature_grid_max_relative_error(
-    masses=(0.5, 1.0, 2.0, 5.0), ratios=(10.0, 1e2, 1e3, 1e4, 1e5)
-) -> float:
-    """Quadrature vs closed form over a (mass, cutoff) grid; max relative error."""
+_GRID_MASSES = (0.5, 1.0, 2.0, 5.0)
+
+
+def quadrature_grid_max_relative_error() -> float:
+    """Quadrature vs closed form over a (mass, cutoff/mass) grid; max relative error."""
     from .loops import cutoff_scalar_closed_form
 
     worst = 0.0
-    for mass in masses:
-        for ratio in ratios:
+    for mass in _GRID_MASSES:
+        for ratio in (10.0, 1e2, 1e3, 1e4, 1e5):
             cutoff = mass * ratio
             exact = cutoff_scalar_closed_form(mass, cutoff)
             approx = euclidean_scalar_integral(mass, cutoff)
@@ -340,9 +325,7 @@ def quadrature_grid_max_relative_error(
     return worst
 
 
-def cutoff_tensor_grid_max_relative_error(
-    masses=(0.5, 1.0, 2.0, 5.0), ratios=(1e2, 1e3, 1e4, 1e5)
-) -> float:
+def cutoff_tensor_grid_max_relative_error() -> float:
     """``loops.cutoff_tensor_bracket()`` against -(i/4) E by quadrature; max relative error.
 
     The bracket's symbols take the grid's values and the log atom
@@ -354,8 +337,8 @@ def cutoff_tensor_grid_max_relative_error(
 
     bracket = loops.cutoff_tensor_bracket()
     worst = 0.0
-    for mass in masses:
-        for ratio in ratios:
+    for mass in _GRID_MASSES:
+        for ratio in (1e2, 1e3, 1e4, 1e5):
             cutoff = mass * ratio
             consts = {"Lambda": cutoff, "m": mass, "pi": math.pi}
             logs = {LOG_LAMBDA: math.log(ratio)}
@@ -374,16 +357,18 @@ def cutoff_tensor_grid_max_relative_error(
     return worst
 
 
-def log_slope(mass: float = 1.0, ratios=(1e2, 1e3, 1e4)) -> float:
-    """Fitted slope of the radial integral against log(cutoff).
+def log_slope() -> float:
+    """Fitted slope of the radial integral at mass 1 against log(cutoff) at
+    cutoffs 1e2, 1e3 and 1e4.
 
     For cutoff >> mass the integral grows like 2/(16 pi^2) per unit log,
     matching the pole normalization of the dimensionally regularized bubble.
     """
     import numpy as np
 
-    xs = np.log([mass * r for r in ratios])
-    ys = [euclidean_scalar_integral(mass, mass * r) for r in ratios]
+    cutoffs = (1e2, 1e3, 1e4)
+    xs = np.log(cutoffs)
+    ys = [euclidean_scalar_integral(1.0, cutoff) for cutoff in cutoffs]
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
 
@@ -393,11 +378,12 @@ def log_slope(mass: float = 1.0, ratios=(1e2, 1e3, 1e4)) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _commutator(m: int, n: int, rep: GammaRep) -> np.ndarray:
-    return rep.matrices[m] @ rep.matrices[n] - rep.matrices[n] @ rep.matrices[m]
+def _commutator(m: int, n: int) -> np.ndarray:
+    mats, _ = _gammas()
+    return mats[m] @ mats[n] - mats[n] @ mats[m]
 
 
-def dipole_trace_identity_checks(rep: GammaRep | None = None) -> tuple[float, float]:
+def dipole_trace_identity_checks() -> tuple[float, float]:
     """Max deviations over all 256 index tuples of the two dipole-loop traces.
 
     First: tr([g^m,g^n][g^r,g^s] g5) against -16i eps^{mnrs}.  Second: the
@@ -405,22 +391,21 @@ def dipole_trace_identity_checks(rep: GammaRep | None = None) -> tuple[float, fl
     """
     import numpy as np
 
-    if rep is None:
-        rep = _default_rep()
+    mats, g5 = _gammas()
     eps_dev = 0.0
     contracted_dev = 0.0
     for m in range(4):
         for n in range(4):
-            cmn = _commutator(m, n, rep)
+            cmn = _commutator(m, n)
             for r in range(4):
                 for s in range(4):
-                    crs = _commutator(r, s, rep)
-                    value = np.trace(cmn @ crs @ rep.g5)
+                    crs = _commutator(r, s)
+                    value = np.trace(cmn @ crs @ g5)
                     eps_dev = max(
                         eps_dev, abs(value - (-16j) * _epsilon_value((m, n, r, s)))
                     )
                     contracted = sum(
-                        ETA[a] * np.trace(cmn @ rep.matrices[a] @ crs @ rep.matrices[a])
+                        ETA[a] * np.trace(cmn @ mats[a] @ crs @ mats[a])
                         for a in range(4)
                     )
                     contracted_dev = max(contracted_dev, abs(contracted))
@@ -438,9 +423,7 @@ def one_flavor_model(chirality: int, mass: str = "m") -> ModelSpec:
     return ModelSpec(dimension=4, slots=(SlotSpec("F", "A"),), flavors=(flavor,))
 
 
-def loop_normalization_deviation(
-    model: ModelSpec, rep: GammaRep | None = None, seed: int = 20121
-) -> tuple[float, float]:
+def loop_normalization_deviation(model: ModelSpec, seed: int = 20121) -> tuple[float, float]:
     """The engine's assembled action against the explicit-matrix loop integrand.
 
     Each flavor f contributes (i/2) x i^2 (vertices) x (-1) (loop) x
@@ -460,8 +443,6 @@ def loop_normalization_deviation(
     """
     import numpy as np
 
-    if rep is None:
-        rep = _default_rep()
     action = assemble(model)
     if any(t.coeff.logs or t.coeff.eps_power for t in action.terms):
         return math.inf, math.inf
@@ -485,10 +466,10 @@ def loop_normalization_deviation(
         )
         expected = 0.0
         for f in model.flavors:
-            v = _dipole_vertex(rep, f.chirality, sum(s * fields[n] for s, n in f.combo))
+            v = _dipole_vertex(f.chirality, sum(s * fields[n] for s, n in f.combo))
             weight = draw(bubble_symbol(f.mass)) * 0.5 * draw(f.mass) ** 2 * value(f.coeff * f.coeff)
             expected += weight * np.trace(v @ v)
-            rank2 = sum(ETA[a] * np.trace(v @ g @ v @ g) for a, g in enumerate(rep.matrices))
+            rank2 = sum(ETA[a] * np.trace(v @ g @ v @ g) for a, g in enumerate(_gammas()[0]))
             rank2_dev = max(rank2_dev, abs(rank2))
         rank0_dev = max(rank0_dev, abs(engine - expected) / max(1.0, abs(expected)))
     return float(rank0_dev), float(rank2_dev)
@@ -500,14 +481,14 @@ def _random_field(rng) -> np.ndarray:
     return a - a.T
 
 
-def _dipole_vertex(rep: GammaRep, chirality: int, field: np.ndarray) -> np.ndarray:
+def _dipole_vertex(chirality: int, field: np.ndarray) -> np.ndarray:
     """(1 - i chi g5) sigma^{mn} X_{mn}, with sigma^{mn} = (i/2)[g^m, g^n]."""
     import numpy as np
 
     sigma_x = sum(
-        0.5j * field[m, n] * _commutator(m, n, rep) for m in range(4) for n in range(4)
+        0.5j * field[m, n] * _commutator(m, n) for m in range(4) for n in range(4)
     )
-    return (np.eye(4) - 1j * chirality * rep.g5) @ sigma_x
+    return (np.eye(4) - 1j * chirality * _gammas()[1]) @ sigma_x
 
 
 def _eps_contraction(x: np.ndarray, y: np.ndarray) -> float:

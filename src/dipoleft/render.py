@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any
 
 from .action import ActionTerm, EffectiveAction, SlotSpec, normal_form
-from .algebra import Coefficient
+from .algebra import RESERVED_NAMES, Coefficient
 from .modelfile import _IDENT
 
 FIELD_STRENGTH = "field-strength"
@@ -88,7 +88,6 @@ def _slot_display(slot: SlotSpec, form: str) -> str:
 
 
 def render_term_text(term: ActionTerm, action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
-    _check_form(form)
     coeff = coefficient_text(_display_coeff(term, action, form))
     a = _slot_display(action.slot(term.slot_a), form)
     b = _slot_display(action.slot(term.slot_b), form)
@@ -141,7 +140,6 @@ def _latex_coefficient(coeff: Coefficient) -> str:
 
 
 def render_term_latex(term: ActionTerm, action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
-    _check_form(form)
     coeff = _latex_coefficient(_display_coeff(term, action, form))
     idx = [_LATEX_INDEX[n] for n in _INDEX_NAMES]
     eps = r"\epsilon^{%s}" % "".join(idx)
@@ -156,6 +154,7 @@ def render_term_latex(term: ActionTerm, action: EffectiveAction, form: str = FIE
 
 
 def render_latex(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
+    _check_form(form)
     body = " + ".join(render_term_latex(t, action, form) for t in action.terms)
     if not body:
         return ""
@@ -270,7 +269,8 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     payload that is not an object, ``slots`` or ``terms`` that are not
     lists of objects, an entry that lacks a key, a malformed slot entry
     (``_slot_from_structured``) or coefficient, a name used twice among the
-    slot names and potentials, a tensor other than ``"epsilon"``, an unknown
+    slot names and potentials or reserved by the engine (``RESERVED_NAMES``,
+    as in a model file), a tensor other than ``"epsilon"``, an unknown
     form, or term slots that are not two names listed in ``slots``.  The
     terms come back in the action normal form (``normal_form``)."""
     if not isinstance(obj, dict):
@@ -286,6 +286,9 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     names = [s.name for s in slots] + [s.potential for s in slots if s.exact]
     if len(set(names)) != len(names):
         raise RenderError("two slot entries share a name or potential")
+    reserved = sorted(RESERVED_NAMES.intersection(names))
+    if reserved:
+        raise RenderError(f"slot names and potentials {reserved} are reserved by the engine")
     form = obj.get("form", FIELD_STRENGTH)
     _check_form(form)
     terms = []

@@ -7,8 +7,9 @@ import subprocess
 import pytest
 
 from dipoleft import cli
-from dipoleft.algebra import StructuralError
+from dipoleft.algebra import Coefficient, StructuralError
 from dipoleft.cli import main
+from dipoleft.dirac import trace_word
 from dipoleft.render import structured_to_action
 
 
@@ -454,6 +455,47 @@ def test_selftest_checks_loop_normalization_per_chirality(capsys, monkeypatch):
     assert code == 3
     assert "FAIL: loop normalization vs matrix integrand, chi=-1" in out
     assert "selftest: fail" in out
+
+
+# The fixed text of each selftest check line, in the order the checks run.
+_SELFTEST_CHECKS = (
+    "ok: gamma representation (clifford=",
+    "ok: equivalence suite: seed=42 count=5 max_deviation=",
+    "ok: dipole trace identities over 256 index tuples (eps=",
+    "ok: loop normalization vs matrix integrand, chi=+1 (rank0=",
+    "ok: loop normalization vs matrix integrand, chi=-1 (rank0=",
+    "ok: radial quadrature vs closed form (max rel err ",
+    "ok: rank-2 cutoff bracket vs radial quadrature (max rel err ",
+    "ok: log-cutoff slope ",
+)
+
+
+def test_selftest_runs_its_checks_in_order(capsys):
+    code, out, _ = run(capsys, "selftest", "--count", "5")
+    assert code == 0
+    lines = out.splitlines()
+    checks = [line for line in lines if line.startswith("ok:")]
+    assert len(checks) == len(_SELFTEST_CHECKS)
+    for line, prefix in zip(checks, _SELFTEST_CHECKS):
+        assert line.startswith(prefix), line
+    assert [line for line in lines if line not in checks] == ["result: pass", "selftest: pass"]
+
+
+def test_selftest_fails_on_a_failing_equivalence_suite(capsys, monkeypatch):
+    real = cli.randomized_equivalence_suite
+
+    def doubled(word, mode):
+        return trace_word(word, mode).scaled(Coefficient.rational(2))
+
+    monkeypatch.setattr(cli, "randomized_equivalence_suite", lambda **kw: real(**kw, trace_fn=doubled))
+    code, out, _ = run(capsys, "selftest", "--count", "40")
+    assert code == 3
+    lines = out.splitlines()
+    assert any(line.startswith("FAIL: equivalence suite: seed=42 count=40 ") for line in lines)
+    assert any(line.startswith("FAIL tr(") for line in lines)
+    assert "result: fail" in lines
+    assert sum(line.startswith("ok:") for line in lines) == len(_SELFTEST_CHECKS) - 1
+    assert lines[-1] == "selftest: fail"
 
 
 @pytest.mark.skipif(shutil.which("dipoleft") is None, reason="console script not on PATH")

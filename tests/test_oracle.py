@@ -33,9 +33,8 @@ from dipoleft.algebra import (
 from dipoleft.dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
 from dipoleft.modelfile import parse_model
 from dipoleft.oracle import (
-    DEFAULT_REP,
     ETA,
-    GammaRep,
+    convention_trace,
     cutoff_tensor_grid_max_relative_error,
     dipole_trace_identity_checks,
     euclidean_scalar_integral,
@@ -43,6 +42,7 @@ from dipoleft.oracle import (
     evaluate_expression_numeric,
     log_slope,
     loop_normalization_deviation,
+    max_clifford_deviation,
     numeric_trace,
     one_flavor_model,
     quadrature_grid_max_relative_error,
@@ -51,11 +51,11 @@ from dipoleft.oracle import (
 
 
 def test_clifford_invariants_hold_to_machine_precision():
-    assert DEFAULT_REP.max_clifford_deviation() < 1e-12
+    assert max_clifford_deviation() < 1e-12
 
 
 def test_convention_fixing_trace():
-    assert abs(DEFAULT_REP.convention_trace() - (-4j)) < 1e-12
+    assert abs(convention_trace() - (-4j)) < 1e-12
 
 
 def test_numeric_trace_base_cases():
@@ -280,7 +280,7 @@ def test_import_loads_oracle_but_defers_scipy():
 
 @pytest.mark.parametrize("chirality", [+1, -1])
 def test_loop_normalization_matches_matrix_integrand(chirality):
-    rank0_dev, rank2 = loop_normalization_deviation(one_flavor_model(chirality), GammaRep())
+    rank0_dev, rank2 = loop_normalization_deviation(one_flavor_model(chirality))
     assert rank0_dev <= 1e-12
     assert rank2 < 1e-12
 
@@ -360,12 +360,7 @@ def test_selftest_loads_numpy():
 
 
 def test_oracle_names_still_importable():
-    from dipoleft import GammaRep as exported
     from dipoleft import loops, oracle
-    from dipoleft.oracle import DEFAULT_REP as first
 
-    assert exported is GammaRep
-    assert isinstance(first, GammaRep)
-    assert oracle.DEFAULT_REP is first
     with pytest.raises(AttributeError):
         oracle.NOT_A_NAME

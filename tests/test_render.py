@@ -137,6 +137,13 @@ def test_unknown_form_rejected(theta_action):
         render_text(theta_action, "momentum")
 
 
+@pytest.mark.parametrize("render", [render_text, render_latex, render_structured])
+def test_unknown_form_rejected_without_terms(render):
+    # the form is checked once per call, not once per term
+    with pytest.raises(RenderError, match="'bogus'"):
+        render(EffectiveAction((), (SlotSpec("F", "A"),)), "bogus")
+
+
 def _payload_with(**term_fields):
     term = {
         "coefficient": {"num": 1, "den": 2, "i_power": 0, "pi_power": 0, "constants": {}},
@@ -231,6 +238,13 @@ def _with_slot_entries(*entries):
         _with_slot_entries(
             {"name": "F", "kind": "exact", "potential": "A"}, {"name": "A", "kind": "fundamental"}
         ),
+        _payload_with(slots=["eps", "eps"])
+        | {"slots": [{"name": "eps", "kind": "exact", "potential": "Lambda"}]},
+        _payload_with(slots=["I0", "I0"]) | {"slots": [{"name": "I0", "kind": "fundamental"}]},
+        _with_slot_entries({"name": "F", "kind": "exact", "potential": "d"}),
+        _with_slot_entries(
+            {"name": "F", "kind": "exact", "potential": "A"}, {"name": "gammaE", "kind": "fundamental"}
+        ),
     ],
     ids=[
         "one-slot", "three-slots", "slots-string", "no-tensor", "no-coefficient",
@@ -244,6 +258,8 @@ def _with_slot_entries(*entries):
         "potential-empty", "slot-name-space", "potential-not-identifier", "no-kind",
         "kind-bogus", "slot-name-newline", "constant-name-space", "bubble-not-identifier",
         "constant-pi", "constant-d", "slot-name-is-a-potential",
+        "reserved-slot-on-reserved-potential", "reserved-fundamental-slot", "reserved-potential",
+        "reserved-unused-slot",
     ],
 )
 def test_structured_malformed_entry_rejected(payload):
@@ -308,6 +324,15 @@ def test_structured_round_trip_returns_normal_form(action):
     expected = normal_form(action.terms, action.slots)
     for form in (FIELD_STRENGTH, POTENTIAL):
         assert structured_to_action(render_structured(action, form)) == (expected, form)
+
+
+@settings(max_examples=100, deadline=None)
+@given(action=_eps_actions(), form=st.sampled_from([FIELD_STRENGTH, POTENTIAL]), data=st.data())
+def test_structured_term_order_does_not_change_the_action(action, form, data):
+    payload = render_structured(action, form)
+    expected = structured_to_action(payload)
+    payload["terms"] = data.draw(st.permutations(payload["terms"]))
+    assert structured_to_action(payload) == expected
 
 
 @settings(max_examples=100, deadline=None)
