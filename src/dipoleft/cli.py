@@ -124,13 +124,16 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
     declared = set(model.constants)
     declared |= {d.finite_name for d in model.absorb}
     declared |= {f.mass for f in model.flavors}
-    terms = list(action.terms)
+    terms, seen = list(action.terms), set()
     for item in args.assignments:
         name, _, value_tok = item.partition("=")
         if not value_tok:
             raise ModelError(f"bad --set argument {item!r}; expected NAME=MONOMIAL")
         if name not in declared:
             raise ModelError(f"--set {name!r} names no declared constant, finite name or mass")
+        if name in seen:
+            raise ModelError(f"--set {name!r} is given more than once; set each name once")
+        seen.add(name)
         try:
             value = parse_monomial(value_tok, declared)
         except ValueError as exc:
@@ -209,6 +212,8 @@ def _selftest_checks(seed: int, count: int):
 def _run_selftest(args: argparse.Namespace) -> int:
     if args.count <= 0:
         raise DomainError(f"--count must be a positive integer, got {args.count}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
     failed = False
     for passed, line in _selftest_checks(args.seed, args.count):
         failed |= not passed

@@ -5,8 +5,8 @@ Conventions, fixed once and enforced by the numeric oracle:
     metric (+,-,-,-),  eps(0,1,2,3) = +1,  g5 = i g0 g1 g2 g3,
     tr(1) = 4,         tr(g^m g^n g^r g^s g5) = -4i eps^{mnrs}.
 
-A word's trace is built as a flat list of terms, one per leaf of its
-expansion, then canonicalized once; ``trace`` contracts what it returns.
+A word's trace is a flat list of terms, one per leaf of its expansion,
+built canonical for distinct labels; ``trace`` contracts what it returns.
 Traces without g5 are 4 times the signed sum over the (2n-1)!! pairings
 of their 2n labels into metric factors, which holds at symbolic
 dimension.  Traces with g5 are strictly four-dimensional: words longer
@@ -25,6 +25,9 @@ silent choice.
 
 from __future__ import annotations
 
+from bisect import insort
+from itertools import combinations
+from operator import attrgetter
 from typing import Iterator
 
 from .algebra import (
@@ -92,64 +95,75 @@ def expand_vertex(chirality: int, slot: str, mu: str, nu: str) -> Expression:
 # ---------------------------------------------------------------------------
 
 
-def _pairings(labels: tuple[str, ...]) -> Iterator[tuple[int, tuple[Metric, ...]]]:
+def _pairings(labels: tuple[str, ...]) -> list[tuple[int, tuple[Metric, ...]]]:
     """Every perfect pairing of an even label tuple, as (sign, metric factors).
 
-    The first label pairs with each later one in turn, signs alternating
-    from +1, and the remaining labels pair recursively: the (2n-1)!!
-    pairings of 2n labels, in the order of the recursive trace expansion.
+    The Pfaffian is expanded along the least remaining label, paired with
+    each other remaining label in ascending order; the sign is the parity
+    of the remaining labels between the two in the word.  Each metric and
+    each leaf's metrics come out ascending and, for distinct labels, so do
+    the (2n-1)!! leaves: ``canonicalize``'s form and order.
     """
-    if not labels:
-        yield 1, ()
-        return
-    first, rest = labels[0], labels[1:]
-    for j, partner in enumerate(rest):
-        metric = Metric(first, partner)
-        sign = -1 if j % 2 else 1
-        for sub_sign, sub in _pairings(rest[:j] + rest[j + 1 :]):
-            yield sign * sub_sign, (metric,) + sub
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    metrics = {(p, q): Metric(labels[p], labels[q]) for p, q in combinations(order, 2)}
+    return _pairings_of(order, metrics, {0: [(1, ())]}, (1 << len(labels)) - 1)
+
+
+def _pairings_of(order: list[int], metrics: dict, memo: dict, mask: int) -> list:
+    """The pairings of the word positions in ``mask``, built once per mask."""
+    if mask not in memo:
+        p, *rest = [q for q in order if mask >> q & 1]
+        memo[mask] = leaves = []
+        for q in rest:
+            lo, hi = sorted((p, q))
+            sign = -1 if (mask & (1 << hi) - (2 << lo)).bit_count() % 2 else 1
+            sub = _pairings_of(order, metrics, memo, mask ^ 1 << p ^ 1 << q)
+            leaves += [(sign * s, (metrics[p, q], *f)) for s, f in sub]
+    return memo[mask]
 
 
 def _g5_pairings(labels: tuple[str, ...]) -> Iterator[tuple[int, tuple[TensorFactor, ...]]]:
-    """tr(g^{a1}...g^{an} g5) at d = 4, n even, as (sign, factors) leaves.
+    """tr(g^{a1}...g^{an} g5) at d = 4, n even, as (sign, (eps, *metrics)) leaves.
 
-    The trace is -4i times the signed sum of the leaves.  Words of four
-    gammas give one eps leaf; longer words apply the reduction identity to
-    their first three labels.  Its three metric branches recurse on the
-    word two gammas shorter.  Its eps branch, +i eps^{abcs} g_s g5, leaves
-    the inserted g5 to hop over the odd-length remainder (sign -1) and
-    square away: a plain trace against eps^{abc s} with net coefficient -i.
-    Its first pairing step contracts s with each later label r_j in turn,
-    sign (-1)^j, so a leaf is eps^{abc r_j} times a pairing of the other
-    labels: no label is added, and a word of distinct labels gives leaves
-    without dummies.  That gives 1, 6, 33 and 204 leaves for 4, 6, 8 and 10
-    gammas.
+    The trace is -4i times the signed sum of the leaves.  Words of four or
+    more gammas apply the reduction identity to their first three labels.
+    Its three metric branches recurse on the word two gammas shorter, empty
+    below four.  Its eps branch, +i eps^{abcs} g_s g5, leaves the inserted
+    g5 to hop over the odd-length remainder (sign -1) and square away: a
+    plain trace against eps^{abc s} with net coefficient -i.  Its first
+    pairing step contracts s with each later label r_j in turn, sign
+    (-1)^j, so a leaf is eps^{abc r_j} times a ``_pairings`` leaf of the
+    other labels: no label is added, and a word of distinct labels gives
+    leaves without dummies: 1, 6, 33 and 204 for 4, 6, 8 and 10 gammas.
+    Metrics and eps have their labels sorted, eps's parity folded into the
+    sign, and each leaf's metrics are in ascending order.
     """
-    n = len(labels)
-    if n < 4:
-        return
-    if n == 4:
-        yield 1, (Epsilon(labels),)
+    if len(labels) < 4:
         return
     a, b, c = labels[:3]
     rest = labels[3:]
     for sign, pair, keep in ((1, (a, b), c), (-1, (a, c), b), (1, (b, c), a)):
-        metric = Metric(*pair)
-        for sub_sign, sub in _g5_pairings((keep,) + rest):
-            yield sign * sub_sign, (metric,) + sub
+        metric = Metric(*sorted(pair))
+        for sub_sign, (eps, *sub) in _g5_pairings((keep,) + rest):
+            insort(sub, metric, key=attrgetter("i"))
+            yield sign * sub_sign, (eps, *sub)
     for j, partner in enumerate(rest):
-        eps = Epsilon((a, b, c, partner))
-        sign = -1 if j % 2 else 1
+        idx = (a, b, c, partner)
+        sign = (-1) ** (j + sum(x > y for k, x in enumerate(idx) for y in idx[k + 1 :]))
+        eps = Epsilon(tuple(sorted(idx)))
         for sub_sign, sub in _pairings(rest[:j] + rest[j + 1 :]):
-            yield sign * sub_sign, (eps,) + sub
+            yield sign * sub_sign, (eps, *sub)
 
 
 def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
     """Spinor trace of a single gamma word; result has tensor factors only.
 
-    One Term per leaf of the enumeration, canonicalized once: 4 times each
-    signed pairing without g5, -4i times each signed leaf of the reduction
-    identity with g5.
+    One Term per leaf: 4 times each signed pairing without g5, -4i times
+    each signed leaf of the reduction identity with g5.  The leaves of
+    distinct labels never merge, so they are the canonical form as built,
+    the g5 ones once sorted by their factors (eps, then metric pairs).  A
+    word with a repeated label is canonicalized, which merges leaves and
+    names dummies.
     """
     sign, normalized = normalize_word(word)
     has_g5 = bool(normalized) and normalized[-1] == G5
@@ -161,13 +175,18 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
         )
     if len(labels) % 2:
         return Expression.zero()
+    distinct = len(set(labels)) == len(labels)
     if has_g5:
         leaves, unit = _g5_pairings(labels), Coefficient.imaginary(-4 * sign)
+        if distinct:
+            leaves = sorted(
+                leaves, key=lambda leaf: (leaf[1][0].idx, [(m.i, m.j) for m in leaf[1][1:]])
+            )
     else:
         leaves, unit = _pairings(labels), Coefficient.rational(4 * sign)
     coeffs = {1: unit, -1: -unit}
     terms = tuple(Term(coeffs[s], factors=factors) for s, factors in leaves)
-    return canonicalize(Expression(terms))
+    return Expression(terms) if distinct else canonicalize(Expression(terms))
 
 
 def trace(expr: Expression, dim_mode: str = SYMBOLIC_DIM) -> Expression:

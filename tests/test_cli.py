@@ -324,6 +324,15 @@ def test_set_unknown_name_exit_code(capsys, theta_model_path):
     assert "thetaFF" in err
 
 
+@pytest.mark.parametrize("values", [("1", "2"), ("2", "1"), ("1", "1")])
+def test_set_rejects_a_name_set_twice(capsys, theta_model_path, values):
+    # either value would win silently, so the output would hang on flag order
+    flags = [arg for value in values for arg in ("--set", f"e={value}")]
+    code, out, err = run(capsys, "compute", str(theta_model_path), *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --set 'e'") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["1/0", "1/0*pi^-1", "e/0"])
 def test_set_zero_denominator_exit_code(capsys, bf_model_path, value):
     code, out, err = run(capsys, "reduce-bf", str(bf_model_path), "--set", f"LambdaF={value}")
@@ -435,6 +444,14 @@ def test_selftest_rejects_a_count_that_runs_no_check(capsys, count):
     code, out, err = run(capsys, "selftest", "--count", count)
     assert (code, out) == (1, "")
     assert err.startswith("error: --count")
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_selftest_rejects_a_negative_seed(capsys, seed):
+    # numpy's generator takes no negative seed, so no check may start
+    code, out, err = run(capsys, "selftest", "--seed", seed, "--count", "5")
+    assert (code, out) == (1, "")
+    assert err == f"error: --seed must be a non-negative integer, got {seed}\n"
 
 
 def test_selftest_checks_loop_normalization_per_chirality(capsys, monkeypatch):

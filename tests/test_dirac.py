@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dipoleft import dirac
 from dipoleft.algebra import (
     G5,
     Coefficient,
@@ -226,6 +227,63 @@ def test_trace_word_matches_recursive_product_construction(word, symbolic):
     odd_g5 = sum(1 for letter in word if letter == G5) % 2
     scheme = SYMBOLIC_DIM if symbolic and not odd_g5 else FOUR_DIM
     assert repr(trace_word(word, scheme)) == repr(_product_trace_word(word))
+
+
+# Labels whose sorted order is unrelated to the order a word is drawn in:
+# "x10" sorts before "x2" and "$0" and "Z" before every lower-case label.
+DISTINCT_LABELS = ["a", "b", "c", "d", "mu", "nu", "rho", "x10", "x2", "$0", "Z"]
+
+
+@st.composite
+def distinct_words(draw):
+    """Words of 0-10 distinct labels in shuffled order, with 0-2 g5."""
+    length = draw(st.integers(min_value=0, max_value=10))
+    labels = draw(st.permutations(DISTINCT_LABELS))[:length]
+    word = [gamma(label) for label in labels]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        word.insert(draw(st.integers(min_value=0, max_value=len(word))), G5)
+    return tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=distinct_words())
+def test_distinct_label_trace_is_built_canonical(word):
+    # the canonicalized recursive product construction, against the leaves
+    # as built, with canonicalize unreachable from trace_word
+    expected = repr(_product_trace_word(word))
+
+    def unreachable(expr):
+        raise AssertionError("canonicalize called on a word of distinct labels")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dirac, "canonicalize", unreachable)
+        traced = trace_word(word, FOUR_DIM)
+    assert repr(traced) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    labels=st.permutations(DISTINCT_LABELS[:10]),
+    half_length=st.integers(min_value=0, max_value=5),
+    rotation=st.integers(min_value=0, max_value=9),
+)
+def test_plain_trace_of_shuffled_labels_under_reversal_and_rotation(labels, half_length, rotation):
+    # the least label sits anywhere in the word, so each pairing's sign
+    # depends on the labels between its two positions
+    word = tuple(gamma(label) for label in labels[: 2 * half_length])
+    traced = trace_word(word)
+    k = rotation % len(word) if word else 0
+    assert trace_word(word[::-1]) == traced
+    assert trace_word(word[k:] + word[:k]) == traced
+    if not word:
+        return
+    # g^a g^b + g^b g^a = 2 eta^{ab} ties the trace to the word's order;
+    # the trace of the sorted word passes both checks above
+    i = rotation % (len(word) - 1)
+    swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
+    eta = Expression.of(Term(Coefficient.rational(2), factors=(Metric(labels[i], labels[i + 1]),)))
+    expected = canonicalize(eta * trace_word(word[:i] + word[i + 2 :]))
+    assert canonicalize(traced + trace_word(swapped)) == expected
 
 
 @pytest.mark.parametrize(
