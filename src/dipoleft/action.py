@@ -23,11 +23,12 @@ renamed to its mass in the mass symbol and the bubble I0[m].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterable, Optional, Sequence
 
 from .algebra import (
+    G5,
     Coefficient,
     Epsilon,
     Expression,
@@ -129,7 +130,7 @@ class EffectiveAction:
 
     def scaled(self, factor: Coefficient) -> "EffectiveAction":
         return EffectiveAction(
-            terms=tuple(replace(t, coeff=factor * t.coeff) for t in self.terms),
+            terms=tuple(ActionTerm(factor * t.coeff, t.slot_a, t.slot_b) for t in self.terms),
             slots=self.slots,
         )
 
@@ -166,8 +167,10 @@ def polarization(chirality: int, mass: str, at_dimension: Optional[int] = 4) -> 
 
     The metric sector multiplies the cutoff-regularized rank-2 bubble and a
     trace that vanishes at d = 4; the epsilon sector carries the symbolic
-    log-divergent bubble.  Pass ``at_dimension=None`` to keep the metric
-    sector's d-dependence explicit.
+    log-divergent bubble.  At ``at_dimension=4`` only the product terms
+    whose normalized word ends in g5, the epsilon sector, are integrated
+    and traced.  Pass ``at_dimension=None`` to derive both sectors and keep
+    the metric sector's d-dependence explicit.
     """
     a, b = _KERNEL_SLOTS
     mu, nu, rho, sg, q1, q2 = fresh_labels("p", 6)
@@ -181,9 +184,10 @@ def polarization(chirality: int, mass: str, at_dimension: Optional[int] = 4) -> 
     product = product * v2 * _propagator_numerator(mass, q2)
     product = product.scaled(prefactor)
 
-    reduced = Expression(
-        tuple(t for term in canonicalize(product).terms for t in integrate(term, mass).terms)
-    )
+    terms = canonicalize(product).terms
+    if at_dimension == 4:
+        terms = tuple(t for t in terms if t.word and t.word[-1] == G5)
+    reduced = Expression(tuple(t for term in terms for t in integrate(term, mass).terms))
     # FOUR_DIM only admits the g5 words; the plain traces hold at symbolic d.
     result = trace(reduced, FOUR_DIM)
     if at_dimension is not None:
@@ -236,7 +240,12 @@ def _kernel_for(kernel: Sequence[Coefficient], mass: str) -> list[Coefficient]:
     renamed in the mass symbol and its bubble; ``_powmap`` re-sorts the
     renamed monomials."""
     names = {_KERNEL_MASS: mass, bubble_symbol(_KERNEL_MASS): bubble_symbol(mass)}
-    return [replace(k, consts=_powmap((names.get(n, n), p) for n, p in k.consts)) for k in kernel]
+    return [
+        Coefficient(
+            k.re, k.im, _powmap((names.get(n, n), p) for n, p in k.consts), k.logs, k.eps_power
+        )
+        for k in kernel
+    ]
 
 
 def assemble(model: ModelSpec) -> EffectiveAction:
@@ -331,7 +340,7 @@ def renormalize(action: EffectiveAction, directives: Sequence[AbsorbDirective]) 
         if absorbed is None or is_divergent(absorbed):
             residual.append(render_term_text(term, action))
             continue
-        new_terms.append(replace(term, coeff=absorbed))
+        new_terms.append(ActionTerm(absorbed, term.slot_a, term.slot_b))
     if residual:
         raise RenormalizationIncompleteError(residual)
     return normal_form(new_terms, action.slots)

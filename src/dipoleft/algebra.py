@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -48,12 +48,35 @@ def _powmap(items: dict[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[st
     return tuple(sorted(merged.items()))
 
 
+_ZERO = Fraction(0)
+
+
+def _merged(
+    a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...]
+) -> tuple[tuple[str, int], ...]:
+    """The product of two normalized monomials, merged only when both carry one."""
+    if not a:
+        return b
+    if not b:
+        return a
+    return _powmap(a + b)
+
+
 @dataclass(frozen=True)
 class Coefficient:
-    """Gaussian rational times a monomial in constants, log atoms and eps powers."""
+    """Gaussian rational times a monomial in constants, log atoms and eps powers.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The arithmetic does only the ``Fraction`` work a value needs: a zero
+    real or imaginary part enters no product or sum (a product of two
+    factors that are each purely real or purely imaginary is one
+    ``Fraction`` product), and monomials are merged only when both sides
+    carry one.  That shortcut holds because every monomial is built
+    normalized, through ``_powmap``.  Results are built with the
+    constructor, never ``dataclasses.replace``.
+    """
+
+    re: Fraction = _ZERO
+    im: Fraction = _ZERO
     consts: tuple[tuple[str, int], ...] = ()
     logs: tuple[tuple[str, int], ...] = ()
     eps_power: int = 0
@@ -81,18 +104,20 @@ class Coefficient:
         return Coefficient(re=Fraction(num, den), consts=_powmap(powers))
 
     def with_consts(self, **powers: int) -> "Coefficient":
-        return replace(self, consts=_powmap(list(self.consts) + list(powers.items())))
+        consts = _powmap(self.consts + tuple(powers.items()))
+        return Coefficient(self.re, self.im, consts, self.logs, self.eps_power)
 
     def with_log(self, atom: str, power: int = 1) -> "Coefficient":
-        return replace(self, logs=_powmap(list(self.logs) + [(atom, power)]))
+        logs = _powmap(self.logs + ((atom, power),))
+        return Coefficient(self.re, self.im, self.consts, logs, self.eps_power)
 
     def with_eps(self, power: int) -> "Coefficient":
-        return replace(self, eps_power=self.eps_power + power)
+        return Coefficient(self.re, self.im, self.consts, self.logs, self.eps_power + power)
 
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def monomial_key(self) -> tuple:
         return (self.consts, self.logs, self.eps_power)
@@ -105,56 +130,92 @@ class Coefficient:
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         if not isinstance(other, Coefficient):
             return NotImplemented
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            re = a * c if a and c else _ZERO
+            im = a * d if a and d else _ZERO
+        elif not a:
+            re = -(b * d) if d else _ZERO
+            im = b * c if c else _ZERO
+        elif not d:
+            re, im = (a * c, b * c) if c else (_ZERO, _ZERO)
+        elif not c:
+            re, im = -(b * d), a * d
+        else:
+            re, im = a * c - b * d, a * d + b * c
         return Coefficient(
-            re=re,
-            im=im,
-            consts=_powmap(self.consts + other.consts),
-            logs=_powmap(self.logs + other.logs),
-            eps_power=self.eps_power + other.eps_power,
+            re,
+            im,
+            _merged(self.consts, other.consts),
+            _merged(self.logs, other.logs),
+            self.eps_power + other.eps_power,
         )
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient(-self.re, -self.im, self.consts, self.logs, self.eps_power)
+        re, im = self.re, self.im
+        return Coefficient(
+            -re if re else _ZERO, -im if im else _ZERO, self.consts, self.logs, self.eps_power
+        )
 
     def plus(self, other: "Coefficient") -> "Coefficient":
         """Sum of two coefficients sharing the same monomial part."""
         if self.monomial_key() != other.monomial_key():
             raise ExpressionError("cannot add coefficients with different monomial parts")
-        return replace(self, re=self.re + other.re, im=self.im + other.im)
+        re = self.re + other.re if self.re and other.re else self.re or other.re
+        im = self.im + other.im if self.im and other.im else self.im or other.im
+        return Coefficient(re, im, self.consts, self.logs, self.eps_power)
 
     def divide(self, other: "Coefficient") -> "Coefficient":
         """Exact division by a nonzero coefficient (monomial exponents subtract)."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero coefficient")
-        norm = other.re * other.re + other.im * other.im
-        re = (self.re * other.re + self.im * other.im) / norm
-        im = (self.im * other.re - self.re * other.im) / norm
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero coefficient")
+            re = a / c if a else _ZERO
+            im = b / c if b else _ZERO
+        elif not c:  # (a + bi) / (di) = b/d - (a/d) i
+            re = b / d if b else _ZERO
+            im = -(a / d) if a else _ZERO
+        else:
+            norm = c * c + d * d
+            re = (a * c + b * d) / norm
+            im = (b * c - a * d) / norm
         inv_consts = tuple((n, -e) for n, e in other.consts)
         inv_logs = tuple((n, -e) for n, e in other.logs)
         return Coefficient(
-            re=re,
-            im=im,
-            consts=_powmap(self.consts + inv_consts),
-            logs=_powmap(self.logs + inv_logs),
-            eps_power=self.eps_power - other.eps_power,
+            re,
+            im,
+            _merged(self.consts, inv_consts),
+            _merged(self.logs, inv_logs),
+            self.eps_power - other.eps_power,
         )
 
     def gaussian_scaled(self, factor: Fraction) -> "Coefficient":
-        return replace(self, re=self.re * factor, im=self.im * factor)
+        re, im = self.re, self.im
+        return Coefficient(
+            re * factor if re else _ZERO,
+            im * factor if im else _ZERO,
+            self.consts,
+            self.logs,
+            self.eps_power,
+        )
 
     def substitute_const(self, name: str, value: "Coefficient") -> "Coefficient":
-        """Replace a named constant by a monomial coefficient, exactly."""
+        """Replace a named constant by a monomial coefficient, exactly.
+
+        The k-th power of the value (of its inverse for k < 0) is taken by
+        repeated squaring."""
         k = self.const_power(name)
         if k == 0:
             return self
-        stripped = replace(self, consts=_powmap(list(self.consts) + [(name, -k)]))
-        factor = value if k > 0 else Coefficient.one().divide(value)
-        out = stripped
-        for _ in range(abs(k)):
-            out = out * factor
-        return out
+        stripped = self.with_consts(**{name: -k})
+        base = value if k > 0 else Coefficient.one().divide(value)
+        power = base
+        for bit in bin(abs(k))[3:]:
+            power = power * power
+            if bit == "1":
+                power = power * base
+        return stripped * power
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +389,7 @@ class Expression:
         return Expression(self.terms + other.terms)
 
     def __neg__(self) -> "Expression":
-        return Expression(tuple(replace(t, coeff=-t.coeff) for t in self.terms))
+        return Expression(tuple(Term(-t.coeff, t.factors, t.word) for t in self.terms))
 
     def __sub__(self, other: "Expression") -> "Expression":
         return self + (-other)
@@ -351,7 +412,7 @@ class Expression:
         return Expression(tuple(out))
 
     def scaled(self, coeff: Coefficient) -> "Expression":
-        return Expression(tuple(replace(t, coeff=coeff * t.coeff) for t in self.terms))
+        return Expression(tuple(Term(coeff * t.coeff, t.factors, t.word) for t in self.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +577,7 @@ def substitute_dimension(expr: Expression, value: int | Fraction = 4) -> Express
             out.append(term)
             continue
         coeff = term.coeff.with_consts(d=-k).gaussian_scaled(value**k)
-        out.append(replace(term, coeff=coeff))
+        out.append(Term(coeff, term.factors, term.word))
     return canonicalize(Expression(tuple(out)))
 
 

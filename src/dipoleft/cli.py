@@ -11,11 +11,11 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
 from .action import (
+    ActionTerm,
     DomainError,
     EffectiveAction,
     NotReducibleError,
@@ -142,7 +142,9 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
             raise ModelError(
                 f"--set {name}=0 divides by zero: the action carries {name!r} to a negative power"
             )
-        terms = [replace(t, coeff=t.coeff.substitute_const(name, value)) for t in terms]
+        terms = [
+            ActionTerm(t.coeff.substitute_const(name, value), t.slot_a, t.slot_b) for t in terms
+        ]
     return normal_form(terms, action.slots)
 
 

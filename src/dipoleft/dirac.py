@@ -26,6 +26,7 @@ silent choice.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from itertools import combinations
 from operator import attrgetter
 from typing import Iterator
@@ -37,6 +38,7 @@ from .algebra import (
     Expression,
     FieldSlot,
     Metric,
+    StructuralError,
     TensorFactor,
     Term,
     Word,
@@ -163,7 +165,8 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
     distinct labels never merge, so they are the canonical form as built,
     the g5 ones once sorted by their factors (eps, then metric pairs).  A
     word with a repeated label is canonicalized, which merges leaves and
-    names dummies.
+    names dummies; a label used more than twice is a StructuralError
+    naming the word, raised before any leaf is built.
     """
     sign, normalized = normalize_word(word)
     has_g5 = bool(normalized) and normalized[-1] == G5
@@ -173,9 +176,13 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
             "gamma5 traces are defined only at d = 4; "
             "pass dim_mode='four' to accept the four-dimensional scheme"
         )
+    counts = Counter(labels)
+    bad = sorted(label for label, c in counts.items() if c > 2)
+    if bad:
+        raise StructuralError(f"index label(s) {bad} occur more than twice in gamma word {word!r}")
     if len(labels) % 2:
         return Expression.zero()
-    distinct = len(set(labels)) == len(labels)
+    distinct = len(counts) == len(labels)
     if has_g5:
         leaves, unit = _g5_pairings(labels), Coefficient.imaginary(-4 * sign)
         if distinct:

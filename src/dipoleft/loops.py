@@ -11,7 +11,6 @@ cutoff and formal log atoms; they are never turned into floats here.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import (
@@ -58,7 +57,7 @@ def integrate(term: Term, mass: str) -> Expression:
         return Expression.zero()
     if rank == 0:
         bubble = Coefficient.imaginary(1).with_consts(**{bubble_symbol(mass): 1})
-        return Expression.of(replace(term, coeff=bubble * term.coeff))
+        return Expression.of(Term(bubble * term.coeff, term.factors, term.word))
     if rank == 2:
         return evaluate_cutoff(term, mass)
     raise UnsupportedReductionError(f"numerator rank {rank} not supported (max 2)")

@@ -26,10 +26,11 @@ the divergent bundle by zero.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RESERVED_NAMES, Coefficient
+from .algebra import RESERVED_NAMES, Coefficient, _powmap
 from .action import AbsorbDirective, FlavorSpec, ModelSpec, SlotSpec
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -75,14 +76,15 @@ def parse_monomial(token: str, declared: set[str]) -> Coefficient:
 
     A ValueError names a malformed factor, an undeclared constant or a zero
     denominator (``1/0``, ``alpha/0``)."""
-    coeff = Coefficient.one()
+    value = Fraction(1)
+    powers: list[tuple[str, int]] = []
     for piece in token.split("*"):
         piece = piece.strip()
         if not piece:
             raise ValueError("empty factor in monomial")
         m = re.fullmatch(r"(-?\d+(?:/\d+)?)", piece)
         if m:
-            coeff = coeff.gaussian_scaled(_parse_rational(piece))
+            value *= _parse_rational(piece)
             continue
         m = re.fullmatch(r"(-?)([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?(?:/(\d+))?", piece)
         if not m:
@@ -90,14 +92,14 @@ def parse_monomial(token: str, declared: set[str]) -> Coefficient:
         neg, name, power, divisor = m.groups()
         if name != "pi" and name not in declared:
             raise ValueError(f"undeclared constant {name!r}")
-        coeff = coeff.with_consts(**{name: int(power) if power else 1})
+        powers.append((name, int(power) if power else 1))
         if neg:
-            coeff = coeff.gaussian_scaled(Fraction(-1))
+            value = -value
         if divisor:
             if int(divisor) == 0:
                 raise ValueError(f"zero denominator in {piece!r}")
-            coeff = coeff.gaussian_scaled(Fraction(1, int(divisor)))
-    return coeff
+            value /= int(divisor)
+    return Coefficient(re=value, consts=_powmap(powers))
 
 
 def _parse_scale(token: str) -> Coefficient:
@@ -140,6 +142,7 @@ def parse_model(text: str) -> ModelSpec:
     diags = _Collector()
     dimension: int | None = None
     names: dict[str, tuple[str, int]] = {}  # name -> (kind, declaring line)
+    declared: defaultdict[str, set[str]] = defaultdict(set)  # kind -> its names
     slots: list[SlotSpec] = []
     flavors: list[FlavorSpec] = []
     absorb: list[AbsorbDirective] = []
@@ -155,6 +158,7 @@ def parse_model(text: str) -> ModelSpec:
             return False
         if name not in names:
             names[name] = (kind, line_no)
+            declared[kind].add(name)
             return True
         prior, prior_line = names[name]
         if prior == kind == "mass":
@@ -165,9 +169,6 @@ def parse_model(text: str) -> ModelSpec:
             code, message = "name-clash", f"already declared as a {prior}"
         diags.add(code, line_no, f"{kind} {name!r} {message} on line {prior_line}", raw)
         return False
-
-    def declared(kind: str) -> set[str]:
-        return {name for name, (k, _) in names.items() if k == kind}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -229,7 +230,7 @@ def parse_model(text: str) -> ModelSpec:
                 diags.add("syntax", line_no, "chirality must be + or -", raw)
                 continue
             try:
-                coeff = parse_monomial(coeff_tok, declared("constant"))
+                coeff = parse_monomial(coeff_tok, declared["constant"])
             except ValueError as exc:
                 diags.add("bad-monomial", line_no, str(exc), raw)
                 continue
@@ -238,7 +239,7 @@ def parse_model(text: str) -> ModelSpec:
             except ValueError as exc:
                 diags.add("bad-combo", line_no, str(exc), raw)
                 continue
-            missing = [s for _, s in combo if s not in declared("slot")]
+            missing = [s for _, s in combo if s not in declared["slot"]]
             if missing:
                 diags.add("unknown-slot", line_no, f"combo references undeclared slot(s) {missing}", raw)
                 continue
@@ -262,7 +263,7 @@ def parse_model(text: str) -> ModelSpec:
                 diags.add("syntax", line_no, "expected: absorb <constant>^2 as <name> [scale <rational>[/pi^<k>]]", raw)
                 continue
             coupling, finite, scale_tok = m.groups()
-            if coupling not in declared("constant"):
+            if coupling not in declared["constant"]:
                 diags.add("unknown-constant", line_no, f"absorb references undeclared constant {coupling!r}", raw)
                 continue
             if not declare(finite, "finite name", line_no, raw):
@@ -297,5 +298,5 @@ def parse_model(text: str) -> ModelSpec:
         slots=tuple(slots),
         flavors=tuple(flavors),
         absorb=tuple(absorb),
-        constants=tuple(sorted(declared("constant"))),
+        constants=tuple(sorted(declared["constant"])),
     )

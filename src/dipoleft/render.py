@@ -8,6 +8,7 @@ round-trips back into an EffectiveAction exactly.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -46,11 +47,21 @@ def _check_form(form: Any) -> None:
 
 def _display_coeff(term: ActionTerm, action: EffectiveAction, form: str) -> Coefficient:
     """Stored coefficients sit in the field-strength basis; each exact slot
-    contributes an exact factor 2 when printed in potential form."""
+    contributes an exact factor 2 when printed in potential form.  A number
+    with more digits than Python converts to a string
+    (``sys.get_int_max_str_digits``) is a RenderError naming the term."""
     coeff = term.coeff
     if form == POTENTIAL:
         doubling = sum(1 for s in (term.slot_a, term.slot_b) if action.slot(s).exact)
         coeff = coeff.gaussian_scaled(Fraction(2**doubling))
+    try:
+        str(coeff.re), str(coeff.im)
+    except ValueError:
+        monomial = " * ".join(_monomial_pieces(coeff)) or "1"
+        raise RenderError(
+            f"the coefficient of the eps {term.slot_a} {term.slot_b} term in {monomial} "
+            f"is too large to print: it has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     return coeff
 
 
@@ -67,6 +78,12 @@ def coefficient_text(coeff: Coefficient) -> str:
     pieces = [f"({value})"]
     if i_power:
         pieces.append("i")
+    return " * ".join(pieces + _monomial_pieces(coeff))
+
+
+def _monomial_pieces(coeff: Coefficient) -> list[str]:
+    """The constants, pi, log atoms and eps power of coeff, as text factors."""
+    pieces = []
     consts = dict(coeff.consts)
     pi_power = consts.pop("pi", 0)
     for name in sorted(consts):
@@ -78,7 +95,7 @@ def coefficient_text(coeff: Coefficient) -> str:
         pieces.append(atom if exp == 1 else f"{atom}^{exp}")
     if coeff.eps_power:
         pieces.append(f"eps^{coeff.eps_power}")
-    return " * ".join(pieces)
+    return pieces
 
 
 def _slot_display(slot: SlotSpec, form: str) -> str:

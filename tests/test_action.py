@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipoleft import action as action_module
+from dipoleft import dirac
 from dipoleft.algebra import (
+    G5,
     Coefficient,
     Epsilon,
     Expression,
     FieldSlot,
     Term,
     canonicalize,
+    substitute_dimension,
 )
 from dipoleft.action import (
     AbsorbDirective,
@@ -40,7 +43,7 @@ from dipoleft.action import (
     polarization,
     renormalize,
 )
-from dipoleft.dirac import ModelError
+from dipoleft.dirac import ModelError, trace_word
 from dipoleft.oracle import loop_normalization_deviation
 
 ONE = Coefficient.one()
@@ -90,6 +93,28 @@ def test_polarization_metric_remnant_even_under_chirality_flip():
     minus = polarization(-1, "m", at_dimension=None)
     assert not metric_part(plus).is_zero()  # proportional to d - 4 with cutoff bracket
     assert metric_part(plus) == metric_part(minus)
+
+
+@pytest.mark.parametrize("mass", ["m", "0"])
+def test_full_derivation_at_four_dimensions_is_the_epsilon_only_kernel(mass):
+    full = substitute_dimension(polarization(+1, mass, at_dimension=None), 4)
+    assert metric_part(full).is_zero()
+    assert repr(full) == repr(polarization(+1, mass))
+
+
+def test_polarization_traces_plain_words_only_at_symbolic_dimension(monkeypatch):
+    words = []
+
+    def recording(word, dim_mode):
+        words.append(word)
+        return trace_word(word, dim_mode)
+
+    monkeypatch.setattr(dirac, "trace_word", recording)
+    polarization(+1, "m")
+    assert words and all(word[-1] == G5 for word in words)
+    words.clear()
+    polarization(+1, "m", at_dimension=None)
+    assert any(not word or word[-1] != G5 for word in words)
 
 
 def test_polarization_of_mass_M_carries_no_m_atom():

@@ -333,6 +333,18 @@ def test_set_rejects_a_name_set_twice(capsys, theta_model_path, values):
     assert err.startswith("error: --set 'e'") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "latex", "structured"])
+def test_coefficient_too_large_to_print_exit_code(capsys, tmp_path, theta_model_path, fmt):
+    # 2^60000 has 18,062 digits, beyond Python's default int-to-str limit
+    model = tmp_path / "huge.eft"
+    model.write_text(theta_model_path.read_text().replace("coeff e*alpha/2", "coeff e^30000*alpha/2"))
+    code, out, err = run(capsys, "compute", str(model), "--set", "e=2", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "error: the coefficient of the eps F F term in thetaF * pi^-2 is too large to print"
+    )
+
+
 @pytest.mark.parametrize("value", ["1/0", "1/0*pi^-1", "e/0"])
 def test_set_zero_denominator_exit_code(capsys, bf_model_path, value):
     code, out, err = run(capsys, "reduce-bf", str(bf_model_path), "--set", f"LambdaF={value}")

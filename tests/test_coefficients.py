@@ -4,8 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from dipoleft.algebra import Coefficient, Expression, ExpressionError, Term, canonicalize
+from dipoleft.algebra import (
+    Coefficient,
+    Expression,
+    ExpressionError,
+    Term,
+    _powmap,
+    canonicalize,
+)
 
 NAMES = ["e", "alpha", "m", "thetaF"]
 LOGS = ["log(4pi)", "log(Lambda/m)"]
@@ -89,3 +98,96 @@ def test_substitute_const_negative_power():
     out = coeff.substitute_const("X", Coefficient.monomial(1, 2, pi=1))
     assert out.re == Fraction(6)
     assert dict(out.consts) == {"pi": -1}
+
+
+# Reference arithmetic: the textbook Gaussian formulas, every part and
+# monomial computed in full.
+
+
+def _textbook(re, im, consts, logs, eps_power) -> Coefficient:
+    return Coefficient(re, im, _powmap(consts), _powmap(logs), eps_power)
+
+
+def textbook_mul(x: Coefficient, y: Coefficient) -> Coefficient:
+    return _textbook(
+        x.re * y.re - x.im * y.im,
+        x.re * y.im + x.im * y.re,
+        x.consts + y.consts,
+        x.logs + y.logs,
+        x.eps_power + y.eps_power,
+    )
+
+
+def textbook_divide(x: Coefficient, y: Coefficient) -> Coefficient:
+    norm = y.re * y.re + y.im * y.im
+    return _textbook(
+        (x.re * y.re + x.im * y.im) / norm,
+        (x.im * y.re - x.re * y.im) / norm,
+        x.consts + tuple((n, -e) for n, e in y.consts),
+        x.logs + tuple((n, -e) for n, e in y.logs),
+        x.eps_power - y.eps_power,
+    )
+
+
+def k_fold_substitute(x: Coefficient, name: str, value: Coefficient) -> Coefficient:
+    k = x.const_power(name)
+    out = _textbook(x.re, x.im, x.consts + ((name, -k),), x.logs, x.eps_power)
+    factor = value if k >= 0 else textbook_divide(Coefficient.one(), value)
+    for _ in range(abs(k)):
+        out = textbook_mul(out, factor)
+    return out
+
+
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool),
+)
+_monomials = st.one_of(
+    st.just(()), st.dictionaries(st.sampled_from(NAMES), st.integers(-4, 4)).map(_powmap)
+)
+_log_monomials = st.one_of(
+    st.just(()), st.dictionaries(st.sampled_from(LOGS), st.integers(-2, 2)).map(_powmap)
+)
+coefficients = st.builds(
+    Coefficient, _parts, _parts, _monomials, _log_monomials, st.integers(-2, 2)
+)
+
+
+def assert_same(got: Coefficient, want: Coefficient) -> None:
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@given(coefficients, coefficients, _parts)
+def test_arithmetic_matches_the_textbook_gaussian_formulas(x, y, factor):
+    assert_same(x * y, textbook_mul(x, y))
+    assert_same(-x, _textbook(-x.re, -x.im, x.consts, x.logs, x.eps_power))
+    assert_same(
+        x.gaussian_scaled(factor),
+        _textbook(x.re * factor, x.im * factor, x.consts, x.logs, x.eps_power),
+    )
+    like = Coefficient(y.re, y.im, x.consts, x.logs, x.eps_power)
+    assert_same(
+        x.plus(like), _textbook(x.re + y.re, x.im + y.im, x.consts, x.logs, x.eps_power)
+    )
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.divide(y)
+    else:
+        assert_same(x.divide(y), textbook_divide(x, y))
+
+
+@given(coefficients, st.sampled_from(NAMES), st.integers(-6, 6), coefficients)
+def test_substitute_const_equals_the_k_fold_product(x, name, k, value):
+    x = x.with_consts(**{name: k - x.const_power(name)})
+    assume(k >= 0 or not value.is_zero())
+    assert_same(x.substitute_const(name, value), k_fold_substitute(x, name, value))
+
+
+@pytest.mark.parametrize("k", [10**5, -(10**5)])
+def test_substitute_const_at_a_large_power(k):
+    # (3i/2 * x)^k with k a multiple of 4: i^k = 1
+    value = Coefficient.imaginary(3, 2).with_consts(x=1)
+    out = Coefficient.monomial(1, 1, e=k, alpha=1).substitute_const("e", value)
+    # 3^k has 47,713 digits: too many for repr under the default int-to-str limit
+    assert out == Coefficient.monomial(Fraction(3, 2) ** k, 1, alpha=1, x=k)

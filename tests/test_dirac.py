@@ -14,6 +14,7 @@ from dipoleft.algebra import (
     Expression,
     FieldSlot,
     Metric,
+    StructuralError,
     Term,
     canonicalize,
     contract,
@@ -72,6 +73,16 @@ def test_gamma5_requires_four_dimensional_mode():
     word = (G5, gamma("a"), gamma("b"), gamma("c"), gamma("d"))
     with pytest.raises(SchemeError):
         trace_word(word, SYMBOLIC_DIM)
+
+
+@pytest.mark.parametrize("g5", [(), (G5,)])
+def test_label_used_three_times_names_the_word(g5):
+    word = tuple(gamma(label) for label in "abaa") + g5
+    with pytest.raises(StructuralError) as raised:
+        trace_word(word, FOUR_DIM)
+    assert str(raised.value) == (
+        f"index label(s) ['a'] occur more than twice in gamma word {word!r}"
+    )
 
 
 def test_double_gamma5_squares_away():
