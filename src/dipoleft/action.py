@@ -41,8 +41,8 @@ from .algebra import (
     gamma,
     substitute_dimension,
 )
-from .dirac import FOUR_DIM, ModelError, expand_vertex, trace
-from .loops import bubble_symbol, integrate
+from .dirac import FOUR_DIM, ModelError, SchemeError, expand_vertex, trace
+from .loops import bubble_mass, bubble_symbol, integrate
 
 
 class RenormalizationIncompleteError(ValueError):
@@ -136,12 +136,9 @@ class EffectiveAction:
 
 
 def is_divergent(coeff: Coefficient) -> bool:
-    consts = dict(coeff.consts)
-    if any(name == "I0" or name.startswith("I0[") for name in consts):
+    if coeff.eps_power or coeff.logs or coeff.const_power("Lambda"):
         return True
-    if consts.get("Lambda", 0) != 0 or coeff.eps_power != 0 or coeff.logs:
-        return True
-    return False
+    return any(bubble_mass(name) is not None for name, _ in coeff.consts)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +167,11 @@ def polarization(chirality: int, mass: str, at_dimension: Optional[int] = 4) -> 
     log-divergent bubble.  At ``at_dimension=4`` only the product terms
     whose normalized word ends in g5, the epsilon sector, are integrated
     and traced.  Pass ``at_dimension=None`` to derive both sectors and keep
-    the metric sector's d-dependence explicit.
+    the metric sector's d-dependence explicit; any other value would mix
+    two schemes and is a SchemeError.
     """
+    if at_dimension not in (4, None):
+        raise SchemeError(f"polarization at_dimension={at_dimension!r}: g5 traces are taken at d = 4")
     a, b = _KERNEL_SLOTS
     mu, nu, rho, sg, q1, q2 = fresh_labels("p", 6)
     v1 = expand_vertex(chirality, a, mu, nu)
@@ -300,11 +300,11 @@ def _match_directive(
     A bundle that more than one directive could absorb is a ModelError.
     """
     consts = dict(coeff.consts)
-    bubbles = [n for n in consts if n == "I0" or n.startswith("I0[")]
+    bubbles = [n for n in consts if bubble_mass(n) is not None]
     if len(bubbles) != 1 or consts[bubbles[0]] != 1:
         return None
-    bubble = bubbles[0]
-    mass = "m" if bubble == "I0" else bubble[3:-1]
+    (bubble,) = bubbles
+    mass = bubble_mass(bubble)
     if consts.get(mass, 0) < 2:
         return None
     matches = [d for d in directives if consts.get(d.coupling, 0) == 2]

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .action import (
@@ -27,7 +25,7 @@ from .action import (
     renormalize,
 )
 from .dirac import ModelError
-from .modelfile import ModelFileError, parse_model, parse_monomial
+from .modelfile import ModelFileError, parse_model, parse_monomial, parse_rational
 from .oracle import (
     convention_trace,
     cutoff_tensor_grid_max_relative_error,
@@ -164,13 +162,15 @@ def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    m = re.fullmatch(r"(-?\d+(?:/0*[1-9]\d*)?)pi", args.theta.strip())
-    if not m:
+    theta = args.theta.strip()
+    try:
+        theta_over_pi = parse_rational(theta[:-2] if theta.endswith("pi") else "")
+    except ValueError:
         raise DomainError(
             f"bad --theta {args.theta!r}; expected a rational with a nonzero denominator "
             "followed by 'pi'"
-        )
-    result = check_quantization(Fraction(m.group(1)), args.nf)
+        ) from None
+    result = check_quantization(theta_over_pi, args.nf)
     print(f"theta = {result.theta_over_pi} pi, Nf = {result.nf}")
     print(f"topological charge quantized in units of Nf^2 = {result.charge_multiplier}")
     print(f"classification: {result.classification}")

@@ -53,7 +53,7 @@ FOUR_DIM = "four"
 
 
 class SchemeError(ValueError):
-    """A gamma5 trace was requested at symbolic dimension."""
+    """A gamma5 trace at symbolic d, or a loop kernel at a d neither 4 nor symbolic."""
 
 
 class ModelError(ValueError):

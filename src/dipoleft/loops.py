@@ -35,6 +35,13 @@ def bubble_symbol(mass: str) -> str:
     return "I0" if mass == "m" else f"I0[{mass}]"
 
 
+def bubble_mass(name: str) -> str | None:
+    """Inverse of ``bubble_symbol``: the mass symbol of a bubble, else None."""
+    if name == "I0":
+        return "m"
+    return name[3:-1] if name.startswith("I0[") and name.endswith("]") else None
+
+
 def cutoff_log_atom(mass: str) -> str:
     """Name of the cutoff log atom log(Lambda/<mass>); ``LOG_LAMBDA`` for mass m."""
     return f"log(Lambda/{mass})"

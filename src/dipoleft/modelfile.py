@@ -9,18 +9,23 @@ Directives:
     flavor <name> mass <sym> chirality +|- coeff <monomial> combo <signed-slot-sum>
     absorb <constant>^2 as <name> [scale <rational>[/pi^<k>]]
 
-'#' starts a comment.  Every declared name has one kind (constant, slot,
-potential, flavor, mass or finite name) and one declaring line, and only a
-mass symbol may repeat (across flavors); mass ``0`` is not a name.  A name
-that is not an identifier (a letter or ``_``, then letters, digits or
-``_``) is ``bad-name``, a reserved engine name ``reserved-name``, a name
-declared again as the same kind ``duplicate-<kind>`` and as another kind
-``name-clash``, each citing the earlier line.  Constants must be declared
-before use, and a constant has at most one absorb directive
-(``duplicate-absorb``).  A zero denominator (``coeff e*alpha/0``,
-``scale 1/0``) is a ``bad-monomial`` or ``bad-scale`` diagnostic, and so
-is a zero scale (``scale 0``, ``0/pi^2``), which would silently replace
-the divergent bundle by zero.
+'#' starts a comment.  The model file, ``--set NAME=MONOMIAL`` and
+``--theta <rational>pi`` share two tokens: a name (a letter or ``_``, then
+letters, digits or ``_``) and a rational ``-?N[/N]``, N a run of ASCII
+digits; decimals, exponents, ``+``, ``_`` and other digits are errors.  A
+monomial is a ``*``-product of rationals and ``[-]name[^k][/N]`` factors.
+
+Every declared name has one kind (constant, slot, potential, flavor, mass
+or finite name) and one declaring line, and only a mass symbol may repeat
+(across flavors); mass ``0`` is not a name.  A name that is not an
+identifier is ``bad-name``, a reserved engine name ``reserved-name``, a
+name declared again as the same kind ``duplicate-<kind>`` and as another
+kind ``name-clash``, each citing the earlier line.  Constants must be
+declared before use, and a constant has at most one absorb directive
+(``duplicate-absorb``).  A malformed monomial or one over zero
+(``e*alpha/0``) is ``bad-monomial``; a malformed scale, one over zero or
+a zero scale (``0``, ``0/pi^2``), which would silently replace the
+divergent bundle by zero, is ``bad-scale``.
 """
 
 from __future__ import annotations
@@ -33,8 +38,21 @@ from fractions import Fraction
 from .algebra import RESERVED_NAMES, Coefficient, _powmap
 from .action import AbsorbDirective, FlavorSpec, ModelSpec, SlotSpec
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_COMBO_TOKEN = re.compile(r"([+-]?)([A-Za-z_][A-Za-z0-9_]*)")
+# The two tokens of every input, and the patterns built from them.
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_DIGITS = "[0-9]+"
+_INTEGER = "-?" + _DIGITS
+_RATIONAL = f"(?P<num>{_INTEGER})(?:/(?P<den>{_DIGITS}))?"
+
+NAME = re.compile(_NAME)
+RATIONAL = re.compile(_RATIONAL)
+_NATURAL = re.compile(_DIGITS)
+_FACTOR = re.compile(
+    rf"{_RATIONAL}|(?P<neg>-?)(?P<name>{_NAME})(?:\^(?P<power>{_INTEGER}))?(?:/(?P<div>{_DIGITS}))?"
+)
+_SCALE = re.compile(rf"{_RATIONAL}(?P<pi>/pi(?:\^(?P<k>{_INTEGER}))?)?")
+_ABSORB = re.compile(rf"absorb\s+({_NAME})\^2\s+as\s+({_NAME})(?:\s+scale\s+(\S+))?")
+_COMBO_TOKEN = re.compile(f"([+-]?)({_NAME})")
 
 
 @dataclass(frozen=True)
@@ -54,20 +72,22 @@ class ModelFileError(ValueError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-class _Collector:
-    def __init__(self) -> None:
-        self.diagnostics: list[Diagnostic] = []
+def _rational(num: str, den: str | None, token: str) -> Fraction:
+    """``num/den`` from the digits a pattern matched (den None: 1); a zero
+    denominator is a ValueError naming ``token``."""
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    return Fraction(int(num), int(den))
 
-    def add(self, code: str, line: int, message: str, text: str = "") -> None:
-        self.diagnostics.append(Diagnostic(code, line, message, text))
 
-
-def _parse_rational(token: str) -> Fraction:
-    """``3``, ``-1/2``, ...; a zero denominator is a ValueError."""
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token!r}") from None
+def parse_rational(token: str) -> Fraction:
+    """``-?N[/N]``; a ValueError if malformed or over zero."""
+    m = RATIONAL.fullmatch(token)
+    if not m:
+        raise ValueError(f"bad rational {token!r}")
+    return _rational(m["num"], m["den"], token)
 
 
 def parse_monomial(token: str, declared: set[str]) -> Coefficient:
@@ -82,44 +102,29 @@ def parse_monomial(token: str, declared: set[str]) -> Coefficient:
         piece = piece.strip()
         if not piece:
             raise ValueError("empty factor in monomial")
-        m = re.fullmatch(r"(-?\d+(?:/\d+)?)", piece)
-        if m:
-            value *= _parse_rational(piece)
-            continue
-        m = re.fullmatch(r"(-?)([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?(?:/(\d+))?", piece)
+        m = _FACTOR.fullmatch(piece)
         if not m:
             raise ValueError(f"bad monomial factor {piece!r}")
-        neg, name, power, divisor = m.groups()
+        name = m["name"]
+        if name is None:
+            value *= _rational(m["num"], m["den"], piece)
+            continue
         if name != "pi" and name not in declared:
             raise ValueError(f"undeclared constant {name!r}")
-        powers.append((name, int(power) if power else 1))
-        if neg:
-            value = -value
-        if divisor:
-            if int(divisor) == 0:
-                raise ValueError(f"zero denominator in {piece!r}")
-            value /= int(divisor)
+        powers.append((name, int(m["power"] or 1)))
+        value *= _rational("-1" if m["neg"] else "1", m["div"], piece)
     return Coefficient(re=value, consts=_powmap(powers))
 
 
 def _parse_scale(token: str) -> Coefficient:
     """``<rational>[/pi^<k>]`` with /pi meaning /pi^1."""
-    pi_power = 0
-    if "/pi" in token:
-        head, _, tail = token.partition("/pi")
-        if tail.startswith("^"):
-            pi_power = -int(tail[1:])
-        elif tail == "":
-            pi_power = -1
-        else:
-            raise ValueError(f"bad scale suffix {tail!r}")
-        token = head
-    coeff = Coefficient(re=_parse_rational(token))
-    if coeff.is_zero():
+    m = _SCALE.fullmatch(token)
+    if not m:
+        raise ValueError("expected <rational>[/pi^<k>]")
+    value = _rational(m["num"], m["den"], token)
+    if not value:
         raise ValueError("a zero scale would replace the divergent bundle by zero")
-    if pi_power:
-        coeff = coeff.with_consts(pi=pi_power)
-    return coeff
+    return Coefficient(re=value).with_consts(pi=-int(m["k"] or 1) if m["pi"] else 0)
 
 
 def _parse_combo(token: str) -> list[tuple[int, str]]:
@@ -139,7 +144,7 @@ def _parse_combo(token: str) -> list[tuple[int, str]]:
 def parse_model(text: str) -> ModelSpec:
     """Parse and validate a model file; raises ModelFileError with every
     diagnostic found (each carrying a line number)."""
-    diags = _Collector()
+    diagnostics: list[Diagnostic] = []
     dimension: int | None = None
     names: dict[str, tuple[str, int]] = {}  # name -> (kind, declaring line)
     declared: defaultdict[str, set[str]] = defaultdict(set)  # kind -> its names
@@ -148,13 +153,17 @@ def parse_model(text: str) -> ModelSpec:
     absorb: list[AbsorbDirective] = []
     absorb_lines: dict[str, int] = {}
 
-    def declare(name: str, kind: str, line_no: int, raw: str) -> bool:
+    def add(code: str, message: str) -> None:
+        """A diagnostic on the line being read."""
+        diagnostics.append(Diagnostic(code, line_no, message, raw))
+
+    def declare(name: str, kind: str) -> bool:
         """Enter name as kind; False, with a diagnostic, if the table refuses it."""
-        if not _IDENT.match(name):
-            diags.add("bad-name", line_no, f"{kind} name {name!r} is not an identifier", raw)
+        if not NAME.fullmatch(name):
+            add("bad-name", f"{kind} name {name!r} is not an identifier")
             return False
         if name in RESERVED_NAMES:
-            diags.add("reserved-name", line_no, f"{name!r} is reserved by the engine", raw)
+            add("reserved-name", f"{name!r} is reserved by the engine")
             return False
         if name not in names:
             names[name] = (kind, line_no)
@@ -167,7 +176,7 @@ def parse_model(text: str) -> ModelSpec:
             code, message = f"duplicate-{kind.replace(' ', '-')}", "already declared"
         else:
             code, message = "name-clash", f"already declared as a {prior}"
-        diags.add(code, line_no, f"{kind} {name!r} {message} on line {prior_line}", raw)
+        add(code, f"{kind} {name!r} {message} on line {prior_line}")
         return False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -178,22 +187,22 @@ def parse_model(text: str) -> ModelSpec:
         head = tokens[0]
 
         if head == "dim":
-            if len(tokens) != 2 or not tokens[1].isdecimal():
-                diags.add("syntax", line_no, "expected: dim <integer>", raw)
+            if len(tokens) != 2 or not _NATURAL.fullmatch(tokens[1]):
+                add("syntax", "expected: dim <integer>")
             elif int(tokens[1]) != 4:
-                diags.add("unsupported-dimension", line_no, f"unsupported dimension {tokens[1]}", raw)
+                add("unsupported-dimension", f"unsupported dimension {tokens[1]}")
             else:
                 dimension = 4
 
         elif head == "constant":
             if len(tokens) < 2:
-                diags.add("syntax", line_no, "expected: constant <name> [real] [positive]", raw)
+                add("syntax", "expected: constant <name> [real] [positive]")
                 continue
-            if not declare(tokens[1], "constant", line_no, raw):
+            if not declare(tokens[1], "constant"):
                 continue
             for flag in tokens[2:]:
                 if flag not in ("real", "positive"):
-                    diags.add("syntax", line_no, f"unknown constant flag {flag!r}", raw)
+                    add("syntax", f"unknown constant flag {flag!r}")
 
         elif head == "slot":
             if len(tokens) == 3 and tokens[2] == "fundamental":
@@ -201,11 +210,11 @@ def parse_model(text: str) -> ModelSpec:
             elif len(tokens) == 4 and tokens[2] == "exact":
                 spec = SlotSpec(tokens[1], tokens[3])
             else:
-                diags.add("syntax", line_no, "expected: slot <name> exact <potential> | slot <name> fundamental", raw)
+                add("syntax", "expected: slot <name> exact <potential> | slot <name> fundamental")
                 continue
-            if not declare(spec.name, "slot", line_no, raw):
+            if not declare(spec.name, "slot"):
                 continue
-            if spec.exact and not declare(spec.potential, "potential", line_no, raw):
+            if spec.exact and not declare(spec.potential, "potential"):
                 continue
             slots.append(spec)
 
@@ -214,85 +223,65 @@ def parse_model(text: str) -> ModelSpec:
             if len(tokens) != len(expected) or any(
                 want is not None and got != want for want, got in zip(expected, tokens)
             ):
-                diags.add(
-                    "syntax",
-                    line_no,
-                    "expected: flavor <name> mass <sym> chirality +|- coeff <monomial> combo <slots>",
-                    raw,
-                )
+                add("syntax", "expected: flavor <name> mass <sym> chirality +|- coeff <monomial> combo <slots>")
                 continue
             name, mass, chir_tok, coeff_tok, combo_tok = tokens[1], tokens[3], tokens[5], tokens[7], tokens[9]
-            if not declare(name, "flavor", line_no, raw):
+            if not declare(name, "flavor"):
                 continue
-            if mass != "0" and not declare(mass, "mass", line_no, raw):
+            if mass != "0" and not declare(mass, "mass"):
                 continue
             if chir_tok not in ("+", "-"):
-                diags.add("syntax", line_no, "chirality must be + or -", raw)
+                add("syntax", "chirality must be + or -")
                 continue
             try:
                 coeff = parse_monomial(coeff_tok, declared["constant"])
             except ValueError as exc:
-                diags.add("bad-monomial", line_no, str(exc), raw)
+                add("bad-monomial", str(exc))
                 continue
             try:
                 combo = _parse_combo(combo_tok)
             except ValueError as exc:
-                diags.add("bad-combo", line_no, str(exc), raw)
+                add("bad-combo", str(exc))
                 continue
             missing = [s for _, s in combo if s not in declared["slot"]]
             if missing:
-                diags.add("unknown-slot", line_no, f"combo references undeclared slot(s) {missing}", raw)
+                add("unknown-slot", f"combo references undeclared slot(s) {missing}")
                 continue
-            flavors.append(
-                FlavorSpec(
-                    name=name,
-                    mass=mass,
-                    chirality=+1 if chir_tok == "+" else -1,
-                    coeff=coeff,
-                    combo=tuple(combo),
-                )
-            )
+            chirality = +1 if chir_tok == "+" else -1
+            flavors.append(FlavorSpec(name, mass, chirality, coeff, tuple(combo)))
 
         elif head == "absorb":
-            m = re.fullmatch(
-                r"absorb\s+([A-Za-z_][A-Za-z0-9_]*)\^2\s+as\s+([A-Za-z_][A-Za-z0-9_]*)"
-                r"(?:\s+scale\s+(\S+))?",
-                line,
-            )
+            m = _ABSORB.fullmatch(line)
             if not m:
-                diags.add("syntax", line_no, "expected: absorb <constant>^2 as <name> [scale <rational>[/pi^<k>]]", raw)
+                add("syntax", "expected: absorb <constant>^2 as <name> [scale <rational>[/pi^<k>]]")
                 continue
             coupling, finite, scale_tok = m.groups()
             if coupling not in declared["constant"]:
-                diags.add("unknown-constant", line_no, f"absorb references undeclared constant {coupling!r}", raw)
+                add("unknown-constant", f"absorb references undeclared constant {coupling!r}")
                 continue
-            if not declare(finite, "finite name", line_no, raw):
+            if not declare(finite, "finite name"):
                 continue
             if coupling in absorb_lines:
-                diags.add(
-                    "duplicate-absorb",
-                    line_no,
-                    f"constant {coupling!r} is already absorbed on line {absorb_lines[coupling]}",
-                    raw,
-                )
+                prior_line = absorb_lines[coupling]
+                add("duplicate-absorb", f"constant {coupling!r} is already absorbed on line {prior_line}")
                 continue
             scale = Coefficient.one()
             if scale_tok is not None:
                 try:
                     scale = _parse_scale(scale_tok)
                 except ValueError as exc:
-                    diags.add("bad-scale", line_no, f"bad scale {scale_tok!r}: {exc}", raw)
+                    add("bad-scale", f"bad scale {scale_tok!r}: {exc}")
                     continue
             absorb_lines[coupling] = line_no
-            absorb.append(AbsorbDirective(coupling=coupling, finite_name=finite, scale=scale))
+            absorb.append(AbsorbDirective(coupling, finite, scale))
 
         else:
-            diags.add("syntax", line_no, f"unknown directive {head!r}", raw)
+            add("syntax", f"unknown directive {head!r}")
 
-    if dimension is None and not any(d.code == "unsupported-dimension" for d in diags.diagnostics):
-        diags.add("missing-dim", 0, "model file must declare 'dim 4'")
-    if diags.diagnostics:
-        raise ModelFileError(diags.diagnostics)
+    if dimension is None and not any(d.code == "unsupported-dimension" for d in diagnostics):
+        diagnostics.append(Diagnostic("missing-dim", 0, "model file must declare 'dim 4'", ""))
+    if diagnostics:
+        raise ModelFileError(diagnostics)
     return ModelSpec(
         dimension=dimension or 4,
         slots=tuple(slots),

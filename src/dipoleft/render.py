@@ -14,7 +14,8 @@ from typing import Any
 
 from .action import ActionTerm, EffectiveAction, SlotSpec, normal_form
 from .algebra import RESERVED_NAMES, Coefficient
-from .modelfile import _IDENT
+from .loops import bubble_mass
+from .modelfile import NAME
 
 FIELD_STRENGTH = "field-strength"
 POTENTIAL = "potential"
@@ -208,7 +209,7 @@ def _structured_int(value: Any, what: str) -> int:
 
 def _identifier(name: Any, what: str) -> str:
     """``name`` if the model-file parser would take it as a name."""
-    if not isinstance(name, str) or not _IDENT.fullmatch(name):
+    if not isinstance(name, str) or not NAME.fullmatch(name):
         raise RenderError(f"{what} {name!r} is not an identifier")
     return name
 
@@ -230,8 +231,8 @@ def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
     if not isinstance(constants, dict):
         raise RenderError(f"coefficient constants {constants!r} is not an object")
     for name in constants:
-        bubble = isinstance(name, str) and name.startswith("I0[") and name.endswith("]")
-        if _identifier(name[3:-1] if bubble else name, "constant name") in ("pi", "d"):
+        mass = bubble_mass(name) if isinstance(name, str) else None
+        if _identifier(name if mass is None else mass, "constant name") in ("pi", "d"):
             raise RenderError(f"constant {name!r} cannot be listed in 'constants'")
     powers = {
         name: _structured_int(exp, f"exponent of {name!r}") for name, exp in constants.items()

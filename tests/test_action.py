@@ -43,7 +43,7 @@ from dipoleft.action import (
     polarization,
     renormalize,
 )
-from dipoleft.dirac import ModelError, trace_word
+from dipoleft.dirac import ModelError, SchemeError, trace_word
 from dipoleft.oracle import loop_normalization_deviation
 
 ONE = Coefficient.one()
@@ -115,6 +115,13 @@ def test_polarization_traces_plain_words_only_at_symbolic_dimension(monkeypatch)
     words.clear()
     polarization(+1, "m", at_dimension=None)
     assert any(not word or word[-1] != G5 for word in words)
+
+
+@pytest.mark.parametrize("dimension", [3, 5, 0])
+def test_polarization_at_another_dimension_is_a_scheme_error(dimension):
+    # g5 traces are taken at d = 4; a metric sector at another d would mix schemes
+    with pytest.raises(SchemeError, match=f"at_dimension={dimension}"):
+        polarization(+1, "m", at_dimension=dimension)
 
 
 def test_polarization_of_mass_M_carries_no_m_atom():

@@ -536,3 +536,56 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "TRI-nontrivial" in proc.stdout
+
+
+EPS_FF = "eps[mu nu rho sigma] F[mu nu] F[rho sigma]\n"
+# The theta fixture's line each model-file spelling replaces.
+_FIXTURE_LINE = {"coeff": "coeff e*alpha/2", "scale": "scale 1/32/pi^2", "dim": "dim 4"}
+
+
+@pytest.mark.parametrize(
+    "where,spelling,code,expected",
+    [
+        # one grammar: a rational is -?N[/N] in ASCII digits, everywhere
+        ("scale", "1.5", 1, "bad-scale"),
+        ("scale", "1e-3", 1, "bad-scale"),
+        ("scale", "1_0", 1, "bad-scale"),
+        ("scale", "+3", 1, "bad-scale"),
+        ("scale", ".5/pi", 1, "bad-scale"),
+        ("scale", "3/pi^x", 1, "bad-scale"),
+        ("coeff", "1.5*e*alpha", 1, "bad-monomial"),
+        ("coeff", "٣*e*alpha/2", 1, "bad-monomial"),
+        ("dim", "٤", 1, "syntax"),
+        ("--set", "e=1.5", 1, "error:"),
+        ("--set", "e=+2", 1, "error:"),
+        ("--theta", "+1pi", 1, "error:"),
+        ("--theta", "١pi", 1, "error:"),
+        # spellings the grammar accepts keep their result
+        ("scale", "1/32/pi^2", 0, "(1/32) * e^2 * thetaF * pi^-2 * " + EPS_FF),
+        ("scale", "1/pi", 0, "(1) * e^2 * thetaF * pi^-1 * " + EPS_FF),
+        ("scale", "-0/3/pi", 1, "bad-scale"),
+        ("--set", "thetaF=-1/8*e^2*pi^-1", 0, "(-1/256) * e^4 * pi^-3 * " + EPS_FF),
+        ("--theta", "-2pi", 0, "theta = -2 pi, Nf = 3\n"),
+    ],
+)
+def test_names_and_numbers_follow_one_grammar(
+    capsys, tmp_path, theta_model_path, where, spelling, code, expected
+):
+    if where == "--theta":
+        argv = ["check-quantization", f"--theta={spelling}", "--nf", "3"]
+    elif where == "--set":
+        argv = ["compute", str(theta_model_path), "--set", spelling]
+    else:
+        model = tmp_path / "spelled.eft"
+        text = theta_model_path.read_text()
+        model.write_text(text.replace(_FIXTURE_LINE[where], f"{where} {spelling}"))
+        argv = ["compute", str(model)]
+    got_code, out, err = run(capsys, *argv)
+    assert got_code == code
+    if code == 0:
+        assert out.startswith(expected) and err == ""
+        return
+    assert out == ""
+    assert err.startswith("error: ") if expected == "error:" else f": {expected}: " in err
+    for internal in ("Traceback", "invalid literal", "base 10"):
+        assert internal not in err

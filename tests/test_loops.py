@@ -19,6 +19,8 @@ from dipoleft.algebra import (
 )
 from dipoleft.loops import (
     UnsupportedReductionError,
+    bubble_mass,
+    bubble_symbol,
     cutoff_scalar_closed_form,
     cutoff_scalar_leading,
     cutoff_tensor_bracket,
@@ -152,3 +154,13 @@ def test_cutoff_bracket_log_names_its_mass():
     assert log_term.coeff.const_power("M") == 2
     (default_log,) = [t for t in cutoff_tensor_bracket().terms if t.coeff.logs]
     assert default_log.coeff.logs == ((LOG_LAMBDA, 1),)
+
+
+@pytest.mark.parametrize("mass", ["m", "M", "m_2"])
+def test_bubble_mass_inverts_bubble_symbol(mass):
+    assert bubble_mass(bubble_symbol(mass)) == mass
+
+
+@pytest.mark.parametrize("name", ["m", "I", "I0m", "I0[M", "Lambda", "pi"])
+def test_bubble_mass_of_a_non_bubble_is_none(name):
+    assert bubble_mass(name) is None

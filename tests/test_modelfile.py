@@ -1,6 +1,10 @@
 """Model-file parsing and diagnostics."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipoleft.algebra import Coefficient
 from dipoleft.modelfile import ModelFileError, parse_model, parse_monomial
@@ -257,3 +261,39 @@ def test_duplicate_potential_cites_both_lines():
 
 def test_dim_with_a_non_decimal_digit_is_a_syntax_diagnostic():
     assert _codes("dim ²\n") == [("syntax", 1), ("missing-dim", 0)]
+
+
+_NUMERATORS = st.integers(-10**6, 10**6)
+_DENOMINATORS = st.none() | st.integers(1, 10**6)
+
+
+def _rational_text(num: int, den: int | None) -> str:
+    return str(num) if den is None else f"{num}/{den}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=_NUMERATORS.filter(bool),
+    den=_DENOMINATORS,
+    k=st.none() | st.integers(-3, 6),
+    bare_pi=st.booleans(),
+)
+def test_scale_round_trip(num, den, k, bare_pi):
+    suffix = "" if k is None else ("/pi" if k == 1 and bare_pi else f"/pi^{k}")
+    text = f"dim 4\nconstant g\nabsorb g^2 as G scale {_rational_text(num, den)}{suffix}\n"
+    (directive,) = parse_model(text).absorb
+    expected = Coefficient(re=Fraction(num, den or 1)).with_consts(pi=-(k or 0))
+    assert directive.scale == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=_NUMERATORS,
+    den=_DENOMINATORS,
+    name=st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+    k=st.none() | st.integers(-4, 4),
+)
+def test_monomial_round_trip(num, den, name, k):
+    text = f"{_rational_text(num, den)}*{name}" + ("" if k is None else f"^{k}")
+    expected = Coefficient(re=Fraction(num, den or 1)).with_consts(**{name: 1 if k is None else k})
+    assert parse_monomial(text, {name}) == expected
