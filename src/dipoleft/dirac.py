@@ -18,18 +18,20 @@ than four gammas are reduced with
 whose sign is pinned by the conventions above; every leaf is -4i times a
 sign, a metric for each reduction step and one eps, followed in the eps
 branch by a pairing.  The eps branch's contracted s is paired at once with
-each later label, so the leaves carry only the word's own labels.
+each later label, so the leaves carry only the word's own labels.  Both
+expansions run over sets of the word's positions: one pairing table per
+word (a metric per position pair and a memo of pairings per position set)
+is shared by every eps branch of a g5 trace.
 Requesting a g5 trace at symbolic dimension is a hard error, never a
 silent choice.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
 from operator import attrgetter
-from typing import Iterator
 
 from .algebra import (
     G5,
@@ -97,6 +99,29 @@ def expand_vertex(chirality: int, slot: str, mu: str, nu: str) -> Expression:
 # ---------------------------------------------------------------------------
 
 
+# The coefficient of each leaf, by (word has g5, word sign), then leaf sign:
+# 4 times the sign without g5, -4i times it with g5.
+_FOUR, _MINUS_FOUR = Coefficient.rational(4), Coefficient.rational(-4)
+_FOUR_I, _MINUS_FOUR_I = Coefficient.imaginary(4), Coefficient.imaginary(-4)
+_LEAF_COEFFS = {
+    (False, 1): {1: _FOUR, -1: _MINUS_FOUR},
+    (False, -1): {1: _MINUS_FOUR, -1: _FOUR},
+    (True, 1): {1: _MINUS_FOUR_I, -1: _FOUR_I},
+    (True, -1): {1: _FOUR_I, -1: _MINUS_FOUR_I},
+}
+
+
+_LOWER_LABEL = attrgetter("i")  # a metric's lower label, the key its leaf is sorted by
+
+
+def _pairing_tables(labels: tuple[str, ...]) -> tuple[list[int], dict, dict]:
+    """A word's positions in label order, its metric per position pair (the
+    lower label first) and a pairing memo holding the empty mask."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    metrics = {(p, q): Metric(labels[p], labels[q]) for p, q in combinations(order, 2)}
+    return order, metrics, {0: [(1, ())]}
+
+
 def _pairings(labels: tuple[str, ...]) -> list[tuple[int, tuple[Metric, ...]]]:
     """Every perfect pairing of an even label tuple, as (sign, metric factors).
 
@@ -106,9 +131,7 @@ def _pairings(labels: tuple[str, ...]) -> list[tuple[int, tuple[Metric, ...]]]:
     each leaf's metrics come out ascending and, for distinct labels, so do
     the (2n-1)!! leaves: ``canonicalize``'s form and order.
     """
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    metrics = {(p, q): Metric(labels[p], labels[q]) for p, q in combinations(order, 2)}
-    return _pairings_of(order, metrics, {0: [(1, ())]}, (1 << len(labels)) - 1)
+    return _pairings_of(*_pairing_tables(labels), (1 << len(labels)) - 1)
 
 
 def _pairings_of(order: list[int], metrics: dict, memo: dict, mask: int) -> list:
@@ -124,7 +147,7 @@ def _pairings_of(order: list[int], metrics: dict, memo: dict, mask: int) -> list
     return memo[mask]
 
 
-def _g5_pairings(labels: tuple[str, ...]) -> Iterator[tuple[int, tuple[TensorFactor, ...]]]:
+def _g5_pairings(labels: tuple[str, ...]) -> list[tuple[int, tuple[TensorFactor, ...]]]:
     """tr(g^{a1}...g^{an} g5) at d = 4, n even, as (sign, (eps, *metrics)) leaves.
 
     The trace is -4i times the signed sum of the leaves.  Words of four or
@@ -139,22 +162,39 @@ def _g5_pairings(labels: tuple[str, ...]) -> Iterator[tuple[int, tuple[TensorFac
     leaves without dummies: 1, 6, 33 and 204 for 4, 6, 8 and 10 gammas.
     Metrics and eps have their labels sorted, eps's parity folded into the
     sign, and each leaf's metrics are in ascending order.
+
+    Every sub-word is a set of the word's positions, kept in word order, so
+    the recursion runs over position masks: each mask's leaves are built
+    once, and one pairing table and memo serve every eps branch of the word.
     """
-    if len(labels) < 4:
-        return
-    a, b, c = labels[:3]
-    rest = labels[3:]
-    for sign, pair, keep in ((1, (a, b), c), (-1, (a, c), b), (1, (b, c), a)):
-        metric = Metric(*sorted(pair))
-        for sub_sign, (eps, *sub) in _g5_pairings((keep,) + rest):
-            insort(sub, metric, key=attrgetter("i"))
-            yield sign * sub_sign, (eps, *sub)
-    for j, partner in enumerate(rest):
-        idx = (a, b, c, partner)
+    order, metrics, memo = _pairing_tables(labels)
+    return _g5_pairings_of(labels, order, metrics, memo, {}, (1 << len(labels)) - 1)
+
+
+def _g5_pairings_of(
+    labels: tuple[str, ...], order: list[int], metrics: dict, memo: dict, g5_memo: dict, mask: int
+) -> list:
+    """The g5 leaves of the word positions in ``mask``, built once per mask."""
+    if mask in g5_memo:
+        return g5_memo[mask]
+    g5_memo[mask] = leaves = []
+    positions = [p for p in range(len(labels)) if mask >> p & 1]
+    if len(positions) < 4:
+        return leaves
+    a, b, c, *rest = positions
+    for sign, (p, q) in ((1, (a, b)), (-1, (a, c)), (1, (b, c))):
+        metric = metrics[(p, q) if (p, q) in metrics else (q, p)]
+        sub = _g5_pairings_of(labels, order, metrics, memo, g5_memo, mask ^ 1 << p ^ 1 << q)
+        for s, f in sub:
+            k = bisect_right(f, metric.i, 1, key=_LOWER_LABEL)
+            leaves.append((sign * s, (*f[:k], metric, *f[k:])))
+    for j, r in enumerate(rest):
+        idx = (labels[a], labels[b], labels[c], labels[r])
         sign = (-1) ** (j + sum(x > y for k, x in enumerate(idx) for y in idx[k + 1 :]))
         eps = Epsilon(tuple(sorted(idx)))
-        for sub_sign, sub in _pairings(rest[:j] + rest[j + 1 :]):
-            yield sign * sub_sign, (eps, *sub)
+        sub = _pairings_of(order, metrics, memo, mask ^ 1 << a ^ 1 << b ^ 1 << c ^ 1 << r)
+        leaves += [(sign * s, (eps, *f)) for s, f in sub]
+    return leaves
 
 
 def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
@@ -176,22 +216,22 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
             "gamma5 traces are defined only at d = 4; "
             "pass dim_mode='four' to accept the four-dimensional scheme"
         )
-    counts = Counter(labels)
-    bad = sorted(label for label, c in counts.items() if c > 2)
-    if bad:
-        raise StructuralError(f"index label(s) {bad} occur more than twice in gamma word {word!r}")
+    distinct = len(set(labels)) == len(labels)
+    if not distinct:
+        bad = sorted(label for label, c in Counter(labels).items() if c > 2)
+        if bad:
+            raise StructuralError(
+                f"index label(s) {bad} occur more than twice in gamma word {word!r}"
+            )
     if len(labels) % 2:
         return Expression.zero()
-    distinct = len(counts) == len(labels)
     if has_g5:
-        leaves, unit = _g5_pairings(labels), Coefficient.imaginary(-4 * sign)
+        leaves = _g5_pairings(labels)
         if distinct:
-            leaves = sorted(
-                leaves, key=lambda leaf: (leaf[1][0].idx, [(m.i, m.j) for m in leaf[1][1:]])
-            )
+            leaves.sort(key=lambda leaf: (leaf[1][0].idx, [(m.i, m.j) for m in leaf[1][1:]]))
     else:
-        leaves, unit = _pairings(labels), Coefficient.rational(4 * sign)
-    coeffs = {1: unit, -1: -unit}
+        leaves = _pairings(labels)
+    coeffs = _LEAF_COEFFS[has_g5, sign]
     terms = tuple(Term(coeffs[s], factors=factors) for s, factors in leaves)
     return Expression(terms) if distinct else canonicalize(Expression(terms))
 

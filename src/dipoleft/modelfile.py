@@ -72,14 +72,20 @@ class ModelFileError(ValueError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
+def _denominator(den: str, token: str) -> int:
+    """The denominator's digits as an int; zero is a ValueError naming ``token``."""
+    value = int(den)
+    if not value:
+        raise ValueError(f"zero denominator in {token!r}")
+    return value
+
+
 def _rational(num: str, den: str | None, token: str) -> Fraction:
     """``num/den`` from the digits a pattern matched (den None: 1); a zero
     denominator is a ValueError naming ``token``."""
     if den is None:
         return Fraction(int(num))
-    if int(den) == 0:
-        raise ValueError(f"zero denominator in {token!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(int(num), _denominator(den, token))
 
 
 def parse_rational(token: str) -> Fraction:
@@ -96,7 +102,7 @@ def parse_monomial(token: str, declared: set[str]) -> Coefficient:
 
     A ValueError names a malformed factor, an undeclared constant or a zero
     denominator (``1/0``, ``alpha/0``)."""
-    value = Fraction(1)
+    num = den = 1  # the prefactor, one Fraction built at the end
     powers: list[tuple[str, int]] = []
     for piece in token.split("*"):
         piece = piece.strip()
@@ -107,13 +113,18 @@ def parse_monomial(token: str, declared: set[str]) -> Coefficient:
             raise ValueError(f"bad monomial factor {piece!r}")
         name = m["name"]
         if name is None:
-            value *= _rational(m["num"], m["den"], piece)
+            num *= int(m["num"])
+            if m["den"] is not None:
+                den *= _denominator(m["den"], piece)
             continue
         if name != "pi" and name not in declared:
             raise ValueError(f"undeclared constant {name!r}")
         powers.append((name, int(m["power"] or 1)))
-        value *= _rational("-1" if m["neg"] else "1", m["div"], piece)
-    return Coefficient(re=value, consts=_powmap(powers))
+        if m["neg"]:
+            num = -num
+        if m["div"] is not None:
+            den *= _denominator(m["div"], piece)
+    return Coefficient(re=Fraction(num, den), consts=_powmap(powers))
 
 
 def _parse_scale(token: str) -> Coefficient:

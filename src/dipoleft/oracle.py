@@ -12,7 +12,8 @@ it: eta = diag(1,-1,-1,-1), eps^{0123} = +1, d = 4, and a label occurring
 twice summed over 0..3 with one index lowered.  The evaluator uses none of
 the engine's algebra (no contraction, dimension substitution or
 canonicalization), so a fault there cannot cancel against the same fault
-in the value it is checked against.
+in the value it is checked against.  Each factor and coefficient object is
+read once per call, and an index value must be an int in 0..3.
 
 Importing this module does not load numpy: it loads on the first numeric
 call (the first use of the gamma matrices, the log-slope fit), so only
@@ -108,10 +109,18 @@ def convention_trace() -> complex:
     return complex(np.trace(m))
 
 
+def _check_indices(assignment: dict[str, int]) -> None:
+    """Reject an index value that is not an int in 0..3 (a bool is not one)."""
+    for label, value in assignment.items():
+        if type(value) is not int or not 0 <= value <= 3:
+            raise ValueError(f"index {label!r} has value {value!r}, not an int in 0..3")
+
+
 def numeric_trace(word: Word, assignment: dict[str, int]) -> complex:
     """Trace of the explicit matrix product for concretely assigned indices."""
     import numpy as np
 
+    _check_indices(assignment)
     mats, g5 = _gammas()
     product = np.eye(4, dtype=complex)
     for letter in word:
@@ -155,23 +164,49 @@ def _dummy_sum(stages: list[tuple[str, list]], env: dict[str, int], k: int = 0) 
     return total
 
 
-def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
-    """Value of one term as written; see ``evaluate_expression_numeric``."""
+def _check_term(term: Term) -> None:
+    """Reject a pending word, then a coefficient other than a Gaussian rational times d^k."""
     if term.word is not None:
         raise ValueError("numeric evaluation handles traced terms only")
     coeff = term.coeff
     if coeff.logs or coeff.eps_power or any(name != "d" for name, _ in coeff.consts):
         raise ValueError(f"coefficient {coeff!r} is not a pure Gaussian rational")
-    factors: list[tuple[bool, tuple[str, ...]]] = []
+
+
+def _number(coeff: Coefficient) -> complex:
+    """A checked coefficient's value, d = 4."""
+    return complex(coeff.re, coeff.im) * 4.0 ** dict(coeff.consts).get("d", 0)
+
+
+def _factor_entry(f, assignment: dict[str, int], bits: dict[str, int]) -> tuple:
+    """(is_eps, labels, label bits, value) of an eta or eps factor; the value
+    at ``assignment`` is None unless its labels are distinct and assigned."""
+    if type(f) is Metric:
+        i, j = f.i, f.j
+        mask = bits.setdefault(i, 1 << len(bits)) | bits.setdefault(j, 1 << len(bits))
+        a, b = assignment.get(i), assignment.get(j)
+        if i == j or a is None or b is None:
+            return False, (i, j), mask, None
+        return False, (i, j), mask, ETA[a] if a == b else 0.0
+    if type(f) is Epsilon:
+        idx = f.idx
+        mask = 0
+        for x in idx:
+            mask |= bits.setdefault(x, 1 << len(bits))
+        values = tuple(assignment.get(x) for x in idx)
+        if mask.bit_count() < 4 or None in values:
+            return True, idx, mask, None
+        return True, idx, mask, 1.0 * _epsilon_value(values)
+    raise ValueError(f"factor {f!r} has no numeric value")
+
+
+def _summed(entries: list[tuple], assignment: dict[str, int]) -> float:
+    """Product of a term's factor entries, each label used twice summed over
+    0..3 with one index lowered and each label used once read from
+    ``assignment``."""
+    factors = [(is_eps, idx) for is_eps, idx, _, _ in entries]
     counts: dict[str, int] = {}
-    for f in term.factors:
-        if type(f) is Metric:
-            idx = (f.i, f.j)
-        elif type(f) is Epsilon:
-            idx = f.idx
-        else:
-            raise ValueError(f"factor {f!r} has no numeric value")
-        factors.append((type(f) is Epsilon, idx))
+    for _, idx in factors:
         for x in idx:
             counts[x] = counts.get(x, 0) + 1
     dummies = []
@@ -183,22 +218,29 @@ def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
         elif label not in assignment:
             raise ValueError(f"free index {label!r} has no assigned value")
     if not dummies:
-        value = _tensor_product(factors, assignment)
-    else:
-        # each factor is evaluated as soon as the last dummy it carries is bound
-        bound = {d: k for k, d in enumerate(dummies)}
-        stages = [(d, []) for d in dummies]
-        first = []
-        for factor in factors:
-            last = max((bound[x] for x in factor[1] if x in bound), default=-1)
-            (stages[last][1] if last >= 0 else first).append(factor)
-        env = {x: assignment[x] for x in counts if x not in bound}
-        value = _tensor_product(first, env)
-        if value:
-            value *= _dummy_sum(stages, env)
-    if not value:
-        return 0j
-    return complex(coeff.re, coeff.im) * 4.0 ** dict(coeff.consts).get("d", 0) * value
+        return _tensor_product(factors, assignment)
+    # each factor is evaluated as soon as the last dummy it carries is bound
+    bound = {d: k for k, d in enumerate(dummies)}
+    stages = [(d, []) for d in dummies]
+    first = []
+    for factor in factors:
+        last = max((bound[x] for x in factor[1] if x in bound), default=-1)
+        (stages[last][1] if last >= 0 else first).append(factor)
+    env = {x: assignment[x] for x in counts if x not in bound}
+    value = _tensor_product(first, env)
+    if value:
+        value *= _dummy_sum(stages, env)
+    return value
+
+
+def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
+    """Value of one term as written, read without the shared tables of
+    ``evaluate_expression_numeric``; see there."""
+    _check_indices(assignment)
+    _check_term(term)
+    bits: dict[str, int] = {}
+    value = _summed([_factor_entry(f, assignment, bits) for f in term.factors], assignment)
+    return _number(term.coeff) * value if value else 0j
 
 
 def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) -> complex:
@@ -207,13 +249,48 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
     Every factor is read with upper indices, eta = diag(1,-1,-1,-1) and
     eps^{0123} = +1, and each power of d is 4.  A label occurring twice in
     a term is summed over 0..3 with one index lowered by eta; a label
-    occurring once takes its value from ``assignment``.  No engine algebra
-    runs: the expression is neither contracted nor canonicalized, so the
-    value checks the form ``trace_word`` returns.  Terms with a pending
-    gamma word, log atoms, eps poles, a constant other than d, or a factor
-    other than eta and eps raise ``ValueError``.
+    occurring once takes its value from ``assignment``, whose values must
+    each be an int in 0..3.  No engine algebra runs: the expression is
+    neither contracted nor canonicalized, so the value checks the form
+    ``trace_word`` returns.  Terms with a pending gamma word, log atoms,
+    eps poles, a constant other than d, or a factor other than eta and eps
+    raise ``ValueError``.
+
+    Each factor and coefficient object is read once per call and kept by
+    identity (``trace_word``'s leaves share them): a factor's labels and
+    value, a coefficient's number.  A term of distinct, assigned labels is
+    the product of its factors' values; any other term is summed as
+    ``evaluate_term_numeric`` sums it.  The terms are added left to right.
     """
-    return sum((evaluate_term_numeric(t, assignment) for t in expr.terms), 0j)
+    _check_indices(assignment)
+    scalars: dict[int, complex | None] = {}
+    entries: dict[int, tuple] = {}
+    bits: dict[str, int] = {}
+
+    def entry(f) -> tuple:
+        entries[id(f)] = found = _factor_entry(f, assignment, bits)
+        return found
+
+    total = 0j
+    for term in expr.terms:
+        key = id(term.coeff)
+        if term.word is not None or key not in scalars:
+            _check_term(term)
+            scalars[key] = None
+        row = [entries.get(id(f)) or entry(f) for f in term.factors]
+        value, seen = 1.0, 0
+        for _, _, mask, v in row:
+            if v is None or seen & mask:
+                value = _summed(row, assignment)
+                break
+            seen |= mask
+            value *= v
+        if value:
+            scalar = scalars[key]
+            if scalar is None:
+                scalar = scalars[key] = _number(term.coeff)
+            total += scalar * value
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -300,11 +300,38 @@ def test_plain_trace_of_shuffled_labels_under_reversal_and_rotation(labels, half
 @pytest.mark.parametrize(
     "length, g5, terms",
     [(0, 0, 1), (2, 0, 1), (4, 0, 3), (6, 0, 15), (8, 0, 105), (10, 0, 945),
-     (4, 1, 1), (6, 1, 6), (8, 1, 33), (10, 1, 204)],
+     (4, 1, 1), (6, 1, 6), (8, 1, 33), (10, 1, 204),
+     (12, 0, 10395), (12, 1, 1557)],
 )
 def test_trace_word_term_counts(length, g5, terms):
     word = tuple(gamma(f"x{k}") for k in range(length)) + (G5,) * g5
     assert len(trace_word(word, FOUR_DIM if g5 else SYMBOLIC_DIM).terms) == terms
+
+
+@pytest.mark.parametrize("g5", [0, 1])
+def test_length_12_traces_of_shuffled_labels_match_matrix_oracle(g5):
+    # twelve distinct labels whose sorted order is unrelated to the word's;
+    # the g5 words put it at a seeded position
+    rng = random.Random(12 + g5)
+    labels = DISTINCT_LABELS + ["k"]
+    rng.shuffle(labels)
+    word = [gamma(label) for label in labels]
+    if g5:
+        word.insert(rng.randint(0, len(word)), G5)
+    word = tuple(word)
+    traced = trace_word(word, FOUR_DIM if g5 else SYMBOLIC_DIM)
+    nonzero = 0
+    for _ in range(4):
+        # values in pairs, plus 0..3 once each with g5, so most traces are nonzero
+        values = [0, 1, 2, 3] if g5 else []
+        values += [v for v in rng.choices(range(4), k=(12 - len(values)) // 2) for _ in "ab"]
+        rng.shuffle(values)
+        assignment = dict(zip(labels, values))
+        sym = evaluate_expression_numeric(traced, assignment)
+        num = numeric_trace(word, assignment)
+        assert abs(sym - num) <= 1e-10 * max(1.0, abs(num))
+        nonzero += abs(num) > 0.5
+    assert nonzero
 
 
 @pytest.mark.parametrize("length", [6, 8, 10])

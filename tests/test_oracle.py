@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import itertools
@@ -40,6 +41,7 @@ from dipoleft.oracle import (
     euclidean_scalar_integral,
     euclidean_tensor_integral,
     evaluate_expression_numeric,
+    evaluate_term_numeric,
     log_slope,
     loop_normalization_deviation,
     max_clifford_deviation,
@@ -165,6 +167,103 @@ def test_dimension_powers_are_four():
 def test_evaluator_rejects_what_is_not_a_number(term, assignment):
     with pytest.raises(ValueError):
         evaluate_expression_numeric(Expression.of(term), assignment)
+
+
+@pytest.mark.parametrize("value", [-1, 4, 1.0, True], ids=["minus-one", "four", "float", "bool"])
+@pytest.mark.parametrize("evaluate", ["expression", "matrix"])
+def test_index_value_outside_0_to_3_names_its_label(evaluate, value):
+    # -1 used to read as index 3, 4 ended in IndexError and 1.0 in TypeError
+    word = (gamma("a"), gamma("b"))
+    assignment = {"b": 0, "a": value}
+    with pytest.raises(ValueError, match="index 'a' has value"):
+        if evaluate == "expression":
+            evaluate_expression_numeric(trace_word(word), assignment)
+        else:
+            numeric_trace(word, assignment)
+
+
+# Shared objects the drawn expressions are built from: a factor or
+# coefficient object may sit in several terms, as trace_word's leaves share
+# them.  Labels a-e; "d" and "e" are often left unassigned.
+_SHARED_FACTORS = (
+    Metric("a", "b"),
+    Metric("a", "c"),
+    Metric("b", "c"),
+    Metric("a", "a"),
+    Metric("c", "d"),
+    Metric("d", "e"),
+    Epsilon(("a", "b", "c", "d")),
+    Epsilon(("b", "a", "e", "c")),
+    Epsilon(("a", "b", "c", "e")),
+    Epsilon(("a", "c", "a", "a")),
+)
+_SHARED_COEFFS = (
+    Coefficient.rational(4),
+    Coefficient.imaginary(-4),
+    Coefficient.monomial(3, 2, d=1),
+    Coefficient(re=Fraction(-1, 3), im=Fraction(5, 7)),
+)
+_BAD_TERMS = (
+    Term(_SHARED_COEFFS[0], word=(gamma("a"), gamma("b"))),
+    Term(_SHARED_COEFFS[1], (Momentum("p", "a"),)),
+    Term(_SHARED_COEFFS[2], (_SHARED_FACTORS[0], Momentum("p", "c"))),
+    Term(Coefficient.one().with_log(LOG_LAMBDA), (_SHARED_FACTORS[0],)),
+)
+
+
+@st.composite
+def shared_expressions(draw):
+    """1-8 terms of 0-3 shared eta and eps factors, perhaps one term that is
+    not a number at any position, and values for a subset of a-e."""
+    terms = [
+        Term(
+            draw(st.sampled_from(_SHARED_COEFFS)),
+            tuple(draw(st.lists(st.sampled_from(_SHARED_FACTORS), max_size=3))),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=8)))
+    ]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(_BAD_TERMS))
+        terms.insert(draw(st.integers(min_value=0, max_value=len(terms))), bad)
+    labels = draw(st.lists(st.sampled_from("abcde"), unique=True))
+    assignment = {x: draw(st.integers(min_value=0, max_value=3)) for x in labels}
+    return Expression(tuple(terms)), assignment
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _termwise(expr, assignment):
+    total = 0j
+    for term in expr.terms:
+        total += evaluate_term_numeric(term, assignment)
+    return total
+
+
+_AB, _AC = _SHARED_FACTORS[0], _SHARED_FACTORS[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shared_expressions())
+# one eta(a,b) object in three terms: a free, then a and b dummies, then a dummy
+@example(case=(Expression.of(
+    Term(_SHARED_COEFFS[0], (_AB,)),
+    Term(_SHARED_COEFFS[0], (_AB, _AB)),
+    Term(_SHARED_COEFFS[1], (_AB, _AC, _SHARED_FACTORS[2])),
+), {"a": 1, "b": 1, "c": 2}))
+# a pending word after a term with the same coefficient object
+@example(case=(Expression.of(Term(_SHARED_COEFFS[0], (_AB,)), _BAD_TERMS[0]), {"a": 0, "b": 0}))
+# a label three times in one eps, every label assigned
+@example(case=(Expression.of(Term(_SHARED_COEFFS[1], (_SHARED_FACTORS[-1],))), {"a": 0, "c": 1}))
+def test_expression_value_is_the_left_to_right_sum_of_term_values(case):
+    expr, assignment = case
+    want = _outcome(lambda: _termwise(expr, assignment))
+    got = _outcome(lambda: evaluate_expression_numeric(expr, assignment))
+    assert got == want and type(got) is type(want)
 
 
 def test_oracle_uses_no_engine_algebra():
