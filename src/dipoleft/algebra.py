@@ -15,7 +15,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 # Names the engine owns; model files may not declare them as constants.
@@ -66,13 +65,15 @@ def _merged(
 class Coefficient:
     """Gaussian rational times a monomial in constants, log atoms and eps powers.
 
-    The arithmetic does only the ``Fraction`` work a value needs: a zero
-    real or imaginary part enters no product or sum (a product of two
-    factors that are each purely real or purely imaginary is one
-    ``Fraction`` product), and monomials are merged only when both sides
-    carry one.  That shortcut holds because every monomial is built
-    normalized, through ``_powmap``.  Results are built with the
-    constructor, never ``dataclasses.replace``.
+    The arithmetic does only the ``Fraction`` work a value needs when one
+    side has a single part: a product whose left factor is purely real or
+    purely imaginary, a quotient by a purely real divisor, and a sum skip
+    every zero part.  A product with a mixed-part left factor, or a
+    quotient by a divisor with an imaginary part, uses the textbook
+    formula.  Monomials are merged only when both sides carry one; that
+    shortcut holds because every monomial is built normalized, through
+    ``_powmap``.  Results are built with the constructor, never
+    ``dataclasses.replace``.
     """
 
     re: Fraction = _ZERO
@@ -137,10 +138,6 @@ class Coefficient:
         elif not a:
             re = -(b * d) if d else _ZERO
             im = b * c if c else _ZERO
-        elif not d:
-            re, im = (a * c, b * c) if c else (_ZERO, _ZERO)
-        elif not c:
-            re, im = -(b * d), a * d
         else:
             re, im = a * c - b * d, a * d + b * c
         return Coefficient(
@@ -173,9 +170,6 @@ class Coefficient:
                 raise ZeroDivisionError("division by zero coefficient")
             re = a / c if a else _ZERO
             im = b / c if b else _ZERO
-        elif not c:  # (a + bi) / (di) = b/d - (a/d) i
-            re = b / d if b else _ZERO
-            im = -(a / d) if a else _ZERO
         else:
             norm = c * c + d * d
             re = (a * c + b * d) / norm
@@ -426,23 +420,21 @@ def canonicalize_term(term: Term) -> Optional[tuple[tuple, Term]]:
 
     One walk over the factors applies the per-factor index conventions
     (``_keyed``), pushes g5 right in the word and collects the labels; a
-    label occurring more than twice is a StructuralError.  A term whose
-    labels are all distinct is then final up to the order of its factors.
-    Otherwise the dummies (labels occurring twice) are renamed $0, $1, ...
-    (skipping free labels): those of the gamma word in order of first
-    occurrence, then the others grouped by signature, the sorted (type,
-    name) pairs of the two factors a dummy joins, trying every permutation
-    within each group.  Factors carrying no grouped dummy are keyed once;
-    each naming relabels and keys only the others.  The naming with the
-    least sorted keys wins; if it also comes with the opposite sign, the
-    term equals its negative and is zero.  This is exact: the namings tried
-    do not depend on any dummy's name or on factor order, so equal terms
-    give the same candidates and the same least one.
+    label occurring more than twice is a StructuralError.  The dummies
+    (labels occurring twice) are renamed $0, $1, ... (skipping free labels):
+    those of the gamma word in order of first occurrence, then the others
+    grouped by signature, the sorted (type, name) pairs of the two factors a
+    dummy joins, trying every permutation within each group.  Each naming
+    relabels and keys every factor.  The naming with the least sorted keys
+    wins; if it also comes with the opposite sign, the term equals its
+    negative and is zero.  This is exact: the namings tried do not depend
+    on any dummy's name or on factor order, so equal terms give the same
+    candidates and the same least one.
     """
     if term.coeff.is_zero():
         return None
     sign = 1
-    keyed: list[tuple[tuple, Optional[TensorFactor]]] = []
+    keys: list[tuple] = []
     labels: list[str] = []
     for f in term.factors:
         kind, name, f_labels = _FACTOR_PARTS[type(f)](f)
@@ -450,7 +442,7 @@ def canonicalize_term(term: Term) -> Optional[tuple[tuple, Term]]:
         if not f_sign:
             return None
         sign *= f_sign
-        keyed.append((key, f if key[2:] == f_labels else None))
+        keys.append(key)
         labels += f_labels
     word = term.word
     if word is not None:
@@ -458,14 +450,10 @@ def canonicalize_term(term: Term) -> Optional[tuple[tuple, Term]]:
         sign *= word_sign
         labels += word_labels(word)
     coeff = term.coeff if sign > 0 else -term.coeff
-    if len(set(labels)) == len(labels):
-        keyed.sort(key=itemgetter(0))
-        factors = tuple([f or _factor_of(key) for key, f in keyed])
-        return tuple([key for key, _ in keyed]), Term(coeff, factors, word)
     counts = Counter(labels)
     bad = [label for label, c in counts.items() if c > 2]
     if bad:
-        normalized = Term(coeff, tuple(f or _factor_of(key) for key, f in keyed), word)
+        normalized = Term(coeff, tuple(map(_factor_of, keys)), word)
         raise StructuralError(
             f"index label(s) {sorted(bad)} occur more than twice in term {normalized!r}"
         )
@@ -478,21 +466,10 @@ def canonicalize_term(term: Term) -> Optional[tuple[tuple, Term]]:
             mapping[label] = next(names)
     word = _relabel_word(word, mapping)
     joins: dict[str, list[tuple]] = {d: [] for d in counts if d not in mapping}
-    fixed: list[tuple] = []
-    moving: list[tuple] = []
-    fixed_sign = 1
-    for key, _ in keyed:
-        carried = False
+    for key in keys:
         for label in key[2:]:
             if label in joins:
                 joins[label].append(key[:2])
-                carried = True
-        if carried:
-            moving.append(key)
-        else:
-            key, f_sign = _keyed(key[0], key[1], tuple(map(mapping.__getitem__, key[2:])))
-            fixed.append(key)
-            fixed_sign *= f_sign
     groups: dict[tuple, list[str]] = {}
     for label, signature in joins.items():
         groups.setdefault(tuple(sorted(signature)), []).append(label)
@@ -500,8 +477,8 @@ def canonicalize_term(term: Term) -> Optional[tuple[tuple, Term]]:
     best_key, best_sign, zero = None, 0, False
     for perms in itertools.product(*(itertools.permutations(groups[s]) for s in sorted(groups))):
         mapping.update(zip(itertools.chain.from_iterable(perms), group_names))
-        candidate, candidate_sign = list(fixed), fixed_sign
-        for key in moving:
+        candidate, candidate_sign = [], 1
+        for key in keys:
             key, f_sign = _keyed(key[0], key[1], tuple(map(mapping.__getitem__, key[2:])))
             candidate.append(key)
             candidate_sign *= f_sign

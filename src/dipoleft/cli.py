@@ -147,7 +147,7 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
 
 
 def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
+    with open(args.file, "r", encoding="utf-8-sig") as handle:
         model = parse_model(handle.read())
     action = assemble(model)
     if not getattr(args, "keep_divergences", False):

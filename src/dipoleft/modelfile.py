@@ -53,6 +53,8 @@ _FACTOR = re.compile(
 _SCALE = re.compile(rf"{_RATIONAL}(?P<pi>/pi(?:\^(?P<k>{_INTEGER}))?)?")
 _ABSORB = re.compile(rf"absorb\s+({_NAME})\^2\s+as\s+({_NAME})(?:\s+scale\s+(\S+))?")
 _COMBO_TOKEN = re.compile(f"([+-]?)({_NAME})")
+# Lines break as editors and ``grep -n`` count them, unlike ``str.splitlines``.
+_LINE_BREAK = re.compile("\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class Diagnostic:
     code: str
     line: int
     message: str
-    text: str
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.code}: {self.message}"
@@ -166,7 +167,7 @@ def parse_model(text: str) -> ModelSpec:
 
     def add(code: str, message: str) -> None:
         """A diagnostic on the line being read."""
-        diagnostics.append(Diagnostic(code, line_no, message, raw))
+        diagnostics.append(Diagnostic(code, line_no, message))
 
     def declare(name: str, kind: str) -> bool:
         """Enter name as kind; False, with a diagnostic, if the table refuses it."""
@@ -190,7 +191,7 @@ def parse_model(text: str) -> ModelSpec:
         add(code, f"{kind} {name!r} {message} on line {prior_line}")
         return False
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -290,7 +291,7 @@ def parse_model(text: str) -> ModelSpec:
             add("syntax", f"unknown directive {head!r}")
 
     if dimension is None and not any(d.code == "unsupported-dimension" for d in diagnostics):
-        diagnostics.append(Diagnostic("missing-dim", 0, "model file must declare 'dim 4'", ""))
+        diagnostics.append(Diagnostic("missing-dim", 0, "model file must declare 'dim 4'"))
     if diagnostics:
         raise ModelFileError(diagnostics)
     return ModelSpec(

@@ -81,6 +81,12 @@ def test_binary_model_file_exit_code(tmp_path, capsys):
     assert err.startswith("error: 'utf-8' codec")
 
 
+def test_model_file_may_start_with_a_byte_order_mark(tmp_path, capsys, theta_model_path):
+    bom = tmp_path / "bom.eft"
+    bom.write_bytes(b"\xef\xbb\xbf" + theta_model_path.read_bytes())
+    assert run(capsys, "compute", str(bom)) == run(capsys, "compute", str(theta_model_path))
+
+
 def test_engine_errors_are_not_reported_as_diagnostics(monkeypatch, theta_model_path):
     # only the documented error classes become an exit-1 diagnostic
     def broken(model):

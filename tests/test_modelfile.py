@@ -106,6 +106,15 @@ def test_unknown_directive_and_comments():
     assert _codes(text) == [("syntax", 3)]
 
 
+def test_lines_break_only_at_newlines():
+    # A form feed ends no line, so the undeclared constant is on line 4.
+    text = "dim 4\nconstant e\x0c\nslot F exact A\nflavor p mass m chirality + coeff q combo F\n"
+    assert _codes(text) == [("bad-monomial", 4)]
+    # U+0085 inside a line is whitespace there, not a line of its own.
+    assert _codes("dim 4\nconstant e \x85 x\n") == [("syntax", 2)]
+    assert _codes("dim 4\r\nconstant e\rconstant e\n") == [("duplicate-constant", 3)]
+
+
 def test_duplicate_slot():
     text = "dim 4\nslot F exact A\nslot F fundamental\n"
     assert ("duplicate-slot", 3) in _codes(text)
