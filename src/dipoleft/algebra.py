@@ -385,9 +385,6 @@ class Expression:
     def __neg__(self) -> "Expression":
         return Expression(tuple(Term(-t.coeff, t.factors, t.word) for t in self.terms))
 
-    def __sub__(self, other: "Expression") -> "Expression":
-        return self + (-other)
-
     def __mul__(self, other: "Expression") -> "Expression":
         out = []
         for a in self.terms:

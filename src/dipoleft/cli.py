@@ -25,6 +25,7 @@ from .action import (
     renormalize,
 )
 from .dirac import ModelError
+from .loops import cutoff_scalar_leading
 from .modelfile import ModelFileError, parse_model, parse_monomial, parse_rational
 from .oracle import (
     convention_trace,
@@ -147,7 +148,7 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
 
 
 def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
-    with open(args.file, "r", encoding="utf-8-sig") as handle:
+    with open(args.file, "r", encoding="utf-8") as handle:
         model = parse_model(handle.read())
     action = assemble(model)
     if not getattr(args, "keep_divergences", False):
@@ -207,7 +208,8 @@ def _selftest_checks(seed: int, count: int):
     yield tensor_err < 1e-6, f"rank-2 cutoff bracket vs radial quadrature (max rel err {tensor_err:.2e})"
 
     slope = log_slope()
-    target = 1.0 / (8 * math.pi**2)
+    (leading,) = cutoff_scalar_leading().terms  # (1/(8 pi^2)) log(Lambda/m)
+    target = float(leading.coeff.re) * math.pi ** leading.coeff.const_power("pi")
     yield abs(slope - target) / target < 0.01, f"log-cutoff slope {slope:.6e} vs {target:.6e}"
 
 

@@ -154,8 +154,8 @@ def _parse_combo(token: str) -> list[tuple[int, str]]:
 
 
 def parse_model(text: str) -> ModelSpec:
-    """Parse and validate a model file; raises ModelFileError with every
-    diagnostic found (each carrying a line number)."""
+    """Parse and validate a model file, less one leading byte-order mark;
+    raises ModelFileError with every diagnostic found (each carrying a line number)."""
     diagnostics: list[Diagnostic] = []
     dimension: int | None = None
     names: dict[str, tuple[str, int]] = {}  # name -> (kind, declaring line)
@@ -191,7 +191,7 @@ def parse_model(text: str) -> ModelSpec:
         add(code, f"{kind} {name!r} {message} on line {prior_line}")
         return False
 
-    for line_no, raw in enumerate(_LINE_BREAK.split(text), start=1):
+    for line_no, raw in enumerate(_LINE_BREAK.split(text.removeprefix("\ufeff")), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -74,6 +74,13 @@ def _gaussian_parts(coeff: Coefficient) -> tuple[Fraction, int]:
     raise RenderError("action coefficients must be purely real or purely imaginary")
 
 
+def _plain_parts(coeff: Coefficient, fmt: str) -> tuple[Fraction, int]:
+    """``_gaussian_parts`` of a coefficient with no log atom or eps pole, which ``fmt`` cannot print."""
+    if coeff.logs or coeff.eps_power:
+        raise RenderError(f"{fmt} coefficients cannot carry log atoms or eps poles")
+    return _gaussian_parts(coeff)
+
+
 def coefficient_text(coeff: Coefficient) -> str:
     value, i_power = _gaussian_parts(coeff)
     pieces = [f"({value})"]
@@ -128,7 +135,7 @@ def _latex_const(name: str) -> str:
 
 
 def _latex_coefficient(coeff: Coefficient) -> str:
-    value, i_power = _gaussian_parts(coeff)
+    value, i_power = _plain_parts(coeff, "LaTeX")
     consts = dict(coeff.consts)
     pi_power = consts.pop("pi", 0)
     numer: list[str] = []
@@ -185,9 +192,7 @@ def render_latex(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
 
 
 def coefficient_structured(coeff: Coefficient) -> dict[str, Any]:
-    if coeff.logs or coeff.eps_power:
-        raise RenderError("structured coefficients cannot carry log atoms or eps poles")
-    value, i_power = _gaussian_parts(coeff)
+    value, i_power = _plain_parts(coeff, "structured")
     consts = dict(coeff.consts)
     pi_power = consts.pop("pi", 0)
     if "d" in consts:

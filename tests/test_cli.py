@@ -6,10 +6,11 @@ import subprocess
 
 import pytest
 
-from dipoleft import cli
+from dipoleft import cli, oracle
 from dipoleft.algebra import Coefficient, StructuralError
 from dipoleft.cli import main
 from dipoleft.dirac import trace_word
+from dipoleft.modelfile import parse_model
 from dipoleft.render import structured_to_action
 
 
@@ -85,6 +86,11 @@ def test_model_file_may_start_with_a_byte_order_mark(tmp_path, capsys, theta_mod
     bom = tmp_path / "bom.eft"
     bom.write_bytes(b"\xef\xbb\xbf" + theta_model_path.read_bytes())
     assert run(capsys, "compute", str(bom)) == run(capsys, "compute", str(theta_model_path))
+
+
+def test_parse_model_drops_a_byte_order_mark(theta_model_path):
+    text = theta_model_path.read_text(encoding="utf-8")
+    assert parse_model("\ufeff" + text) == parse_model(text)
 
 
 def test_engine_errors_are_not_reported_as_diagnostics(monkeypatch, theta_model_path):
@@ -517,12 +523,10 @@ def test_selftest_runs_its_checks_in_order(capsys):
 
 
 def test_selftest_fails_on_a_failing_equivalence_suite(capsys, monkeypatch):
-    real = cli.randomized_equivalence_suite
-
     def doubled(word, mode):
         return trace_word(word, mode).scaled(Coefficient.rational(2))
 
-    monkeypatch.setattr(cli, "randomized_equivalence_suite", lambda **kw: real(**kw, trace_fn=doubled))
+    monkeypatch.setattr(oracle, "trace_word", doubled)
     code, out, _ = run(capsys, "selftest", "--count", "40")
     assert code == 3
     lines = out.splitlines()

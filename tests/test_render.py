@@ -137,6 +137,15 @@ def test_unknown_form_rejected(theta_action):
         render_text(theta_action, "momentum")
 
 
+def test_latex_rejects_what_it_cannot_print():
+    # text prints (1/4) * log(mu^2/m^2) * eps^-1; LaTeX has no place for either factor
+    coeff = Coefficient.rational(1, 4).with_log("log(mu^2/m^2)").with_eps(-1)
+    action = EffectiveAction(terms=(ActionTerm(coeff, "F", "F"),), slots=(SlotSpec("F", "A"),))
+    assert "log(mu^2/m^2) * eps^-1" in render_text(action)
+    with pytest.raises(RenderError, match="cannot carry log atoms or eps poles"):
+        render_latex(action)
+
+
 @pytest.mark.parametrize("render", [render_text, render_latex, render_structured])
 def test_unknown_form_rejected_without_terms(render):
     # the form is checked once per call, not once per term
