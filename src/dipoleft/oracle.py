@@ -9,25 +9,26 @@ eps(0,1,2,3) = +1 would do.
 
 A symbolic trace is evaluated as written, the way ``trace_word`` returns
 it: eta = diag(1,-1,-1,-1), eps^{0123} = +1, d = 4, and a label occurring
-twice summed over 0..3 with one index lowered.  The evaluator uses none of
-the engine's algebra (no contraction, dimension substitution or
-canonicalization), so a fault there cannot cancel against the same fault
-in the value it is checked against.  Each factor and coefficient object is
-read once per call, and an index value must be an int in 0..3.
+twice summed over 0..3 with one index lowered, by one ``numpy.einsum`` over
+fixed eta and eps tables.  The evaluator uses none of the engine's algebra
+(no contraction, dimension substitution or canonicalization), so a fault
+there cannot cancel against the same fault in the value it is checked
+against.  Each factor and coefficient object is read once per call, and an
+index value must be an int in 0..3.
 
 Importing this module does not load numpy: it loads on the first numeric
-call (the first use of the gamma matrices, the quadrature), so only
+call (the first use of the tables, the quadrature rule), so only
 ``selftest`` and direct oracle users pay for it.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .action import FlavorSpec, ModelSpec, SlotSpec, assemble
 from .algebra import (
@@ -64,6 +65,12 @@ def _epsilon_value(indices: tuple[int, ...]) -> int:
     return sign
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False  # cached: every caller shares these arrays
+    return arrays
+
+
 @functools.cache
 def _gammas() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(g^0..g^3, g5) in the Dirac representation, g5 = i g0 g1 g2 g3; numpy loads here."""
@@ -77,36 +84,42 @@ def _gammas() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     g0 = np.block([[s0, zero], [zero, -s0]])
     mats = (g0,) + tuple(np.block([[zero, s], [-s, zero]]) for s in (sx, sy, sz))
     g5 = 1j * mats[0] @ mats[1] @ mats[2] @ mats[3]
-    for g in mats + (g5,):
-        g.flags.writeable = False  # cached: every caller shares these arrays
+    _read_only(*mats, g5)
     return mats, g5
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(eta^{mn}, eps^{mnrs}, g^m stacked, [g^m, g^n] stacked), all indices up."""
+    import numpy as np
+
+    eps = np.array([_epsilon_value(p) for p in np.ndindex(4, 4, 4, 4)], dtype=float)
+    g = np.stack(_gammas()[0])
+    products = g[:, None] @ g[None]  # products[m, n] = g^m g^n
+    comm = products - products.swapaxes(0, 1)
+    return _read_only(np.diag(ETA), eps.reshape(4, 4, 4, 4), g, comm)
 
 
 def max_clifford_deviation() -> float:
     """Largest entrywise violation of {g^m, g^n} = 2 eta^{mn}, g5^2 = 1, {g5, g^m} = 0."""
     import numpy as np
 
-    mats, g5 = _gammas()
-    dev = 0.0
-    for m in range(4):
-        for n in range(4):
-            anti = mats[m] @ mats[n] + mats[n] @ mats[m]
-            eta_mn = ETA[m] if m == n else 0.0
-            dev = max(dev, np.max(np.abs(anti - 2 * eta_mn * np.eye(4))))
-    dev = max(dev, np.max(np.abs(g5 @ g5 - np.eye(4))))
-    for m in range(4):
-        dev = max(dev, np.max(np.abs(g5 @ mats[m] + mats[m] @ g5)))
-    return float(dev)
+    eta, _, g, _ = _tables()
+    g5, one = _gammas()[1], np.eye(4)
+    products = g[:, None] @ g[None]
+    anti = products + products.swapaxes(0, 1)
+    return float(max(
+        np.abs(anti - 2 * np.einsum("mn,ij->mnij", eta, one)).max(),
+        np.abs(g5 @ g5 - one).max(),
+        np.abs(g5 @ g + g @ g5).max(),
+    ))
 
 
 def convention_trace() -> complex:
     """tr(g5 g0 g1 g2 g3); must be -4i for eps(0,1,2,3) = +1."""
     import numpy as np
 
-    mats, m = _gammas()
-    for k in range(4):
-        m = m @ mats[k]
-    return complex(np.trace(m))
+    return complex(np.trace(np.linalg.multi_dot([_gammas()[1], *_tables()[2]])))
 
 
 def _check_indices(assignment: dict[str, int]) -> None:
@@ -131,39 +144,6 @@ def numeric_trace(word: Word, assignment: dict[str, int]) -> complex:
     return complex(np.trace(product))
 
 
-def _tensor_product(factors: list[tuple[bool, tuple[str, ...]]], env: dict[str, int]) -> float:
-    """Product of eta^{ij} and eps^{klmn} components, all indices up, at ``env``."""
-    value = 1.0
-    for is_eps, idx in factors:
-        if is_eps:
-            value *= _epsilon_value(tuple(env[x] for x in idx))
-        else:
-            i, j = env[idx[0]], env[idx[1]]
-            value *= ETA[i] if i == j else 0.0
-        if not value:
-            break
-    return value
-
-
-def _dummy_sum(stages: list[tuple[str, list]], env: dict[str, int], k: int = 0) -> float:
-    """Sum over the dummies of stages[k:], one index of each lowered by eta.
-
-    Each stage is (dummy, factors complete once it is bound); a factor that
-    vanishes prunes the remaining dummies of that branch.
-    """
-    if k == len(stages):
-        return 1.0
-    label, ready = stages[k]
-    total = 0.0
-    for v in range(4):
-        env[label] = v
-        value = ETA[v] * _tensor_product(ready, env)
-        if value:
-            total += value * _dummy_sum(stages, env, k + 1)
-    del env[label]
-    return total
-
-
 def _check_term(term: Term) -> None:
     """Reject a pending word, then a coefficient other than a Gaussian rational times d^k."""
     if term.word is not None:
@@ -173,9 +153,16 @@ def _check_term(term: Term) -> None:
         raise ValueError(f"coefficient {coeff!r} is not a pure Gaussian rational")
 
 
-def _number(coeff: Coefficient) -> complex:
-    """A checked coefficient's value, d = 4."""
-    return complex(coeff.re, coeff.im) * 4.0 ** dict(coeff.consts).get("d", 0)
+_AT_FOUR = {"d": 4.0}  # the one constant ``_check_term`` lets through
+
+
+def _number(coeff: Coefficient, consts: Mapping[str, float], logs: Mapping[str, float]) -> complex:
+    """A coefficient's value, each constant read from ``consts`` and each log atom from ``logs``."""
+    return (
+        complex(coeff.re, coeff.im)
+        * math.prod(consts[n] ** k for n, k in coeff.consts)
+        * math.prod(logs[a] ** k for a, k in coeff.logs)
+    )
 
 
 def _factor_entry(f, assignment: dict[str, int], bits: dict[str, int]) -> tuple:
@@ -201,46 +188,42 @@ def _factor_entry(f, assignment: dict[str, int], bits: dict[str, int]) -> tuple:
 
 
 def _summed(entries: list[tuple], assignment: dict[str, int]) -> float:
-    """Product of a term's factor entries, each label used twice summed over
-    0..3 with one index lowered and each label used once read from
-    ``assignment``."""
-    factors = [(is_eps, idx) for is_eps, idx, _, _ in entries]
+    """Product of a term's factor entries as one einsum: each label used twice
+    is summed over 0..3 with one index lowered by eta, and each label used
+    once is read from ``assignment`` by slicing it out of its table."""
+    import numpy as np
+
+    eta, eps, _, _ = _tables()
     counts: dict[str, int] = {}
-    for _, idx in factors:
+    for _, idx, _, _ in entries:
         for x in idx:
             counts[x] = counts.get(x, 0) + 1
-    dummies = []
+    dummies: dict[str, int] = {}  # label -> its einsum subscript
     for label, count in counts.items():
         if count == 2:
-            dummies.append(label)
+            dummies[label] = len(dummies)
         elif count > 2:
             raise ValueError(f"index {label!r} occurs {count} times")
         elif label not in assignment:
             raise ValueError(f"free index {label!r} has no assigned value")
-    if not dummies:
-        return _tensor_product(factors, assignment)
-    # each factor is evaluated as soon as the last dummy it carries is bound
-    bound = {d: k for k, d in enumerate(dummies)}
-    stages = [(d, []) for d in dummies]
-    first = []
-    for factor in factors:
-        last = max((bound[x] for x in factor[1] if x in bound), default=-1)
-        (stages[last][1] if last >= 0 else first).append(factor)
-    env = {x: assignment[x] for x in counts if x not in bound}
-    value = _tensor_product(first, env)
-    if value:
-        value *= _dummy_sum(stages, env)
-    return value
+    operands: list = [1.0, []]  # a term without factors is 1
+    for is_eps, idx, _, _ in entries:
+        sliced = tuple(slice(None) if x in dummies else assignment[x] for x in idx)
+        operands += [(eps if is_eps else eta)[sliced], [dummies[x] for x in idx if x in dummies]]
+    for k in dummies.values():
+        operands += [eta, [k, k]]
+    return float(np.einsum(*operands, []))
 
 
 def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
-    """Value of one term as written, read without the shared tables of
-    ``evaluate_expression_numeric``; see there."""
+    """Value of one term as written: its number times one einsum over every
+    factor, without the fast path of ``evaluate_expression_numeric``; see
+    there."""
     _check_indices(assignment)
     _check_term(term)
     bits: dict[str, int] = {}
     value = _summed([_factor_entry(f, assignment, bits) for f in term.factors], assignment)
-    return _number(term.coeff) * value if value else 0j
+    return _number(term.coeff, _AT_FOUR, {}) * value if value else 0j
 
 
 def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) -> complex:
@@ -259,8 +242,8 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
     Each factor and coefficient object is read once per call and kept by
     identity (``trace_word``'s leaves share them): a factor's labels and
     value, a coefficient's number.  A term of distinct, assigned labels is
-    the product of its factors' values; any other term is summed as
-    ``evaluate_term_numeric`` sums it.  The terms are added left to right.
+    the product of its factors' values; any other term is one einsum, as in
+    ``evaluate_term_numeric``.  The terms are added left to right.
     """
     _check_indices(assignment)
     scalars: dict[int, complex | None] = {}
@@ -288,7 +271,7 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
         if value:
             scalar = scalars[key]
             if scalar is None:
-                scalar = scalars[key] = _number(term.coeff)
+                scalar = scalars[key] = _number(term.coeff, _AT_FOUR, {})
             total += scalar * value
     return total
 
@@ -367,11 +350,19 @@ def _radial_integral(power: int, mass: float, cutoff: float) -> float:
     if not (cutoff > mass > 0):
         raise ValueError("require cutoff > mass > 0")
     m2 = mass * mass
-    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    nodes, weights = _legendre_rule()
     half = math.log1p(cutoff * cutoff / m2) / 2
     t = half * (nodes + 1)
     value = half * float(weights @ (np.expm1(t) ** power * np.exp(-t)))
     return value * m2 ** (power - 1) / (16 * math.pi**2)
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, ...]:
+    """The fixed Gauss-Legendre (nodes, weights) on [-1, 1]; numpy loads here."""
+    import numpy as np
+
+    return _read_only(*np.polynomial.legendre.leggauss(_RADIAL_NODES))
 
 
 def euclidean_scalar_integral(mass: float, cutoff: float) -> float:
@@ -416,14 +407,9 @@ def cutoff_tensor_grid_max_relative_error() -> float:
             logs = {LOG_LAMBDA: math.log(ratio)}
             engine = -0.25j * mass**2 / (16 * math.pi**2)
             for t in bracket.terms:
-                c = t.coeff
-                if t.factors or c.eps_power:
+                if t.factors or t.coeff.eps_power:
                     raise ValueError(f"bracket term {t!r} is not a number")
-                engine += (
-                    complex(c.re, c.im)
-                    * math.prod(consts[n] ** k for n, k in c.consts)
-                    * math.prod(logs[a] ** k for a, k in c.logs)
-                )
+                engine += _number(t.coeff, consts, logs)
             expected = -0.25j * euclidean_tensor_integral(mass, cutoff)
             worst = max(worst, abs(engine - expected) / abs(expected))
     return worst
@@ -450,11 +436,6 @@ def log_slope() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _commutator(m: int, n: int) -> np.ndarray:
-    mats, _ = _gammas()
-    return mats[m] @ mats[n] - mats[n] @ mats[m]
-
-
 def dipole_trace_identity_checks() -> tuple[float, float]:
     """Max deviations over all 256 index tuples of the two dipole-loop traces.
 
@@ -463,25 +444,11 @@ def dipole_trace_identity_checks() -> tuple[float, float]:
     """
     import numpy as np
 
-    mats, g5 = _gammas()
-    eps_dev = 0.0
-    contracted_dev = 0.0
-    for m in range(4):
-        for n in range(4):
-            cmn = _commutator(m, n)
-            for r in range(4):
-                for s in range(4):
-                    crs = _commutator(r, s)
-                    value = np.trace(cmn @ crs @ g5)
-                    eps_dev = max(
-                        eps_dev, abs(value - (-16j) * _epsilon_value((m, n, r, s)))
-                    )
-                    contracted = sum(
-                        ETA[a] * np.trace(cmn @ mats[a] @ crs @ mats[a])
-                        for a in range(4)
-                    )
-                    contracted_dev = max(contracted_dev, abs(contracted))
-    return float(eps_dev), float(contracted_dev)
+    eta, eps, g, comm = _tables()
+    traced = np.einsum("mnij,rsjk,ki->mnrs", comm, comm, _gammas()[1])
+    sandwiched = np.einsum("ab,aij,rsjk,bkl->rsil", eta, g, comm, g)  # eta_ab g^a [g^r,g^s] g^b
+    contracted = np.einsum("mnij,rsji->mnrs", comm, sandwiched)
+    return float(np.abs(traced + 16j * eps).max()), float(np.abs(contracted).max())
 
 
 # ---------------------------------------------------------------------------
@@ -518,30 +485,24 @@ def loop_normalization_deviation(model: ModelSpec, seed: int = 20121) -> tuple[f
     action = assemble(model)
     if any(t.coeff.logs or t.coeff.eps_power for t in action.terms):
         return math.inf, math.inf
+    eta, _, g, _ = _tables()
     rng = np.random.default_rng(seed)
     rank0_dev = rank2_dev = 0.0
     for _ in range(5):
-        values = {"0": 0.0}
-
-        def draw(name: str) -> float:
-            if name not in values:
-                values[name] = rng.uniform(0.5, 2.0)
-            return values[name]
-
-        def value(c: Coefficient) -> complex:
-            return complex(c.re, c.im) * math.prod(draw(n) ** k for n, k in c.consts)
-
+        # each name's value is drawn on first use
+        values = collections.defaultdict(lambda: rng.uniform(0.5, 2.0), {"0": 0.0})
         fields = {s.name: _random_field(rng) for s in model.slots}
         engine = sum(
-            value(t.coeff) * _eps_contraction(fields[t.slot_a], fields[t.slot_b])
+            _number(t.coeff, values, {}) * _eps_contraction(fields[t.slot_a], fields[t.slot_b])
             for t in action.terms
         )
         expected = 0.0
         for f in model.flavors:
             v = _dipole_vertex(f.chirality, sum(s * fields[n] for s, n in f.combo))
-            weight = draw(loops.bubble_symbol(f.mass)) * 0.5 * draw(f.mass) ** 2 * value(f.coeff * f.coeff)
+            bubble = values[loops.bubble_symbol(f.mass)]
+            weight = bubble * 0.5 * values[f.mass] ** 2 * _number(f.coeff * f.coeff, values, {})
             expected += weight * np.trace(v @ v)
-            rank2 = sum(ETA[a] * np.trace(v @ g @ v @ g) for a, g in enumerate(_gammas()[0]))
+            rank2 = np.einsum("ab,ij,ajk,kl,bli->", eta, v, g, v, g)
             rank2_dev = max(rank2_dev, abs(rank2))
         rank0_dev = max(rank0_dev, abs(engine - expected) / max(1.0, abs(expected)))
     return float(rank0_dev), float(rank2_dev)
@@ -557,15 +518,12 @@ def _dipole_vertex(chirality: int, field: np.ndarray) -> np.ndarray:
     """(1 - i chi g5) sigma^{mn} X_{mn}, with sigma^{mn} = (i/2)[g^m, g^n]."""
     import numpy as np
 
-    sigma_x = sum(
-        0.5j * field[m, n] * _commutator(m, n) for m in range(4) for n in range(4)
-    )
+    sigma_x = 0.5j * np.einsum("mn,mnij->ij", field, _tables()[3])
     return (np.eye(4) - 1j * chirality * _gammas()[1]) @ sigma_x
 
 
 def _eps_contraction(x: np.ndarray, y: np.ndarray) -> float:
     """eps^{mnrs} X_{mn} Y_{rs} with eps^{0123} = +1."""
-    return sum(
-        _epsilon_value(p) * x[p[0], p[1]] * y[p[2], p[3]]
-        for p in itertools.permutations(range(4))
-    )
+    import numpy as np
+
+    return np.einsum("mnrs,mn,rs->", _tables()[1], x, y)

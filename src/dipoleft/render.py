@@ -131,6 +131,9 @@ def render_text(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
 
 
 def _latex_const(name: str) -> str:
+    """A constant's LaTeX; the bubble I0[M] of a mass other than m is I_{M}(0)."""
+    if name not in _LATEX_CONST and (mass := bubble_mass(name)):
+        return r"I_{%s}(0)" % _latex_const(mass)
     return _LATEX_CONST.get(name, name)
 
 

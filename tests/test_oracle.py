@@ -88,6 +88,13 @@ def _matrix_value(word, assignment: dict[str, int]) -> complex:
     return total
 
 
+def _termwise(expr, assignment):
+    total = 0j
+    for term in expr.terms:
+        total += evaluate_term_numeric(term, assignment)
+    return total
+
+
 @st.composite
 def words_with_assignment(draw):
     """Words of 0-8 gammas, a-d usable twice, with 0-2 g5, and values for the labels used once."""
@@ -117,14 +124,17 @@ def test_value_is_unchanged_by_contraction_and_dimension_substitution(case):
     assert abs(as_written - contracted) <= 1e-9 * max(1.0, abs(as_written))
 
 
+@pytest.mark.parametrize(
+    "evaluate", [evaluate_expression_numeric, _termwise], ids=["expression", "termwise"]
+)
 @settings(max_examples=60, deadline=None)
 @given(case=words_with_assignment())
 @example(case=(_word("aabbcc"), {}))
 @example(case=(_word("abcabc", 2), {}))
 @example(case=(_word("abcdab", 1), {"c": 2, "d": 3}))
-def test_value_matches_matrix_trace_summed_over_dummies(case):
+def test_value_matches_matrix_trace_summed_over_dummies(evaluate, case):
     word, assignment = case
-    value = evaluate_expression_numeric(trace_word(word, _scheme(word)), assignment)
+    value = evaluate(trace_word(word, _scheme(word)), assignment)
     want = _matrix_value(word, assignment)
     assert abs(value - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -235,13 +245,6 @@ def _outcome(evaluate):
         return evaluate()
     except ValueError as exc:
         return f"ValueError: {exc}"
-
-
-def _termwise(expr, assignment):
-    total = 0j
-    for term in expr.terms:
-        total += evaluate_term_numeric(term, assignment)
-    return total
 
 
 _AB, _AC = _SHARED_FACTORS[0], _SHARED_FACTORS[1]

@@ -66,6 +66,20 @@ def test_latex_render(theta_action):
     assert r"\frac{e^{2}\,\theta_{F}}{8\,\pi^{2}}" in latex
 
 
+def test_latex_bubble_of_another_mass():
+    model = parse_model(
+        "dim 4\nconstant e real positive\nslot F exact A\n"
+        "flavor psi mass m chirality + coeff e combo F\n"
+        "flavor chi mass M chirality + coeff e combo F\n"
+        "flavor xi mass mu chirality + coeff e combo F\n"
+    )
+    latex = render_latex(assemble(model))
+    assert r"I(0)\,e^{2}\,m^{2}" in latex
+    assert r"I_{M}(0)\,M^{2}\,e^{2}" in latex
+    assert r"I_{\mu}(0)\,e^{2}\,\mu^{2}" in latex
+    assert "I0" not in latex
+
+
 def test_structured_round_trip_both_forms(theta_action, bf_action):
     for action in (theta_action, bf_action):
         for form in (FIELD_STRENGTH, POTENTIAL):
