@@ -128,12 +128,6 @@ class EffectiveAction:
     def is_divergent(self) -> bool:
         return any(is_divergent(t.coeff) for t in self.terms)
 
-    def scaled(self, factor: Coefficient) -> "EffectiveAction":
-        return EffectiveAction(
-            terms=tuple(ActionTerm(factor * t.coeff, t.slot_a, t.slot_b) for t in self.terms),
-            slots=self.slots,
-        )
-
 
 def is_divergent(coeff: Coefficient) -> bool:
     if coeff.eps_power or coeff.logs or coeff.const_power("Lambda"):
@@ -385,7 +379,8 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
     matches the conventional dualization of the reduced theory.
 
     Returns (reduced action, True) or, when there is no fundamental slot to
-    integrate out, (action unchanged, False).
+    integrate out or the multiplier couples to nothing (no surviving term
+    on it), (action unchanged, False).
     """
     fundamentals = [s for s in action.slots if not s.exact]
     if not fundamentals:

@@ -85,10 +85,6 @@ class Coefficient:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "Coefficient":
-        return Coefficient()
-
-    @staticmethod
     def one() -> "Coefficient":
         return Coefficient(re=Fraction(1))
 

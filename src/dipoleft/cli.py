@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 diagnostics (parse/model/domain errors),
-2 renormalization left divergent terms, 3 numeric-oracle failure.  Any
+2 renormalization left divergent terms, 3 a failed selftest check.  Any
 other exception is an engine bug and propagates.
 """
 
@@ -22,10 +22,12 @@ from .action import (
     check_quantization,
     eliminate_bf,
     normal_form,
+    polarization,
     renormalize,
 )
+from .algebra import LOG_LAMBDA, substitute_dimension
 from .dirac import ModelError
-from .loops import cutoff_scalar_leading
+from .loops import cutoff_scalar_leading, laurent_expand
 from .modelfile import ModelFileError, parse_model, parse_monomial, parse_rational
 from .oracle import (
     convention_trace,
@@ -42,6 +44,7 @@ from .render import (
     FIELD_STRENGTH,
     POTENTIAL,
     RenderError,
+    coefficient_text,
     render_latex,
     render_structured_json,
     render_text,
@@ -92,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--nf", required=True, type=int, help="odd positive flavor number")
 
-    p_self = sub.add_parser("selftest", help="run the numeric-oracle suites")
+    p_self = sub.add_parser("selftest", help="run the numeric-oracle suites and exact scheme checks")
     p_self.add_argument("--seed", type=int, default=42)
     p_self.add_argument("--count", type=int, default=500, help="random equivalence checks to run (positive)")
     return parser
@@ -156,7 +159,13 @@ def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
     if reduce_multiplier:
         action, reduced = eliminate_bf(action)
         if not reduced:
-            print("note: no fundamental 2-form slot; action returned unchanged", file=sys.stderr)
+            multipliers = [s.name for s in action.slots if not s.exact]
+            reason = (
+                f"multiplier slot {multipliers[0]!r} couples to nothing"
+                if multipliers
+                else "no fundamental 2-form slot"
+            )
+            print(f"note: {reason}; action returned unchanged", file=sys.stderr)
     action = _apply_assignments(action, args, model)
     _emit(action, args)
     return 0
@@ -179,7 +188,9 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _selftest_checks(seed: int, count: int):
-    """The numeric-oracle checks in order, each as (passed, line)."""
+    """The selftest checks in order, each as (passed, line): the numeric-oracle
+    checks, then two exact checks of the symbolic-d sector that the d = 4
+    pipeline leaves out."""
     clifford = max_clifford_deviation()
     convention = abs(convention_trace() - (-4j))
     yield all(v < 1e-12 for v in (clifford, convention)), (
@@ -211,6 +222,23 @@ def _selftest_checks(seed: int, count: int):
     (leading,) = cutoff_scalar_leading().terms  # (1/(8 pi^2)) log(Lambda/m)
     target = float(leading.coeff.re) * math.pi ** leading.coeff.const_power("pi")
     yield abs(slope - target) / target < 0.01, f"log-cutoff slope {slope:.6e} vs {target:.6e}"
+
+    # 2/eps of the dimreg I0 corresponds to 2 log(Lambda/m) of the cutoff one.
+    (pole,) = [t.coeff.with_eps(1) for t in laurent_expand().terms if t.coeff.eps_power == -1]
+    log = leading.coeff.with_log(LOG_LAMBDA, -1)
+    yield pole == log, (
+        f"dimreg pole of I0 vs cutoff log, 1/eps <-> log(Lambda/m) "
+        f"({coefficient_text(pole)} vs {coefficient_text(log)})"
+    )
+
+    # The metric sector is (d - 4) times the cutoff bracket: at d = 4 the full
+    # derivation is the epsilon-only kernel that assemble reads.
+    same = all(
+        substitute_dimension(polarization(+1, mass, at_dimension=None), 4)
+        == polarization(+1, mass)
+        for mass in ("m", "0")
+    )
+    yield same, "symbolic-d kernel at d = 4 vs epsilon-only kernel, massive and massless"
 
 
 def _run_selftest(args: argparse.Namespace) -> int:

@@ -36,7 +36,6 @@ from operator import attrgetter
 from .algebra import (
     G5,
     Coefficient,
-    Epsilon,
     Expression,
     FieldSlot,
     Metric,
@@ -44,6 +43,8 @@ from .algebra import (
     TensorFactor,
     Term,
     Word,
+    _factor_of,
+    _keyed,
     canonicalize,
     contract,
     gamma,
@@ -161,7 +162,8 @@ def _g5_pairings(labels: tuple[str, ...]) -> list[tuple[int, tuple[TensorFactor,
     other labels: no label is added, and a word of distinct labels gives
     leaves without dummies: 1, 6, 33 and 204 for 4, 6, 8 and 10 gammas.
     Metrics and eps have their labels sorted, eps's parity folded into the
-    sign, and each leaf's metrics are in ascending order.
+    sign (both by ``algebra._keyed``, which also drops an eps with a repeated
+    label), and each leaf's metrics are in ascending order.
 
     Every sub-word is a set of the word's positions, kept in word order, so
     the recursion runs over position masks: each mask's leaves are built
@@ -189,9 +191,10 @@ def _g5_pairings_of(
             k = bisect_right(f, metric.i, 1, key=_LOWER_LABEL)
             leaves.append((sign * s, (*f[:k], metric, *f[k:])))
     for j, r in enumerate(rest):
-        idx = (labels[a], labels[b], labels[c], labels[r])
-        sign = (-1) ** (j + sum(x > y for k, x in enumerate(idx) for y in idx[k + 1 :]))
-        eps = Epsilon(tuple(sorted(idx)))
+        key, parity = _keyed("Epsilon", "", (labels[a], labels[b], labels[c], labels[r]))
+        if not parity:
+            continue
+        sign, eps = -parity if j % 2 else parity, _factor_of(key)
         sub = _pairings_of(order, metrics, memo, mask ^ 1 << a ^ 1 << b ^ 1 << c ^ 1 << r)
         leaves += [(sign * s, (eps, *f)) for s, f in sub]
     return leaves

@@ -175,6 +175,28 @@ def test_reduce_bf_noop_notice(capsys, theta_model_path):
     assert out.strip().startswith("(1/32)")
 
 
+@pytest.mark.parametrize(
+    "flavors",
+    [
+        "flavor psi mass m chirality + coeff e*alpha/2 combo F\n",
+        # a massless flavor adds nothing at d = 4, so no term survives on b
+        "flavor psi mass m chirality + coeff e*alpha/2 combo F\n"
+        "flavor chi mass 0 chirality + coeff e*alpha/2 combo F+b\n",
+    ],
+    ids=["no-flavor-on-b", "massless-flavor-on-b"],
+)
+def test_reduce_bf_notes_a_multiplier_that_couples_to_nothing(tmp_path, capsys, flavors):
+    model = tmp_path / "idle_multiplier.eft"
+    model.write_text(
+        THETA_HEADER + "slot b fundamental\n" + flavors
+        + "absorb alpha^2 as thetaF scale 1/32/pi^2\n"
+    )
+    code, out, err = run(capsys, "reduce-bf", str(model))
+    assert code == 0
+    assert err == "note: multiplier slot 'b' couples to nothing; action returned unchanged\n"
+    assert out == "(1/32) * e^2 * thetaF * pi^-2 * " + EPS_FF
+
+
 THETA_HEADER = (
     "dim 4\nconstant e real positive\nconstant alpha real\nslot F exact A\n"
 )
@@ -508,6 +530,8 @@ _SELFTEST_CHECKS = (
     "ok: radial quadrature vs closed form (max rel err ",
     "ok: rank-2 cutoff bracket vs radial quadrature (max rel err ",
     "ok: log-cutoff slope ",
+    "ok: dimreg pole of I0 vs cutoff log, 1/eps <-> log(Lambda/m) ((1/8) * pi^-2 vs ",
+    "ok: symbolic-d kernel at d = 4 vs epsilon-only kernel, massive and massless",
 )
 
 
@@ -533,6 +557,32 @@ def test_selftest_fails_on_a_failing_equivalence_suite(capsys, monkeypatch):
     assert any(line.startswith("FAIL: equivalence suite: seed=42 count=40 ") for line in lines)
     assert any(line.startswith("FAIL tr(") for line in lines)
     assert "result: fail" in lines
+    assert sum(line.startswith("ok:") for line in lines) == len(_SELFTEST_CHECKS) - 1
+    assert lines[-1] == "selftest: fail"
+
+
+def test_selftest_fails_on_a_dimreg_pole_off_the_cutoff_log(capsys, monkeypatch):
+    real = cli.laurent_expand
+
+    def doubled():
+        return real().scaled(Coefficient.rational(2))
+
+    monkeypatch.setattr(cli, "laurent_expand", doubled)
+    code, out, _ = run(capsys, "selftest", "--count", "5")
+    assert code == 3
+    lines = out.splitlines()
+    assert "FAIL: dimreg pole of I0 vs cutoff log, 1/eps <-> log(Lambda/m) " \
+        "((1/4) * pi^-2 vs (1/8) * pi^-2)" in lines
+    assert sum(line.startswith("ok:") for line in lines) == len(_SELFTEST_CHECKS) - 1
+    assert lines[-1] == "selftest: fail"
+
+
+def test_selftest_fails_when_the_metric_sector_survives_d_equals_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "substitute_dimension", lambda expr, value: expr)
+    code, out, _ = run(capsys, "selftest", "--count", "5")
+    assert code == 3
+    lines = out.splitlines()
+    assert "FAIL: symbolic-d kernel at d = 4 vs epsilon-only kernel, massive and massless" in lines
     assert sum(line.startswith("ok:") for line in lines) == len(_SELFTEST_CHECKS) - 1
     assert lines[-1] == "selftest: fail"
 

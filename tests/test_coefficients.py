@@ -49,7 +49,7 @@ def test_ring_axioms_on_random_triples():
 
 
 def test_zero_coefficient_deletes_term():
-    expr = Expression.of(Term(Coefficient.zero()), Term(Coefficient.one()))
+    expr = Expression.of(Term(Coefficient()), Term(Coefficient.one()))
     assert len(canonicalize(expr).terms) == 1
 
 

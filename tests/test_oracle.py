@@ -432,6 +432,15 @@ def test_import_does_not_load_numpy():
     assert _probe("import sys, dipoleft; print('numpy' in sys.modules)") == ["False"]
 
 
+def test_import_exposes_the_documented_api():
+    names = "sorted(n for n in vars(dipoleft) if not n.startswith('_'))"
+    assert _probe(f"import dipoleft; print(*{names})") == [
+        "Coefficient", "Expression", "action", "algebra", "assemble", "check_quantization",
+        "dirac", "eliminate_bf", "loops", "modelfile", "oracle", "parse_model", "render",
+        "render_structured", "render_text", "renormalize", "structured_to_action",
+    ]
+
+
 def test_import_does_not_load_sympy():
     assert _probe("import sys, dipoleft; print('sympy' in sys.modules)") == ["False"]
 
