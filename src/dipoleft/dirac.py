@@ -21,9 +21,11 @@ branch by a pairing.  The eps branch's contracted s is paired at once with
 each later label, so the leaves carry only the word's own labels.  Both
 expansions run over sets of the word's positions: one pairing table per
 word (a metric per position pair and a memo of pairings per position set)
-is shared by every eps branch of a g5 trace.
-Requesting a g5 trace at symbolic dimension is a hard error, never a
-silent choice.
+is shared by every eps branch of a g5 trace.  Each leaf is one tuple
+concatenation onto a memoized shorter leaf, read once into its Term, and
+leaves share their factor objects, which the numeric oracle relies on.
+Requesting a g5 trace at symbolic dimension, or an unknown ``dim_mode``,
+is a hard error, never a silent choice.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ FOUR_DIM = "four"
 
 
 class SchemeError(ValueError):
-    """A gamma5 trace at symbolic d, or a loop kernel at a d neither 4 nor symbolic."""
+    """A gamma5 trace at symbolic d, a trace in an unknown ``dim_mode``, or a
+    loop kernel at a d neither 4 nor symbolic."""
 
 
 class ModelError(ValueError):
@@ -136,16 +139,23 @@ def _pairings(labels: tuple[str, ...]) -> list[tuple[int, tuple[Metric, ...]]]:
 
 
 def _pairings_of(order: list[int], metrics: dict, memo: dict, mask: int) -> list:
-    """The pairings of the word positions in ``mask``, built once per mask."""
+    """The pairings of the word positions in ``mask``, built once per mask:
+    one metric lookup and one sign per pair (p, q), one tuple per leaf."""
     if mask not in memo:
         p, *rest = [q for q in order if mask >> q & 1]
         memo[mask] = leaves = []
         for q in rest:
-            lo, hi = sorted((p, q))
-            sign = -1 if (mask & (1 << hi) - (2 << lo)).bit_count() % 2 else 1
+            between = mask & ((1 << q) - (2 << p) if p < q else (1 << p) - (2 << q))
             sub = _pairings_of(order, metrics, memo, mask ^ 1 << p ^ 1 << q)
-            leaves += [(sign * s, (metrics[p, q], *f)) for s, f in sub]
+            leaves += _prefixed((metrics[p, q],), sub, between.bit_count() % 2)
     return memo[mask]
+
+
+def _prefixed(head: tuple, sub: list, flip: int) -> list:
+    """``sub``'s leaves with ``head`` before their factors, signs negated if ``flip``."""
+    if flip:
+        return [(-s, head + f) for s, f in sub]
+    return [(s, head + f) for s, f in sub]
 
 
 def _g5_pairings(labels: tuple[str, ...]) -> list[tuple[int, tuple[TensorFactor, ...]]]:
@@ -176,7 +186,8 @@ def _g5_pairings(labels: tuple[str, ...]) -> list[tuple[int, tuple[TensorFactor,
 def _g5_pairings_of(
     labels: tuple[str, ...], order: list[int], metrics: dict, memo: dict, g5_memo: dict, mask: int
 ) -> list:
-    """The g5 leaves of the word positions in ``mask``, built once per mask."""
+    """The g5 leaves of the word positions in ``mask``, built once per mask:
+    a metric branch inserts its metric into each shorter leaf by lower label."""
     if mask in g5_memo:
         return g5_memo[mask]
     g5_memo[mask] = leaves = []
@@ -184,19 +195,18 @@ def _g5_pairings_of(
     if len(positions) < 4:
         return leaves
     a, b, c, *rest = positions
-    for sign, (p, q) in ((1, (a, b)), (-1, (a, c)), (1, (b, c))):
-        metric = metrics[(p, q) if (p, q) in metrics else (q, p)]
+    for sign, p, q in ((1, a, b), (-1, a, c), (1, b, c)):
+        metric = metrics[p, q] if (p, q) in metrics else metrics[q, p]
+        m, lower = (metric,), metric.i
         sub = _g5_pairings_of(labels, order, metrics, memo, g5_memo, mask ^ 1 << p ^ 1 << q)
         for s, f in sub:
-            k = bisect_right(f, metric.i, 1, key=_LOWER_LABEL)
-            leaves.append((sign * s, (*f[:k], metric, *f[k:])))
+            k = bisect_right(f, lower, 1, key=_LOWER_LABEL)
+            leaves.append((sign * s, f[:k] + m + f[k:]))
     for j, r in enumerate(rest):
         key, parity = _keyed("Epsilon", "", (labels[a], labels[b], labels[c], labels[r]))
-        if not parity:
-            continue
-        sign, eps = -parity if j % 2 else parity, _factor_of(key)
-        sub = _pairings_of(order, metrics, memo, mask ^ 1 << a ^ 1 << b ^ 1 << c ^ 1 << r)
-        leaves += [(sign * s, (eps, *f)) for s, f in sub]
+        if parity:
+            sub = _pairings_of(order, metrics, memo, mask ^ 1 << a ^ 1 << b ^ 1 << c ^ 1 << r)
+            leaves += _prefixed((_factor_of(key),), sub, (parity < 0) ^ (j % 2))
     return leaves
 
 
@@ -209,8 +219,11 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
     the g5 ones once sorted by their factors (eps, then metric pairs).  A
     word with a repeated label is canonicalized, which merges leaves and
     names dummies; a label used more than twice is a StructuralError
-    naming the word, raised before any leaf is built.
+    naming the word, raised before any leaf is built.  A ``dim_mode`` other
+    than SYMBOLIC_DIM and FOUR_DIM is a SchemeError, raised first.
     """
+    if dim_mode not in (SYMBOLIC_DIM, FOUR_DIM):
+        raise SchemeError(f"unknown dim_mode {dim_mode!r}; pass {SYMBOLIC_DIM!r} or {FOUR_DIM!r}")
     sign, normalized = normalize_word(word)
     has_g5 = bool(normalized) and normalized[-1] == G5
     labels = tuple(letter[1] for letter in normalized if letter != G5)
@@ -235,7 +248,7 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
     else:
         leaves = _pairings(labels)
     coeffs = _LEAF_COEFFS[has_g5, sign]
-    terms = tuple(Term(coeffs[s], factors=factors) for s, factors in leaves)
+    terms = tuple([Term(coeffs[s], f) for s, f in leaves])
     return Expression(terms) if distinct else canonicalize(Expression(terms))
 
 

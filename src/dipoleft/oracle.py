@@ -136,11 +136,14 @@ def numeric_trace(word: Word, assignment: dict[str, int]) -> complex:
     _check_indices(assignment)
     mats, g5 = _gammas()
     product = np.eye(4, dtype=complex)
-    for letter in word:
-        if letter == G5:
-            product = product @ g5
-        else:
-            product = product @ mats[assignment[letter[1]]]
+    try:
+        for letter in word:
+            if letter == G5:
+                product = product @ g5
+            else:
+                product = product @ mats[assignment[letter[1]]]
+    except KeyError as missing:
+        raise ValueError(f"free index {missing.args[0]!r} has no assigned value") from None
     return complex(np.trace(product))
 
 
@@ -241,9 +244,9 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
 
     Each factor and coefficient object is read once per call and kept by
     identity (``trace_word``'s leaves share them): a factor's labels and
-    value, a coefficient's number.  A term of distinct, assigned labels is
-    the product of its factors' values; any other term is one einsum, as in
-    ``evaluate_term_numeric``.  The terms are added left to right.
+    value, a coefficient's number.  One walk multiplies a term's factor
+    values while its labels are distinct and assigned; else the term is
+    one einsum, as in ``evaluate_term_numeric``.  Terms add left to right.
     """
     _check_indices(assignment)
     scalars: dict[int, complex | None] = {}
@@ -260,10 +263,11 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
         if term.word is not None or key not in scalars:
             _check_term(term)
             scalars[key] = None
-        row = [entries.get(id(f)) or entry(f) for f in term.factors]
         value, seen = 1.0, 0
-        for _, _, mask, v in row:
+        for f in term.factors:
+            _, _, mask, v = entries.get(id(f)) or entry(f)
             if v is None or seen & mask:
+                row = [entries.get(id(f)) or entry(f) for f in term.factors]
                 value = _summed(row, assignment)
                 break
             seen |= mask

@@ -76,6 +76,17 @@ def test_gamma5_requires_four_dimensional_mode():
 
 
 @pytest.mark.parametrize("g5", [(), (G5,)])
+def test_unknown_dim_mode_is_a_scheme_error_naming_the_mode(g5):
+    # an unknown mode used to trace a plain word as if it were symbolic-d
+    word = (gamma("a"), gamma("b")) + g5
+    message = "unknown dim_mode 'bogus'; pass 'symbolic-d' or 'four'"
+    with pytest.raises(SchemeError, match=message):
+        trace_word(word, "bogus")
+    with pytest.raises(SchemeError, match=message):
+        trace(Expression.of(Term(ONE, word=word)), "bogus")
+
+
+@pytest.mark.parametrize("g5", [(), (G5,)])
 def test_label_used_three_times_names_the_word(g5):
     word = tuple(gamma(label) for label in "abaa") + g5
     with pytest.raises(StructuralError) as raised:
@@ -332,6 +343,14 @@ def test_length_12_traces_of_shuffled_labels_match_matrix_oracle(g5):
         assert abs(sym - num) <= 1e-10 * max(1.0, abs(num))
         nonzero += abs(num) > 0.5
     assert nonzero
+
+
+def test_plain_trace_leaves_share_their_metric_objects():
+    # one Metric object per label pair serves every leaf, which the numeric
+    # evaluator's cache by id relies on: 45 pairs of 10 labels, 945 terms
+    traced = trace_word(tuple(gamma(f"x{k}") for k in range(10)))
+    assert len(traced.terms) == 945
+    assert len({id(f) for term in traced.terms for f in term.factors}) <= 45
 
 
 @pytest.mark.parametrize("length", [6, 8, 10])

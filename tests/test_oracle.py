@@ -68,6 +68,17 @@ def test_numeric_trace_base_cases():
     assert numeric_trace(word, assignment) == pytest.approx(-4j)
 
 
+@pytest.mark.parametrize("evaluate", ["expression", "matrix"])
+def test_unassigned_free_index_is_a_value_error_naming_it(evaluate):
+    # numeric_trace used to raise a bare KeyError('b')
+    word = (gamma("a"), gamma("b"))
+    with pytest.raises(ValueError, match="free index 'b' has no assigned value"):
+        if evaluate == "expression":
+            evaluate_expression_numeric(trace_word(word), {"a": 0})
+        else:
+            numeric_trace(word, {"a": 0})
+
+
 # ---------------------------------------------------------------------------
 # The evaluator reads a trace as written
 # ---------------------------------------------------------------------------
