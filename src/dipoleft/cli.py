@@ -51,6 +51,7 @@ from .render import (
 )
 
 _FORM_CHOICES = {"fs": FIELD_STRENGTH, "potential": POTENTIAL}
+_RENDERERS = {"text": render_text, "latex": render_latex, "structured": render_structured_json}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_output_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--form", choices=sorted(_FORM_CHOICES), default="fs")
-        p.add_argument("--format", choices=["text", "latex", "structured"], default="text")
+        p.add_argument("--format", choices=list(_RENDERERS), default="text")
         p.add_argument(
             "--set",
             dest="assignments",
@@ -102,17 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(action: EffectiveAction, args: argparse.Namespace) -> None:
-    form = _FORM_CHOICES[args.form]
-    if args.format == "text":
-        text = render_text(action, form)
-        if text:
-            print(text)
-    elif args.format == "latex":
-        text = render_latex(action, form)
-        if text:
-            print(text)
-    else:
-        print(render_structured_json(action, form))
+    text = _RENDERERS[args.format](action, _FORM_CHOICES[args.form])
+    if text:
+        print(text)
 
 
 def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
@@ -125,7 +118,7 @@ def _apply_assignments(action: EffectiveAction, args, model) -> EffectiveAction:
         return action
     declared = set(model.constants)
     declared |= {d.finite_name for d in model.absorb}
-    declared |= {f.mass for f in model.flavors}
+    declared |= {f.mass for f in model.flavors} - {"0"}
     terms, seen = list(action.terms), set()
     for item in args.assignments:
         name, _, value_tok = item.partition("=")

@@ -39,7 +39,8 @@ def bubble_mass(name: str) -> str | None:
     """Inverse of ``bubble_symbol``: the mass symbol of a bubble, else None."""
     if name == "I0":
         return "m"
-    return name[3:-1] if name.startswith("I0[") and name.endswith("]") else None
+    mass = name[3:-1] if name.startswith("I0[") and name.endswith("]") else None
+    return None if mass == "m" else mass
 
 
 def cutoff_log_atom(mass: str) -> str:

@@ -249,7 +249,7 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
     one einsum, as in ``evaluate_term_numeric``.  Terms add left to right.
     """
     _check_indices(assignment)
-    scalars: dict[int, complex | None] = {}
+    scalars: dict[int, complex] = {}
     entries: dict[int, tuple] = {}
     bits: dict[str, int] = {}
 
@@ -262,7 +262,7 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
         key = id(term.coeff)
         if term.word is not None or key not in scalars:
             _check_term(term)
-            scalars[key] = None
+            scalars[key] = _number(term.coeff, _AT_FOUR, {})
         value, seen = 1.0, 0
         for f in term.factors:
             _, _, mask, v = entries.get(id(f)) or entry(f)
@@ -273,10 +273,7 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
             seen |= mask
             value *= v
         if value:
-            scalar = scalars[key]
-            if scalar is None:
-                scalar = scalars[key] = _number(term.coeff, _AT_FOUR, {})
-            total += scalar * value
+            total += scalars[key] * value
     return total
 
 

@@ -649,3 +649,17 @@ def test_names_and_numbers_follow_one_grammar(
     assert err.startswith("error: ") if expected == "error:" else f": {expected}: " in err
     for internal in ("Traceback", "invalid literal", "base 10"):
         assert internal not in err
+
+
+def test_set_rejects_mass_zero(tmp_path, capsys):
+    # mass 0 is not a name, so --set may not give it a value
+    model = tmp_path / "massless.eft"
+    model.write_text(
+        THETA_HEADER
+        + "flavor psi mass m chirality + coeff e*alpha/2 combo F\n"
+        + "flavor chi mass 0 chirality + coeff e*alpha/2 combo F\n"
+        + "absorb alpha^2 as thetaF scale 1/32/pi^2\n"
+    )
+    code, out, err = run(capsys, "compute", str(model), "--set", "0=5")
+    assert (code, out) == (1, "")
+    assert err == "error: --set '0' names no declared constant, finite name or mass\n"

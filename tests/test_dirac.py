@@ -1,5 +1,7 @@
 """Gamma-string traces and dipole vertex expansion."""
 
+import gc
+import hashlib
 import random
 
 import pytest
@@ -415,3 +417,89 @@ def test_expand_vertex_chirality_flip_negates_only_g5_part():
             assert term_plus.coeff == -term_minus.coeff
         else:
             assert term_plus.coeff == term_minus.coeff
+
+
+# ---------------------------------------------------------------------------
+# One way into a trace
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [Expression.zero(), Expression.of(Term(ONE, factors=(Metric("a", "b"),)))],
+    ids=["zero", "word-free-term"],
+)
+def test_unknown_dim_mode_is_a_scheme_error_without_a_gamma_word(expr):
+    with pytest.raises(SchemeError, match="unknown dim_mode 'bogus'; pass 'symbolic-d' or 'four'"):
+        trace(expr, "bogus")
+
+
+def _trace_and_evaluate_every_length():
+    for length in range(11):
+        labels = [f"x{k}" for k in range(length)]
+        assignment = {label: k % 4 for k, label in enumerate(labels)}
+        plain = tuple(gamma(label) for label in labels)
+        for word, mode in ((plain, SYMBOLIC_DIM), ((G5,) + plain, FOUR_DIM)):
+            evaluate_expression_numeric(trace_word(word, mode), assignment)
+            numeric_trace(word, assignment)
+
+
+def test_tracing_and_evaluating_leaves_no_reference_cycles():
+    # the memoized leaves are freed by reference counting alone, never left
+    # for the cyclic collector
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _trace_and_evaluate_every_length()  # warm up: imports and module caches
+        gc.collect()
+        _trace_and_evaluate_every_length()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_g5_trace_leaves_share_their_metric_objects():
+    traced = trace_word(tuple(gamma(f"x{k}") for k in range(10)) + (G5,), FOUR_DIM)
+    metrics = {id(f) for term in traced.terms for f in term.factors if type(f) is Metric}
+    assert len(metrics) <= 45
+
+
+@pytest.mark.parametrize("g5, terms", [(0, 945), (1, 204)])
+def test_length_10_trace_leaves_hold_at_most_two_coefficient_objects(g5, terms):
+    # the numeric evaluator reads each coefficient object once, by id
+    word = tuple(gamma(f"x{k}") for k in range(10)) + (G5,) * g5
+    traced = trace_word(word, FOUR_DIM if g5 else SYMBOLIC_DIM)
+    assert len(traced.terms) == terms
+    assert len({id(term.coeff) for term in traced.terms}) <= 2
+
+
+def _pinned_words(count=600, seed=2505):
+    """Words of 0-10 gammas with 0-2 g5 inserted anywhere; every odd word
+    copies one or two labels onto other positions, so some labels repeat
+    (a few three times, which is an error)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        length = rng.randint(0, 10)
+        labels = rng.sample([f"x{i}" for i in range(12)] + ["mu", "nu", "$0", "Z"], length)
+        if k % 2 and length > 1:
+            for _ in range(rng.randint(1, 2)):
+                i, j = rng.sample(range(length), 2)
+                labels[i] = labels[j]
+        word = [gamma(label) for label in labels]
+        for _ in range(rng.randint(0, 2)):
+            word.insert(rng.randint(0, len(word)), G5)
+        yield tuple(word)
+
+
+def test_trace_word_output_is_pinned():
+    # any change of leaf order, sign, dummy name or error text changes the digest
+    digest = hashlib.sha256()
+    for word in _pinned_words():
+        for mode in (SYMBOLIC_DIM, FOUR_DIM):
+            try:
+                out = repr(trace_word(word, mode))
+            except (SchemeError, StructuralError) as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == "84767dca76dd8ff4e6a0b8e2daf1790df920ce96fd0f5840208769d9fda8b035"

@@ -382,3 +382,15 @@ def test_structured_mutation_rejected(action, form, mutation, bad_name, data):
         term["coefficient"]["constants"][bad_name] = 1
     with pytest.raises(RenderError):
         structured_to_action(payload)
+
+
+def test_structured_reader_spells_the_mass_m_bubble_only_as_i0():
+    # I0[m] would be a second spelling of I0, whose terms never merge with it
+    def payload(name):
+        return _payload_with(coefficient={"num": 1, "den": 2, "constants": {name: 1}})
+
+    with pytest.raises(RenderError, match=r"^constant name 'I0\[m\]' is not an identifier"):
+        structured_to_action(payload("I0[m]"))
+    for name in ("I0", "I0[M]"):
+        action, _ = structured_to_action(payload(name))
+        assert [t.coeff.consts for t in action.terms] == [((name, 1),)]
