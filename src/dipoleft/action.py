@@ -9,22 +9,23 @@ acceptance fixtures, in which a single flavor with chirality +1, vertex
 coefficient e*alpha/2 and one exact slot produces the epsilon-sector
 coefficient e^2 m^2 alpha^2 I0 before renormalization.
 
-``assemble`` derives the kernel once per mass class per process,
-massless or massive, at chirality +1 and, if massive, on a placeholder
-mass, and reads its d = 4 value as epsilon-sector coefficients on the
-placeholder slots: 4 m^2 I0[m] for the massive class, nothing for the
-massless one.  The two class kernels are kept for the function bound to
-``polarization``: rebinding it (a tracer, a test double) starts them
-afresh.  Every g5 comes from a vertex projector (1 - i chi g5) and
-each g5 trace carries exactly one Epsilon, so the epsilon sector is odd in
-chi: a flavor's kernel is chi times its class kernel, with the placeholder
-renamed to its mass in the mass symbol and the bubble I0[m].
+``assemble`` derives the kernel once per process, at chirality +1 on a
+placeholder mass, and reads its d = 4 value, 4 m^2 I0[m], as
+epsilon-sector coefficients on the placeholder slots.  The kernel is kept
+for the function bound to ``polarization``: rebinding it (a tracer, a
+test double) derives it afresh.  Every g5 comes from a vertex projector
+(1 - i chi g5) and each g5 trace carries exactly one Epsilon, so the
+epsilon sector is odd in chi: a flavor's kernel is chi times the kernel,
+with the placeholder renamed to its mass in the mass symbol and the
+bubble I0[m].  A massless flavor reads the kernel at m -> 0: every term
+carrying a positive power of m vanishes, which leaves nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import ClassVar, Iterable, Optional, Sequence
 
 from .algebra import (
@@ -96,7 +97,6 @@ class AbsorbDirective:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    dimension: int
     slots: tuple[SlotSpec, ...]
     flavors: tuple[FlavorSpec, ...]
     absorb: tuple[AbsorbDirective, ...] = ()
@@ -212,27 +212,20 @@ def _read_kernel(kernel: Expression) -> list[Coefficient]:
     return out
 
 
-# (polarization function, {massless: class kernel}) of the last derivation.
-_class_kernels: tuple[object, dict[bool, tuple[Coefficient, ...]]] = (None, {})
-
-
-def _class_kernel(massless: bool) -> tuple[Coefficient, ...]:
-    """The d = 4 kernel of a mass class, derived on first use and kept for
-    the process while ``polarization`` stays bound to the same function."""
-    global _class_kernels
-    derive, kernels = _class_kernels
-    if derive is not polarization:
-        derive, kernels = polarization, {}
-        _class_kernels = derive, kernels
-    if massless not in kernels:
-        kernels[massless] = tuple(_read_kernel(derive(+1, "0" if massless else _KERNEL_MASS)))
-    return kernels[massless]
+@lru_cache(maxsize=1)
+def _kernel(derive) -> tuple[Coefficient, ...]:
+    """The d = 4 kernel on the placeholder mass, as ``derive`` (the function
+    bound to ``polarization``) gives it; kept while that binding stays."""
+    return tuple(_read_kernel(derive(+1, _KERNEL_MASS)))
 
 
 def _kernel_for(kernel: Sequence[Coefficient], mass: str) -> list[Coefficient]:
-    """The kernel of a mass class on the given mass: the placeholder mass is
-    renamed in the mass symbol and its bubble; ``_powmap`` re-sorts the
-    renamed monomials."""
+    """The kernel on the given mass: the placeholder mass is renamed in the
+    mass symbol and its bubble; ``_powmap`` re-sorts the renamed monomials.
+    At mass ``0`` each term carrying a positive power of the placeholder
+    mass is dropped, which is exact for m -> 0."""
+    if mass == "0":
+        kernel = [k for k in kernel if k.const_power(_KERNEL_MASS) <= 0]
     names = {_KERNEL_MASS: mass, bubble_symbol(_KERNEL_MASS): bubble_symbol(mass)}
     return [
         Coefficient(
@@ -248,11 +241,10 @@ def assemble(model: ModelSpec) -> EffectiveAction:
     A flavor enters the polarization only through its chirality, its mass,
     its coefficient c and the signs s_i of its combo entries, bilinearly in
     the two vertices.  The kernel (``polarization``) is read into action
-    terms on the placeholder slots once per mass class per process
-    (``_class_kernel``, keyed on the function bound to ``polarization``):
-    massless (mass ``0``) or massive, the latter on a placeholder mass.
-    Each flavor takes the kernel of its class with the placeholder renamed
-    to its mass (``_kernel_for``), weighs it once by c^2 chi, then adds it
+    terms on the placeholder slots and mass once per process (``_kernel``,
+    keyed on the function bound to ``polarization``).  Each flavor takes
+    the kernel with the placeholder renamed to its mass, a massless flavor
+    at m -> 0 (``_kernel_for``), weighs it once by c^2 chi, then adds it
     as epsilon-sector terms on the slots of every ordered pair (i, j) of
     its combo entries, negated where s_i s_j < 0.  Summing over entries
     rather than slot names makes a combo such as ``F-F`` vanish.  Flavor
@@ -262,17 +254,15 @@ def assemble(model: ModelSpec) -> EffectiveAction:
 
     Returns the action with divergences still symbolic.
     """
-    if model.dimension != 4:
-        raise ModelError(f"unsupported dimension {model.dimension}")
     declared = {s.name for s in model.slots}
+    kernel = _kernel(polarization)
     terms: list[ActionTerm] = []
     for flavor in model.flavors:
         for _, name in flavor.combo:
             if name not in declared:
                 raise ModelError(f"unknown slot name {name!r} in vertex combo")
-        kernel = _kernel_for(_class_kernel(flavor.mass == "0"), flavor.mass)
         weight = flavor.coeff * flavor.coeff * Coefficient.rational(flavor.chirality)
-        weighted = [weight * k for k in kernel]
+        weighted = [weight * k for k in _kernel_for(kernel, flavor.mass)]
         negated = [-k for k in weighted]
         for s1, a in flavor.combo:
             for s2, b in flavor.combo:

@@ -157,7 +157,7 @@ def parse_model(text: str) -> ModelSpec:
     """Parse and validate a model file, less one leading byte-order mark;
     raises ModelFileError with every diagnostic found (each carrying a line number)."""
     diagnostics: list[Diagnostic] = []
-    dimension: int | None = None
+    has_dim = False
     names: dict[str, tuple[str, int]] = {}  # name -> (kind, declaring line)
     declared: defaultdict[str, set[str]] = defaultdict(set)  # kind -> its names
     slots: list[SlotSpec] = []
@@ -204,7 +204,7 @@ def parse_model(text: str) -> ModelSpec:
             elif int(tokens[1]) != 4:
                 add("unsupported-dimension", f"unsupported dimension {tokens[1]}")
             else:
-                dimension = 4
+                has_dim = True
 
         elif head == "constant":
             if len(tokens) < 2:
@@ -290,12 +290,11 @@ def parse_model(text: str) -> ModelSpec:
         else:
             add("syntax", f"unknown directive {head!r}")
 
-    if dimension is None and not any(d.code == "unsupported-dimension" for d in diagnostics):
+    if not has_dim and not any(d.code == "unsupported-dimension" for d in diagnostics):
         diagnostics.append(Diagnostic("missing-dim", 0, "model file must declare 'dim 4'"))
     if diagnostics:
         raise ModelFileError(diagnostics)
     return ModelSpec(
-        dimension=dimension or 4,
         slots=tuple(slots),
         flavors=tuple(flavors),
         absorb=tuple(absorb),

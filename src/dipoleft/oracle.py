@@ -460,7 +460,7 @@ def dipole_trace_identity_checks() -> tuple[float, float]:
 def one_flavor_model(chirality: int, mass: str = "m") -> ModelSpec:
     """One unit-coefficient flavor of the given chirality and mass on one exact slot F."""
     flavor = FlavorSpec("psi", mass, chirality, Coefficient.one(), ((1, "F"),))
-    return ModelSpec(dimension=4, slots=(SlotSpec("F", "A"),), flavors=(flavor,))
+    return ModelSpec(slots=(SlotSpec("F", "A"),), flavors=(flavor,))
 
 
 def loop_normalization_deviation(model: ModelSpec, seed: int = 20121) -> tuple[float, float]:

@@ -225,7 +225,8 @@ def _identifier(name: Any, what: str) -> str:
 def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
     """Inverse of ``coefficient_structured``; RenderError for a missing
     num/den, a non-integer number or exponent, an i_power other than 0 or 1,
-    or a constant that is not an identifier or bubble I0[mass], or is pi or d."""
+    or a constant that is not an identifier or bubble I0[mass], or whose name
+    (a bubble's mass) is reserved by the engine (``RESERVED_NAMES``)."""
     if not isinstance(obj, dict) or {"num", "den"} - obj.keys():
         raise RenderError(f"coefficient {obj!r} needs integer 'num' and 'den'")
     num = _structured_int(obj["num"], "num")
@@ -240,7 +241,7 @@ def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
         raise RenderError(f"coefficient constants {constants!r} is not an object")
     for name in constants:
         mass = bubble_mass(name) if isinstance(name, str) else None
-        if _identifier(name if mass is None else mass, "constant name") in ("pi", "d"):
+        if _identifier(name if mass is None else mass, "constant name") in RESERVED_NAMES:
             raise RenderError(f"constant {name!r} cannot be listed in 'constants'")
     powers = {
         name: _structured_int(exp, f"exponent of {name!r}") for name, exp in constants.items()
@@ -301,8 +302,9 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     terms come back in the action normal form (``normal_form``)."""
     if not isinstance(obj, dict):
         raise RenderError(f"structured action must be an object, got {obj!r}")
-    if obj.get("schema") != 1:
-        raise RenderError(f"unsupported schema {obj.get('schema')!r}")
+    schema = obj.get("schema")
+    if type(schema) is not int or schema != 1:  # True and 1.0 compare equal to 1
+        raise RenderError(f"unsupported schema {schema!r}")
     for key in ("slots", "terms"):
         entries = obj.get(key)
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):

@@ -149,11 +149,11 @@ def test_polarization_epsilon_sector_carries_mass_squared_and_one_epsilon():
 @pytest.mark.parametrize("mass", ["m", "M", "0"])
 @pytest.mark.parametrize("chirality", [+1, -1])
 def test_kernel_for_equals_direct_kernel(chirality, mass):
-    # the chirality +1 kernel of the mass class, renamed and times chi, is
-    # the kernel derived directly at the flavor's chirality and mass
-    class_mass = "0" if mass == "0" else action_module._KERNEL_MASS
+    # the chirality +1 kernel on the placeholder mass, read at the flavor's
+    # mass (at m -> 0 for mass 0) and times chi, is the kernel derived
+    # directly at the flavor's chirality and mass
     renamed = action_module._kernel_for(
-        action_module._read_kernel(polarization(+1, class_mass)), mass
+        action_module._read_kernel(polarization(+1, action_module._KERNEL_MASS)), mass
     )
     derived = [k.gaussian_scaled(Fraction(chirality)) for k in renamed]
     assert derived == action_module._read_kernel(polarization(chirality, mass))
@@ -161,7 +161,6 @@ def test_kernel_for_equals_direct_kernel(chirality, mass):
 
 def one_slot_model(*flavors: FlavorSpec) -> ModelSpec:
     return ModelSpec(
-        dimension=4,
         slots=(SlotSpec("F", "A"),),
         flavors=flavors,
         absorb=(
@@ -187,7 +186,6 @@ def bf_model() -> ModelSpec:
         FlavorSpec("psi6", "m", -1, lam, ((1, "f"), (-1, "b"))),
     )
     return ModelSpec(
-        dimension=4,
         slots=(SlotSpec("F", "A"), SlotSpec("f", "a"), SlotSpec("b", None)),
         flavors=flavors,
         absorb=(
@@ -224,7 +222,6 @@ def test_assemble_opposite_chirality_pair_cancels():
     base = single_flavor(+1)
     partner = FlavorSpec("psi2", base.mass, -1, base.coeff, base.combo)
     model = ModelSpec(
-        dimension=4,
         slots=(SlotSpec("F", "A"),),
         flavors=(base, partner),
         constants=("alpha", "e"),
@@ -253,7 +250,7 @@ def kernel_models(draw) -> ModelSpec:
                 combo=tuple((draw(st.sampled_from([+1, -1])), n) for n in names),
             )
         )
-    return ModelSpec(dimension=4, slots=slots, flavors=tuple(flavors))
+    return ModelSpec(slots=slots, flavors=tuple(flavors))
 
 
 @settings(max_examples=25, deadline=None)
@@ -305,7 +302,7 @@ def count_kernels(monkeypatch, model: ModelSpec) -> list[tuple[int, str]]:
 def test_assemble_derives_one_kernel_per_mass_class(monkeypatch):
     # six flavors of both chiralities, all of mass m: one massive kernel
     assert len(count_kernels(monkeypatch, bf_model())) == 1
-    # both chiralities of masses m, M and 0: one massive and one massless kernel
+    # both chiralities of masses m, M and 0: still the one massive kernel
     flavors = tuple(
         FlavorSpec(f"psi{k}", mass, chirality, ONE, ((1, "F"),))
         for k, (mass, chirality) in enumerate(
@@ -313,9 +310,7 @@ def test_assemble_derives_one_kernel_per_mass_class(monkeypatch):
         )
     )
     calls = count_kernels(monkeypatch, one_slot_model(*flavors))
-    assert len(calls) == 2
-    assert all(chirality == +1 for chirality, _ in calls)
-    assert sorted(mass == "0" for _, mass in calls) == [False, True]
+    assert calls == [(+1, action_module._KERNEL_MASS)]
 
 
 def mixed_mass_model() -> ModelSpec:
@@ -334,7 +329,7 @@ def test_assemble_keeps_each_class_kernel_across_calls(monkeypatch):
     calls = counting_polarization(monkeypatch)
     for model in (mixed_mass_model(), bf_model(), theta_model(), mixed_mass_model()):
         assemble(model)
-    assert sorted(calls) == sorted([(+1, "0"), (+1, action_module._KERNEL_MASS)])
+    assert calls == [(+1, action_module._KERNEL_MASS)]
 
 
 def test_rebinding_polarization_derives_the_kernel_again(monkeypatch):
@@ -348,16 +343,15 @@ def test_rebinding_polarization_derives_the_kernel_again(monkeypatch):
 
 
 def test_class_kernel_is_a_tuple_of_the_read_kernel():
-    massive = action_module._class_kernel(False)
+    massive = action_module._kernel(polarization)
     assert isinstance(massive, tuple)
     assert list(massive) == action_module._read_kernel(
         polarization(+1, action_module._KERNEL_MASS)
     )
-    assert action_module._class_kernel(True) == ()
 
 
 def assemble_cold(model: ModelSpec):
-    action_module._class_kernels = (None, {})
+    action_module._kernel.cache_clear()
     return assemble(model)
 
 
@@ -366,18 +360,18 @@ def assemble_cold(model: ModelSpec):
 def test_assemble_is_the_same_with_a_cold_or_a_warm_kernel_cache(first, second):
     for model, other in ((first, second), (second, first)):
         cold = assemble_cold(model)
-        assemble_cold(other)  # warms the classes of the other model only
+        assemble_cold(other)  # derives the kernel afresh for the other model
         assert assemble(model) == cold
 
 
 def test_import_derives_no_kernel():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import dipoleft; from dipoleft import action; print(action._class_kernels)"
+    probe = "import dipoleft; from dipoleft import action; print(action._kernel.cache_info().currsize)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "(None, {})"
+    assert proc.stdout.strip() == "0"
 
 
 def test_assemble_rejects_undeclared_combo_slot():
@@ -416,7 +410,6 @@ def test_renormalize_merges_flavors_of_different_masses():
 def test_renormalize_rejects_ambiguous_absorb():
     flavor = FlavorSpec("psi", "m", +1, Coefficient.monomial(1, 1, a=1, b=1), ((1, "F"),))
     model = ModelSpec(
-        dimension=4,
         slots=(SlotSpec("F", "A"),),
         flavors=(flavor,),
         absorb=(

@@ -12,7 +12,6 @@ from dipoleft.modelfile import ModelFileError, parse_model, parse_monomial
 
 def test_parse_theta_model_file(theta_model_path):
     model = parse_model(theta_model_path.read_text())
-    assert model.dimension == 4
     assert [s.name for s in model.slots] == ["F"]
     assert model.slots[0].potential == "A"
     (flavor,) = model.flavors

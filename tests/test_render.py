@@ -268,6 +268,13 @@ def _with_slot_entries(*entries):
         _with_slot_entries(
             {"name": "F", "kind": "exact", "potential": "A"}, {"name": "gammaE", "kind": "fundamental"}
         ),
+        _payload_with() | {"schema": True},
+        _payload_with() | {"schema": 1.0},
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"eps": -1}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"Lambda": 2}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"gammaE": 1}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"Z": 1}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"I0[eps]": 1}}),
     ],
     ids=[
         "one-slot", "three-slots", "slots-string", "no-tensor", "no-coefficient",
@@ -282,7 +289,8 @@ def _with_slot_entries(*entries):
         "kind-bogus", "slot-name-newline", "constant-name-space", "bubble-not-identifier",
         "constant-pi", "constant-d", "slot-name-is-a-potential",
         "reserved-slot-on-reserved-potential", "reserved-fundamental-slot", "reserved-potential",
-        "reserved-unused-slot",
+        "reserved-unused-slot", "schema-true", "schema-float", "constant-eps",
+        "constant-lambda", "constant-gammae", "constant-z", "bubble-of-reserved-mass",
     ],
 )
 def test_structured_malformed_entry_rejected(payload):
