@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 # Names the engine owns; model files may not declare them as constants.
@@ -50,6 +50,55 @@ def _powmap(items: dict[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[st
 _ZERO = Fraction(0)
 
 
+class _Value:
+    """An immutable value made of named fields, on slots.
+
+    It keeps the contract of the frozen dataclass it replaces: positional
+    or keyword construction with defaults, a ``Name(field=value, ...)``
+    repr, equality only between instances of one class, a hash equal to
+    ``hash`` of the field tuple, so no set or dict order moves, and an
+    ``AttributeError`` on assignment or deletion.  Each subclass lists its
+    fields, in order, in ``__slots__`` and sets them in its own
+    ``__init__`` through the slot descriptors' ``__set__`` (``_setters``),
+    which ``__setattr__`` does not see: a ``Term`` costs about half its
+    frozen-dataclass construction.  ``__reduce__`` rebuilds a value
+    from its fields, so pickle and ``copy`` go through ``__init__`` too.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)  # of one name, the value rather than a 1-tuple
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
+        cls._format = f"{cls.__qualname__}({', '.join(f'{n}={{!r}}' for n in cls.__slots__)})"
+
+    def __repr__(self) -> str:
+        return self._format.format(*self._fields(self))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields(self)
+
+
+def _setters(cls: type) -> tuple:
+    """The ``__set__`` of each of ``cls``'s slots, in field order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
 def _merged(
     a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...]
 ) -> tuple[tuple[str, int], ...]:
@@ -61,8 +110,7 @@ def _merged(
     return _powmap(a + b)
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(_Value):
     """Gaussian rational times a monomial in constants, log atoms and eps powers.
 
     The arithmetic does only the ``Fraction`` work a value needs when one
@@ -72,15 +120,19 @@ class Coefficient:
     quotient by a divisor with an imaginary part, uses the textbook
     formula.  Monomials are merged only when both sides carry one; that
     shortcut holds because every monomial is built normalized, through
-    ``_powmap``.  Results are built with the constructor, never
-    ``dataclasses.replace``.
+    ``_powmap``.  Its fields are ``re``, ``im`` (``Fraction``), ``consts``
+    and ``logs`` (sorted (name, power) pairs) and ``eps_power``; results
+    are built with the constructor.
     """
 
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
-    consts: tuple[tuple[str, int], ...] = ()
-    logs: tuple[tuple[str, int], ...] = ()
-    eps_power: int = 0
+    __slots__ = ("re", "im", "consts", "logs", "eps_power")
+
+    def __init__(self, re=_ZERO, im=_ZERO, consts=(), logs=(), eps_power=0) -> None:
+        _set_re(self, re)
+        _set_im(self, im)
+        _set_consts(self, consts)
+        _set_logs(self, logs)
+        _set_eps_power(self, eps_power)
 
     # -- constructors -------------------------------------------------
 
@@ -208,41 +260,58 @@ class Coefficient:
         return stripped * power
 
 
+_set_re, _set_im, _set_consts, _set_logs, _set_eps_power = _setters(Coefficient)
+
+
 # ---------------------------------------------------------------------------
 # Tensor factors
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(_Value):
     """Symmetric metric component eta(i, j)."""
 
-    i: str
-    j: str
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: str, j: str) -> None:
+        _set_metric_i(self, i)
+        _set_metric_j(self, j)
 
 
-@dataclass(frozen=True)
-class Epsilon:
+class Epsilon(_Value):
     """Totally antisymmetric rank-4 tensor component, eps(0,1,2,3) = +1."""
 
-    idx: tuple[str, str, str, str]
+    __slots__ = ("idx",)
+
+    def __init__(self, idx: tuple[str, str, str, str]) -> None:
+        _set_idx(self, idx)
 
 
-@dataclass(frozen=True)
-class Momentum:
+class Momentum(_Value):
     """One component of a loop or external momentum."""
 
-    name: str
-    i: str
+    __slots__ = ("name", "i")
+
+    def __init__(self, name: str, i: str) -> None:
+        _set_momentum_name(self, name)
+        _set_momentum_i(self, i)
 
 
-@dataclass(frozen=True)
-class FieldSlot:
+class FieldSlot(_Value):
     """Antisymmetric 2-form slot: X(s, i, j) = -X(s, j, i)."""
 
-    slot: str
-    i: str
-    j: str
+    __slots__ = ("slot", "i", "j")
+
+    def __init__(self, slot: str, i: str, j: str) -> None:
+        _set_slot(self, slot)
+        _set_slot_i(self, i)
+        _set_slot_j(self, j)
+
+
+_set_metric_i, _set_metric_j = _setters(Metric)
+(_set_idx,) = _setters(Epsilon)
+_set_momentum_name, _set_momentum_i = _setters(Momentum)
+_set_slot, _set_slot_i, _set_slot_j = _setters(FieldSlot)
 
 
 TensorFactor = Union[Metric, Epsilon, Momentum, FieldSlot]
@@ -343,11 +412,13 @@ def _relabel_word(word: Optional[Word], mapping: Mapping[str, str]) -> Optional[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
-    coeff: Coefficient
-    factors: tuple[TensorFactor, ...] = ()
-    word: Optional[Word] = None
+class Term(_Value):
+    __slots__ = ("coeff", "factors", "word")
+
+    def __init__(self, coeff: Coefficient, factors: tuple = (), word: Optional[Word] = None) -> None:
+        _set_coeff(self, coeff)
+        _set_factors(self, factors)
+        _set_word(self, word)
 
     def labels(self) -> Iterator[str]:
         for f in self.factors:
@@ -356,9 +427,11 @@ class Term:
             yield from word_labels(self.word)
 
 
-@dataclass(frozen=True)
-class Expression:
-    terms: tuple[Term, ...] = ()
+class Expression(_Value):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Term, ...] = ()) -> None:
+        _set_terms(self, terms)
 
     @staticmethod
     def zero() -> "Expression":
@@ -400,6 +473,10 @@ class Expression:
 
     def scaled(self, coeff: Coefficient) -> "Expression":
         return Expression(tuple(Term(coeff * t.coeff, t.factors, t.word) for t in self.terms))
+
+
+_set_coeff, _set_factors, _set_word = _setters(Term)
+(_set_terms,) = _setters(Expression)
 
 
 # ---------------------------------------------------------------------------

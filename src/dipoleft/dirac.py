@@ -20,24 +20,22 @@ sign, a metric for each reduction step and one eps, followed in the eps
 branch by a pairing.  The eps branch's contracted s is paired at once with
 each later label, so the leaves carry only the word's own labels.  Every
 trace has one way in: the mode is checked first, then ``_leaves`` builds
-the word's tables (positions in label order, a metric per position pair,
-a pairing memo per position set, shared by every eps branch) and runs one
-recursion over position masks.  Each leaf is one tuple concatenation onto
-a memoized shorter leaf, and leaves share their factor objects, which the
-numeric oracle relies on.  The recursions are module-level functions
-handed the tables: as closures in ``_leaves`` they sat in reference
-cycles (6,306 objects for a plain and a g5 trace of ten gammas), keeping
-every memoized leaf alive until the cyclic collector ran.  A g5 trace at
-symbolic dimension, or an unknown ``dim_mode``, is a hard error, never a
-silent choice.
-"""
+the word's positions in rank order (by label, ties by position) and a
+metric per position pair.  A plain trace's leaves, in ranks, do not depend
+on the word: ``_pairing_table`` lists each length's pairings once per
+process, which the eps branches of a g5 trace read too.  Leaves share
+their factor objects, which the numeric oracle relies on.  The g5
+recursion is a module-level function, so its memoized leaves sit in no
+reference cycle.  A g5 trace at symbolic d, or an unknown ``dim_mode``, is
+a hard error."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .algebra import (
     G5,
@@ -102,18 +100,12 @@ def expand_vertex(chirality: int, slot: str, mu: str, nu: str) -> Expression:
 # ---------------------------------------------------------------------------
 
 
-# The coefficient of each leaf, by (word has g5, word sign), then leaf sign:
-# 4 times the sign without g5, -4i times it with g5.
-_FOUR, _MINUS_FOUR = Coefficient.rational(4), Coefficient.rational(-4)
-_FOUR_I, _MINUS_FOUR_I = Coefficient.imaginary(4), Coefficient.imaginary(-4)
+# The coefficient of each leaf by whether its word has g5, then by its sign
+# bit: 4 times the sign without g5, -4i times it with g5.
 _LEAF_COEFFS = {
-    (False, 1): {1: _FOUR, -1: _MINUS_FOUR},
-    (False, -1): {1: _MINUS_FOUR, -1: _FOUR},
-    (True, 1): {1: _MINUS_FOUR_I, -1: _FOUR_I},
-    (True, -1): {1: _FOUR_I, -1: _MINUS_FOUR_I},
+    False: (Coefficient.rational(4), Coefficient.rational(-4)),
+    True: (Coefficient.imaginary(-4), Coefficient.imaginary(4)),
 }
-
-
 _LOWER_LABEL = attrgetter("i")  # a metric's lower label, the key its leaf is sorted by
 
 
@@ -123,49 +115,59 @@ def _check_mode(dim_mode: str) -> None:
 
 
 def _leaves(labels: tuple[str, ...], has_g5: bool) -> list[tuple[int, tuple[TensorFactor, ...]]]:
-    """Every leaf of an even label tuple's trace, as (sign, factors), from
-    one set of tables (each metric with its lower label first) passed down."""
+    """Every leaf of an even label tuple's trace, as (sign bit, factors).
+    A plain word reads its length's pairing table in rank order: with
+    ``inv`` the mask of rank pairs whose positions are reversed, a leaf's
+    sign is (-1)^(popcount(inv) + parity + popcount(inv & mask)), the rank
+    order's sign times the pairing's in ranks times -1 per reversed pair.
+    Tables cost 0.3-0.5 ms on first use up to length 8, 2-3 ms more for 10."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
     metrics = {(p, q): Metric(labels[p], labels[q]) for p, q in combinations(order, 2)}
-    memo, mask = {0: [(1, ())]}, (1 << len(labels)) - 1
     if has_g5:
-        return _g5_pairings_of(labels, order, metrics, memo, {}, mask)
-    return _pairings_of(order, metrics, memo, mask)
+        return _g5_pairings_of(labels, order, metrics, {}, (1 << len(labels)) - 1)
+    return _pairings(order, metrics)
 
 
-def _pairings_of(order: list[int], metrics: dict, memo: dict, mask: int) -> list:
-    """Every perfect pairing of the word positions in ``mask``, as (sign,
-    metric factors), built once per mask.
-
-    The Pfaffian is expanded along the least remaining label, paired with
-    each other remaining label in ascending order; the sign is the parity
-    of the remaining labels between the two in the word.  Each pair costs
-    one metric lookup and one sign, each leaf one tuple.  Each metric and
-    each leaf's metrics come out ascending and, for distinct labels, so do
-    the (2n-1)!! leaves: ``canonicalize``'s form and order.
-    """
-    if mask not in memo:
-        p, *rest = [q for q in order if mask >> q & 1]
-        memo[mask] = leaves = []
-        for q in rest:
-            between = mask & ((1 << q) - (2 << p) if p < q else (1 << p) - (2 << q))
-            sub = _pairings_of(order, metrics, memo, mask ^ 1 << p ^ 1 << q)
-            leaves += _prefixed((metrics[p, q],), sub, between.bit_count() % 2)
-    return memo[mask]
+@lru_cache(maxsize=None)
+def _pairing_table(n: int) -> tuple[tuple[int, int, itemgetter], ...]:
+    """The pairings of ranks 0..n-1, n even, as (mask, parity, get), kept
+    for the process (0.23 MB for n = 10): the Pfaffian's expansion along
+    rank 0, paired with each s ascending at sign (-1)^(s-1), from table
+    n - 2.  Rank pair k, in ``combinations`` order, is bit k of ``mask``;
+    ``parity`` counts crossing pairs mod 2; ``get`` reads the pairs, k
+    ascending, from a tuple in k order, as a tuple even for n = 2."""
+    ids = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    table = [] if n else [(0, 0, itemgetter(slice(0)))]
+    for s in range(1, n):
+        moved = tuple(ids[pair] for pair in combinations([r for r in range(1, n) if r != s], 2))
+        for sub_mask, sub_parity, sub_get in _pairing_table(n - 2):
+            pair_ids = (ids[0, s], *sub_get(moved))
+            get = itemgetter(*pair_ids) if n > 2 else itemgetter(slice(1))
+            table.append((sum(1 << k for k in pair_ids), sub_parity ^ (s - 1) & 1, get))
+    return tuple(table)
 
 
-def _prefixed(head: tuple, sub: list, flip: int) -> list:
-    """``sub``'s leaves with ``head`` before their factors, signs negated if ``flip``."""
-    if flip:
-        return [(-s, head + f) for s, f in sub]
-    return [(s, head + f) for s, f in sub]
+def _pairings(order: list[int], metrics: dict, head: tuple = (), flip: int = 0) -> list:
+    """(sign bit ^ ``flip``, ``head`` + metrics) per pairing of the positions
+    ``order`` lists by rank.  Each metric and each leaf's metrics come out
+    ascending and, for distinct labels, so do the (2n-1)!! leaves:
+    ``canonicalize``'s form and order."""
+    row, inv = [], 0
+    for k, pair in enumerate(combinations(order, 2)):
+        row.append(metrics[pair])
+        inv |= (pair[0] > pair[1]) << k
+    row, flip = tuple(row), flip ^ inv.bit_count() & 1
+    return [
+        (flip ^ parity ^ (inv & mask).bit_count() & 1, head + get(row))
+        for mask, parity, get in _pairing_table(len(order))
+    ]
 
 
 def _g5_pairings_of(
-    labels: tuple[str, ...], order: list[int], metrics: dict, memo: dict, g5_memo: dict, mask: int
+    labels: tuple[str, ...], order: list[int], metrics: dict, g5_memo: dict, mask: int
 ) -> list:
     """tr(g^{a1}...g^{an} g5) at d = 4 over the word positions in ``mask``,
-    n even, as (sign, (eps, *metrics)) leaves built once per mask.
+    n even, as (sign bit, (eps, *metrics)) leaves built once per mask.
 
     The trace is -4i times the signed sum of the leaves.  Words of four or
     more gammas apply the reduction identity to their first three labels.
@@ -174,14 +176,11 @@ def _g5_pairings_of(
     label.  Its eps branch, +i eps^{abcs} g_s g5, leaves the inserted g5 to
     hop over the odd-length remainder (sign -1) and square away: a plain
     trace against eps^{abc s} with net coefficient -i.  Its first pairing
-    step contracts s with each later label r_j in turn, sign (-1)^j, so a
-    leaf is eps^{abc r_j} times a ``_pairings_of`` leaf of the other
-    labels: no label is added, and a word of distinct labels gives leaves
-    without dummies: 1, 6, 33 and 204 for 4, 6, 8 and 10 gammas.  Metrics
-    and eps have their labels sorted, eps's parity folded into the sign
-    (both by ``algebra._keyed``, which also drops an eps with a repeated
-    label), and each leaf's metrics are in ascending order.
-    """
+    step contracts s with each later label r_j, sign (-1)^j, so a leaf is
+    eps^{abc r_j} times a ``_pairings`` leaf of the other labels, and
+    distinct labels give leaves without dummies (1, 6, 33 and 204 for 4,
+    6, 8 and 10 gammas).  ``algebra._keyed`` sorts eps's labels, folding
+    their parity into the sign, and drops an eps with a repeated label."""
     if mask in g5_memo:
         return g5_memo[mask]
     g5_memo[mask] = leaves = []
@@ -189,18 +188,19 @@ def _g5_pairings_of(
     if len(positions) < 4:
         return leaves
     a, b, c, *rest = positions
-    for sign, p, q in ((1, a, b), (-1, a, c), (1, b, c)):
+    for flip, p, q in ((0, a, b), (1, a, c), (0, b, c)):
         metric = metrics[p, q] if (p, q) in metrics else metrics[q, p]
         m, lower = (metric,), metric.i
-        sub = _g5_pairings_of(labels, order, metrics, memo, g5_memo, mask ^ 1 << p ^ 1 << q)
+        sub = _g5_pairings_of(labels, order, metrics, g5_memo, mask ^ 1 << p ^ 1 << q)
         for s, f in sub:
             k = bisect_right(f, lower, 1, key=_LOWER_LABEL)
-            leaves.append((sign * s, f[:k] + m + f[k:]))
+            leaves.append((flip ^ s, f[:k] + m + f[k:]))
+    ranked = [q for q in order if q > c and mask >> q & 1]  # rest, in rank order
     for j, r in enumerate(rest):
         key, parity = _keyed("Epsilon", "", (labels[a], labels[b], labels[c], labels[r]))
         if parity:
-            sub = _pairings_of(order, metrics, memo, mask ^ 1 << a ^ 1 << b ^ 1 << c ^ 1 << r)
-            leaves += _prefixed((_factor_of(key),), sub, (parity < 0) ^ (j % 2))
+            others = [q for q in ranked if q != r]
+            leaves += _pairings(others, metrics, (_factor_of(key),), (parity < 0) ^ j & 1)
     return leaves
 
 
@@ -237,7 +237,7 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
     leaves = _leaves(labels, has_g5)
     if has_g5 and distinct:
         leaves.sort(key=lambda leaf: (leaf[1][0].idx, [(m.i, m.j) for m in leaf[1][1:]]))
-    coeffs = _LEAF_COEFFS[has_g5, sign]
+    coeffs = _LEAF_COEFFS[has_g5][::sign]  # a word sign of -1 swaps them
     terms = tuple([Term(coeffs[s], f) for s, f in leaves])
     return Expression(terms) if distinct else canonicalize(Expression(terms))
 

@@ -222,11 +222,12 @@ def _identifier(name: Any, what: str) -> str:
     return name
 
 
-def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
+def _coefficient_from_structured(obj: dict[str, Any], taken: set[str]) -> Coefficient:
     """Inverse of ``coefficient_structured``; RenderError for a missing
     num/den, a non-integer number or exponent, an i_power other than 0 or 1,
     or a constant that is not an identifier or bubble I0[mass], or whose name
-    (a bubble's mass) is reserved by the engine (``RESERVED_NAMES``)."""
+    (a bubble's mass) is reserved by the engine (``RESERVED_NAMES``) or
+    ``taken`` by a slot or potential, as a model file's ``name-clash``."""
     if not isinstance(obj, dict) or {"num", "den"} - obj.keys():
         raise RenderError(f"coefficient {obj!r} needs integer 'num' and 'den'")
     num = _structured_int(obj["num"], "num")
@@ -241,8 +242,11 @@ def _coefficient_from_structured(obj: dict[str, Any]) -> Coefficient:
         raise RenderError(f"coefficient constants {constants!r} is not an object")
     for name in constants:
         mass = bubble_mass(name) if isinstance(name, str) else None
-        if _identifier(name if mass is None else mass, "constant name") in RESERVED_NAMES:
+        symbol = _identifier(name if mass is None else mass, "constant name")
+        if symbol in RESERVED_NAMES:
             raise RenderError(f"constant {name!r} cannot be listed in 'constants'")
+        if symbol in taken:
+            raise RenderError(f"constant {name!r} clashes with the slot or potential {symbol!r}")
     powers = {
         name: _structured_int(exp, f"exponent of {name!r}") for name, exp in constants.items()
     }
@@ -296,10 +300,11 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     payload that is not an object, ``slots`` or ``terms`` that are not
     lists of objects, an entry that lacks a key, a malformed slot entry
     (``_slot_from_structured``) or coefficient, a name used twice among the
-    slot names and potentials or reserved by the engine (``RESERVED_NAMES``,
-    as in a model file), a tensor other than ``"epsilon"``, an unknown
-    form, or term slots that are not two names listed in ``slots``.  The
-    terms come back in the action normal form (``normal_form``)."""
+    slot names and potentials, reserved by the engine (``RESERVED_NAMES``)
+    or also a coefficient constant, as in a model file, a tensor other than
+    ``"epsilon"``, an unknown form, or term slots that are not two names
+    listed in ``slots``.  The terms come back in the action normal form
+    (``normal_form``)."""
     if not isinstance(obj, dict):
         raise RenderError(f"structured action must be an object, got {obj!r}")
     schema = obj.get("schema")
@@ -314,7 +319,8 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     names = [s.name for s in slots] + [s.potential for s in slots if s.exact]
     if len(set(names)) != len(names):
         raise RenderError("two slot entries share a name or potential")
-    reserved = sorted(RESERVED_NAMES.intersection(names))
+    taken = set(names)
+    reserved = sorted(RESERVED_NAMES & taken)
     if reserved:
         raise RenderError(f"slot names and potentials {reserved} are reserved by the engine")
     form = obj.get("form", FIELD_STRENGTH)
@@ -324,7 +330,7 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
         missing = {"coefficient", "tensor", "slots"} - entry.keys()
         if missing:
             raise RenderError(f"term entry lacks {sorted(missing)}")
-        coeff = _coefficient_from_structured(entry["coefficient"])
+        coeff = _coefficient_from_structured(entry["coefficient"], taken)
         if entry["tensor"] != ActionTerm.structure:
             raise RenderError(f"unknown tensor {entry['tensor']!r}; every term is 'epsilon'")
         names = entry["slots"]

@@ -1,6 +1,9 @@
 """Canonical forms, contraction and dimension substitution."""
 
+import copy
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -263,3 +266,99 @@ def test_expression_product_keeps_open_indices_and_shifts_closed_ones():
     right = Expression.of(Term(ONE, factors=(Metric("x", "a"), Metric("a", "z"))))
     product = contract(canonicalize(left * right))
     assert product == expr_of(Term(ONE, factors=(Metric("y", "z"),)))
+
+
+# ---------------------------------------------------------------------------
+# The value types' contract: repr, equality, hash, immutability, copies
+# ---------------------------------------------------------------------------
+
+_HALF = Coefficient(Fraction(1, 2), Fraction(-3), (("e", 2),), (("log(4pi)", 1),), -1)
+_TERM = Term(ONE, (Metric("a", "b"),), (gamma("a"), G5))
+_VALUES = [
+    (
+        _HALF,
+        "Coefficient(re=Fraction(1, 2), im=Fraction(-3, 1), consts=(('e', 2),), "
+        "logs=(('log(4pi)', 1),), eps_power=-1)",
+    ),
+    (Metric("a", "b"), "Metric(i='a', j='b')"),
+    (Epsilon(("a", "b", "c", "d")), "Epsilon(idx=('a', 'b', 'c', 'd'))"),
+    (Momentum("k", "mu"), "Momentum(name='k', i='mu')"),
+    (FieldSlot("F", "mu", "nu"), "FieldSlot(slot='F', i='mu', j='nu')"),
+    (
+        _TERM,
+        "Term(coeff=Coefficient(re=Fraction(1, 1), im=Fraction(0, 1), consts=(), logs=(), "
+        "eps_power=0), factors=(Metric(i='a', j='b'),), word=(('g', 'a'), ('g5',)))",
+    ),
+    (Expression(), "Expression(terms=())"),
+]
+_FIELDS = {
+    Coefficient: ("re", "im", "consts", "logs", "eps_power"),
+    Metric: ("i", "j"),
+    Epsilon: ("idx",),
+    Momentum: ("name", "i"),
+    FieldSlot: ("slot", "i", "j"),
+    Term: ("coeff", "factors", "word"),
+    Expression: ("terms",),
+}
+_IDS = [type(value).__name__ for value, _ in _VALUES]
+
+
+@pytest.mark.parametrize("value, text", _VALUES, ids=_IDS)
+def test_value_repr_is_pinned(value, text):
+    # error texts and the pinned trace digest embed these reprs
+    assert repr(value) == text
+    assert repr(Expression((_TERM,))) == f"Expression(terms=({_VALUES[5][1]},))"
+
+
+@pytest.mark.parametrize("value, _text", _VALUES, ids=_IDS)
+def test_value_hash_is_the_hash_of_its_field_tuple(value, _text):
+    # so no set or dict order moves
+    fields = tuple(getattr(value, name) for name in _FIELDS[type(value)])
+    assert hash(value) == hash(fields)
+
+
+def test_values_of_different_types_with_equal_fields_differ():
+    assert Metric("a", "b") != Momentum("a", "b")
+    assert Metric("a", "b") == Metric("a", "b")
+    assert Metric("a", "b") != ("a", "b")
+    assert len({Metric("a", "b"), Momentum("a", "b"), Metric("a", "b")}) == 2
+
+
+@pytest.mark.parametrize("value, _text", _VALUES, ids=_IDS)
+def test_value_fields_cannot_be_assigned_or_deleted(value, _text):
+    name = _FIELDS[type(value)][0]
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, name) is before
+
+
+def test_value_keyword_construction_and_defaults():
+    assert Coefficient() == Coefficient(Fraction(0), Fraction(0), (), (), 0)
+    imaginary = Coefficient(Fraction(0), Fraction(2), (), (), 1)
+    assert Coefficient(im=Fraction(2), eps_power=1) == imaginary
+    assert Term(coeff=ONE) == Term(ONE, (), None)
+    assert Term(ONE, word=(G5,)).factors == ()
+    assert Expression() == Expression(terms=()) == Expression.zero()
+    assert Metric(j="b", i="a") == Metric("a", "b")
+    assert FieldSlot(slot="F", i="mu", j="nu") == FieldSlot("F", "mu", "nu")
+    assert Momentum(name="k", i="mu").name == "k"
+    assert Epsilon(idx=("a", "b", "c", "d")).idx == ("a", "b", "c", "d")
+
+
+@pytest.mark.parametrize("value, _text", _VALUES, ids=_IDS)
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_value_survives_pickle_and_copy(value, _text, round_trip):
+    copied = round_trip(value)
+    assert type(copied) is type(value)
+    assert copied == value
+    assert repr(copied) == repr(value)
+    assert hash(copied) == hash(value)

@@ -2,7 +2,9 @@
 
 import gc
 import hashlib
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,70 @@ def test_trace_contracts_spectator_indices():
     traced = trace(Expression.of(Term(ONE, factors=spectators, word=word)))
     expected = Term(Coefficient.rational(-8), factors=(FieldSlot("X", "a", "b"), FieldSlot("Y", "a", "b")))
     assert traced == canonicalize(Expression.of(expected))
+
+
+# ---------------------------------------------------------------------------
+# The pairing table
+# ---------------------------------------------------------------------------
+
+
+def _reference_pairings(ranks):
+    """Perfect matchings of ``ranks``, least first paired with each other
+    rank ascending, as pair lists: the Pfaffian's expansion order."""
+    if not ranks:
+        yield []
+        return
+    first, rest = ranks[0], ranks[1:]
+    for j, partner in enumerate(rest):
+        for sub in _reference_pairings(rest[:j] + rest[j + 1 :]):
+            yield [(first, partner)] + sub
+
+
+def _crossings(pairs):
+    spans = [tuple(sorted(pair)) for pair in pairs]
+    return sum(a < c < b < d or c < a < d < b for (a, b), (c, d) in combinations(spans, 2))
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8, 10])
+def test_pairing_table_lists_every_matching_once_in_expansion_order(n):
+    table = dirac._pairing_table(n)
+    expected = list(_reference_pairings(list(range(n))))
+    assert len(table) == len(expected) == math.prod(range(n - 1, 0, -2))
+    ids = list(combinations(range(n), 2))
+    for (mask, parity, get), pairs in zip(table, expected):
+        assert mask == sum(1 << ids.index(pair) for pair in pairs)
+        assert parity == _crossings(pairs) % 2
+        assert get(tuple(ids)) == tuple(pairs)
+
+
+# few labels, so that ties are common; "x10" sorts before "x2"
+PAIRING_LABELS = ["a", "b", "mu", "x10", "x2"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    labels=st.integers(min_value=0, max_value=5).flatmap(
+        lambda k: st.lists(st.sampled_from(PAIRING_LABELS), min_size=2 * k, max_size=2 * k)
+    ),
+    head=st.sampled_from([(), ("h",)]),
+    flip=st.integers(min_value=0, max_value=1),
+)
+def test_pairing_leaf_signs_count_crossings_in_word_positions(labels, head, flip):
+    # ties included: rank order breaks a tie by position, and every leaf's
+    # sign bit is its crossing count in word positions, plus the flip
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    by_position = {pair: pair for pair in combinations(order, 2)}
+    leaves = dirac._pairings(order, by_position, head, flip)
+    expected = list(_reference_pairings(order))
+    assert len(leaves) == len(expected)
+    for (sign, factors), pairs in zip(leaves, expected):
+        assert factors == head + tuple(pairs)
+        assert sign == (_crossings(pairs) + flip) % 2
+    # and a plain trace's leaves are these pairings, as metrics of the labels
+    plain = [(s, tuple((m.i, m.j) for m in f)) for s, f in dirac._leaves(tuple(labels), False)]
+    assert plain == [
+        (_crossings(pairs) % 2, tuple((labels[p], labels[q]) for p, q in pairs)) for pairs in expected
+    ]
 
 
 # ---------------------------------------------------------------------------

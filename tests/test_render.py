@@ -275,6 +275,9 @@ def _with_slot_entries(*entries):
         _payload_with(coefficient={"num": 1, "den": 2, "constants": {"gammaE": 1}}),
         _payload_with(coefficient={"num": 1, "den": 2, "constants": {"Z": 1}}),
         _payload_with(coefficient={"num": 1, "den": 2, "constants": {"I0[eps]": 1}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"F": 1}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"A": 1}}),
+        _payload_with(coefficient={"num": 1, "den": 2, "constants": {"I0[G]": 1}}),
     ],
     ids=[
         "one-slot", "three-slots", "slots-string", "no-tensor", "no-coefficient",
@@ -291,10 +294,19 @@ def _with_slot_entries(*entries):
         "reserved-slot-on-reserved-potential", "reserved-fundamental-slot", "reserved-potential",
         "reserved-unused-slot", "schema-true", "schema-float", "constant-eps",
         "constant-lambda", "constant-gammae", "constant-z", "bubble-of-reserved-mass",
+        "constant-is-a-slot", "constant-is-a-potential", "bubble-of-a-slot-mass",
     ],
 )
 def test_structured_malformed_entry_rejected(payload):
     with pytest.raises(RenderError):
+        structured_to_action(payload)
+
+
+def test_structured_constant_named_like_a_slot_is_a_name_clash(theta_action):
+    # a model file rejects `constant F` beside `slot F exact A` as name-clash
+    payload = render_structured(theta_action)
+    payload["terms"][0]["coefficient"]["constants"]["F"] = 1
+    with pytest.raises(RenderError, match="constant 'F' clashes with the slot or potential 'F'"):
         structured_to_action(payload)
 
 
