@@ -5,7 +5,8 @@ rule and the loop normalization of the assembled action, and a fixed
 Gauss-Legendre rule in t, with u = m^2 (e^t - 1), verifies the regularized
 radial integrals of both cutoff table entries.  The representation is
 fixed for reproducibility; anything with metric (+,-,-,-) and
-eps(0,1,2,3) = +1 would do.
+eps(0,1,2,3) = +1 would do.  It is held once, as exact monomial tables
+that ``numeric_trace`` multiplies in pure Python and the dense arrays copy.
 
 A symbolic trace is evaluated as written, the way ``trace_word`` returns
 it: eta = diag(1,-1,-1,-1), eps^{0123} = +1, d = 4, and a label occurring
@@ -16,9 +17,9 @@ there cannot cancel against the same fault in the value it is checked
 against.  Each factor and coefficient object is read once per call, and an
 index value must be an int in 0..3.
 
-Importing this module does not load numpy: it loads on the first numeric
-call (the first use of the tables, the quadrature rule), so only
-``selftest`` and direct oracle users pay for it.
+Importing this module does not load numpy, nor do ``numeric_trace`` and
+``evaluate_expression_numeric`` on distinct, assigned labels: only an
+einsum, the dense arrays, the eta/eps tables and the quadrature rule do.
 """
 
 from __future__ import annotations
@@ -71,21 +72,37 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+# The Dirac representation, g0 = diag(1, 1, -1, -1) and g^k = [[0, s_k], [-s_k, 0]],
+# as monomial tables: each matrix has one entry i^p per row, in column c; a row is (c, p).
+_PHASE = (1, 1j, -1, -1j)  # i^p
+_GAMMA_TABLES = (
+    ((0, 0), (1, 0), (2, 2), (3, 2)),
+    ((3, 0), (2, 0), (1, 2), (0, 2)),
+    ((3, 3), (2, 1), (1, 1), (0, 3)),
+    ((2, 0), (3, 2), (0, 2), (1, 0)),
+)
+
+
+def _times(rows: list, table: tuple) -> list:
+    """Rows of the monomial product A B: A's row in column c goes on through B's row c."""
+    return [(table[c][0], p + table[c][1]) for c, p in rows]
+
+
+_G5_TABLE = tuple(  # g5 = i g0 g1 g2 g3
+    (c, p % 4) for c, p in functools.reduce(_times, _GAMMA_TABLES, [(r, 1) for r in range(4)]))
+
+
 @functools.cache
 def _gammas() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(g^0..g^3, g5) in the Dirac representation, g5 = i g0 g1 g2 g3; numpy loads here."""
+    """(g^0..g^3, g5) as dense read-only arrays of the monomial tables; numpy loads here."""
     import numpy as np
 
-    s0 = np.eye(2, dtype=complex)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    g0 = np.block([[s0, zero], [zero, -s0]])
-    mats = (g0,) + tuple(np.block([[zero, s], [-s, zero]]) for s in (sx, sy, sz))
-    g5 = 1j * mats[0] @ mats[1] @ mats[2] @ mats[3]
-    _read_only(*mats, g5)
-    return mats, g5
+    dense = [np.zeros((4, 4), dtype=complex) for _ in range(5)]
+    for m, table in zip(dense, (*_GAMMA_TABLES, _G5_TABLE)):
+        for r, (c, p) in enumerate(table):
+            m[r, c] = _PHASE[p]
+    *mats, g5 = _read_only(*dense)
+    return tuple(mats), g5
 
 
 @functools.cache
@@ -130,21 +147,16 @@ def _check_indices(assignment: dict[str, int]) -> None:
 
 
 def numeric_trace(word: Word, assignment: dict[str, int]) -> complex:
-    """Trace of the explicit matrix product for concretely assigned indices."""
-    import numpy as np
-
+    """Trace of the explicit matrix product for concretely assigned indices: the
+    exact product of monomial tables, summing i^p over the rows left on the diagonal."""
     _check_indices(assignment)
-    mats, g5 = _gammas()
-    product = np.eye(4, dtype=complex)
+    rows = [(r, 0) for r in range(4)]
     try:
         for letter in word:
-            if letter == G5:
-                product = product @ g5
-            else:
-                product = product @ mats[assignment[letter[1]]]
+            rows = _times(rows, _G5_TABLE if letter == G5 else _GAMMA_TABLES[assignment[letter[1]]])
     except KeyError as missing:
         raise ValueError(f"free index {missing.args[0]!r} has no assigned value") from None
-    return complex(np.trace(product))
+    return complex(sum(_PHASE[p % 4] for r, (c, p) in enumerate(rows) if c == r))
 
 
 def _check_term(term: Term) -> None:
@@ -244,12 +256,13 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
 
     Each factor and coefficient object is read once per call and kept by
     identity (``trace_word``'s leaves share them): a factor's labels and
-    value, a coefficient's number.  One walk multiplies a term's factor
-    values while its labels are distinct and assigned; else the term is
-    one einsum, as in ``evaluate_term_numeric``.  Terms add left to right.
+    value, a coefficient's check, and its number once a term of it is
+    nonzero.  One walk multiplies a term's factor values while its labels
+    are distinct and assigned; else the term is one einsum, as in
+    ``evaluate_term_numeric``.  Terms add left to right.
     """
     _check_indices(assignment)
-    scalars: dict[int, complex] = {}
+    scalars: dict[int, complex | None] = {}  # None: checked, number not yet needed
     entries: dict[int, tuple] = {}
     bits: dict[str, int] = {}
 
@@ -262,7 +275,7 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
         key = id(term.coeff)
         if term.word is not None or key not in scalars:
             _check_term(term)
-            scalars[key] = _number(term.coeff, _AT_FOUR, {})
+            scalars[key] = None
         value, seen = 1.0, 0
         for f in term.factors:
             _, _, mask, v = entries.get(id(f)) or entry(f)
@@ -273,7 +286,9 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
             seen |= mask
             value *= v
         if value:
-            total += scalars[key] * value
+            if (number := scalars[key]) is None:
+                number = scalars[key] = _number(term.coeff, _AT_FOUR, {})
+            total += number * value
     return total
 
 

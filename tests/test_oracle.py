@@ -4,6 +4,7 @@ the import budget (numpy only for numeric checks, SymPy never)."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -77,6 +78,46 @@ def test_unassigned_free_index_is_a_value_error_naming_it(evaluate):
             evaluate_expression_numeric(trace_word(word), {"a": 0})
         else:
             numeric_trace(word, {"a": 0})
+
+
+def _dense_trace(word, assignment: dict[str, int]) -> complex:
+    """Trace of the dense product of the oracle's gamma arrays, one @ per letter."""
+    import numpy as np
+
+    mats, g5 = oracle._gammas()
+    product = np.eye(4, dtype=complex)
+    for letter in word:
+        product = product @ (g5 if letter == G5 else mats[assignment[letter[1]]])
+    return complex(np.trace(product))
+
+
+@st.composite
+def assigned_words(draw):
+    """Words of 0-10 gammas on labels a-e, repeats allowed, with 0-2 g5, and a value for every label."""
+    labels = draw(st.lists(st.sampled_from("abcde"), max_size=10))
+    word = [gamma(label) for label in labels]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        word.insert(draw(st.integers(min_value=0, max_value=len(word))), G5)
+    return tuple(word), {x: draw(st.integers(min_value=0, max_value=3)) for x in sorted(set(labels))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=assigned_words(), bad=st.sampled_from([-1, 4, 1.0, True]))
+@example(case=((G5, gamma("a"), gamma("b"), gamma("c"), gamma("d")),
+               {"a": 0, "b": 1, "c": 2, "d": 3}), bad=4)
+@example(case=((G5, G5), {}), bad=-1)
+def test_numeric_trace_equals_the_dense_matrix_product(case, bad):
+    word, assignment = case
+    value = numeric_trace(word, assignment)
+    assert type(value) is complex and value == _dense_trace(word, assignment)
+    if assignment:
+        label = min(assignment)
+        text = f"index {label!r} has value {bad!r}, not an int in 0..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            numeric_trace(word, {**assignment, label: bad})
+        text = f"free index {label!r} has no assigned value"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            numeric_trace(word, {x: v for x, v in assignment.items() if x != label})
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +482,20 @@ def _probe(source: str, *args: str) -> list[str]:
 
 def test_import_does_not_load_numpy():
     assert _probe("import sys, dipoleft; print('numpy' in sys.modules)") == ["False"]
+
+
+def test_oracle_values_on_distinct_assigned_labels_do_not_load_numpy():
+    source = (
+        "import sys\n"
+        "from dipoleft.algebra import G5, gamma\n"
+        "from dipoleft.dirac import FOUR_DIM, trace_word\n"
+        "from dipoleft.oracle import evaluate_expression_numeric, numeric_trace\n"
+        "word = (gamma('a'), gamma('b'), G5, gamma('c'), gamma('d'), gamma('e'), gamma('f'))\n"
+        "values = {'a': 0, 'b': 1, 'c': 2, 'd': 3, 'e': 1, 'f': 1}\n"
+        "symbolic = evaluate_expression_numeric(trace_word(word, FOUR_DIM), values)\n"
+        "print(symbolic == numeric_trace(word, values) == 4j, 'numpy' in sys.modules)\n"
+    )
+    assert _probe(source) == ["True", "False"]
 
 
 def test_import_exposes_the_documented_api():
