@@ -36,6 +36,7 @@ from .algebra import (
     FieldSlot,
     Momentum,
     Term,
+    _Value,
     _powmap,
     canonicalize,
     fresh_labels,
@@ -69,38 +70,36 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlotSpec:
-    name: str
-    potential: Optional[str] = None  # None marks a fundamental 2-form field
+class SlotSpec(_Value):
+    __slots__ = ("name", "potential")
+
+    def __init__(self, name: str, potential: Optional[str] = None) -> None:
+        self._assign(name, potential)  # potential None marks a fundamental 2-form field
 
     @property
     def exact(self) -> bool:
         return self.potential is not None
 
 
-@dataclass(frozen=True)
-class FlavorSpec:
-    name: str
-    mass: str
-    chirality: int  # chi in the projector (1 - i*chi*g5)
-    coeff: Coefficient
-    combo: tuple[tuple[int, str], ...]
+class FlavorSpec(_Value):
+    __slots__ = ("name", "mass", "chirality", "coeff", "combo")
+
+    def __init__(self, name: str, mass: str, chirality: int, coeff: Coefficient, combo: tuple) -> None:
+        self._assign(name, mass, chirality, coeff, combo)  # chirality: chi of the projector (1 - i*chi*g5)
 
 
-@dataclass(frozen=True)
-class AbsorbDirective:
-    coupling: str
-    finite_name: str
-    scale: Coefficient  # exact rational times a power of pi
+class AbsorbDirective(_Value):
+    __slots__ = ("coupling", "finite_name", "scale")
+
+    def __init__(self, coupling: str, finite_name: str, scale: Coefficient) -> None:
+        self._assign(coupling, finite_name, scale)  # scale: exact rational times a power of pi
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    slots: tuple[SlotSpec, ...]
-    flavors: tuple[FlavorSpec, ...]
-    absorb: tuple[AbsorbDirective, ...] = ()
-    constants: tuple[str, ...] = ()
+class ModelSpec(_Value):
+    __slots__ = ("slots", "flavors", "absorb", "constants")
+
+    def __init__(self, slots: tuple, flavors: tuple, absorb: tuple = (), constants: tuple = ()) -> None:
+        self._assign(slots, flavors, absorb, constants)
 
 
 @dataclass(frozen=True)
@@ -436,12 +435,12 @@ TRI_TRIVIAL = "TRI-trivial"
 NOT_TRI = "not-TRI"
 
 
-@dataclass(frozen=True)
-class QuantizationResult:
-    theta_over_pi: Fraction
-    nf: int
-    charge_multiplier: int  # topological charge is quantized as this times an integer
-    classification: str
+class QuantizationResult(_Value):
+    __slots__ = ("theta_over_pi", "nf", "charge_multiplier", "classification")
+
+    def __init__(self, theta_over_pi: Fraction, nf: int, charge_multiplier: int, classification: str) -> None:
+        # the topological charge is quantized as charge_multiplier times an integer
+        self._assign(theta_over_pi, nf, charge_multiplier, classification)
 
 
 def check_quantization(theta_over_pi: Fraction | int, nf: int) -> QuantizationResult:
@@ -451,9 +450,12 @@ def check_quantization(theta_over_pi: Fraction | int, nf: int) -> QuantizationRe
     theory is time-reversal invariant iff q*Nf^2 is an integer: odd gives
     the nontrivial class, even (including zero) the trivial one.  A
     non-integer q*Nf^2 breaks the theta -> -theta symmetry for some charge.
+    A bool, or a float q (read as its binary fraction), is a DomainError.
     """
-    if nf <= 0 or nf % 2 == 0:
-        raise DomainError(f"flavor number must be a positive odd integer, got {nf}")
+    if isinstance(nf, bool) or not isinstance(nf, int) or nf <= 0 or nf % 2 == 0:
+        raise DomainError(f"flavor number must be a positive odd integer, got {nf!r}")
+    if isinstance(theta_over_pi, bool) or not isinstance(theta_over_pi, (int, Fraction)):
+        raise DomainError(f"theta/pi must be an int or a Fraction, got {theta_over_pi!r}")
     q = Fraction(theta_over_pi)
     scaled = q * nf * nf
     if scaled.denominator == 1:

@@ -53,16 +53,19 @@ _ZERO = Fraction(0)
 class _Value:
     """An immutable value made of named fields, on slots.
 
-    It keeps the contract of the frozen dataclass it replaces: positional
-    or keyword construction with defaults, a ``Name(field=value, ...)``
-    repr, equality only between instances of one class, a hash equal to
-    ``hash`` of the field tuple, so no set or dict order moves, and an
-    ``AttributeError`` on assignment or deletion.  Each subclass lists its
-    fields, in order, in ``__slots__`` and sets them in its own
-    ``__init__`` through the slot descriptors' ``__set__`` (``_setters``),
-    which ``__setattr__`` does not see: a ``Term`` costs about half its
-    frozen-dataclass construction.  ``__reduce__`` rebuilds a value
-    from its fields, so pickle and ``copy`` go through ``__init__`` too.
+    It keeps the contract of the frozen dataclass it replaces, for this
+    module's types and for the model, diagnostic and report types of
+    ``action``, ``modelfile`` and ``oracle``: positional or keyword
+    construction with defaults, a ``Name(field=value, ...)`` repr, equality
+    only between instances of one class, a hash equal to ``hash`` of the
+    field tuple, so no set or dict order moves, and an ``AttributeError``
+    on assignment or deletion.  Each subclass lists its fields, in order,
+    in ``__slots__`` and sets them in its own ``__init__`` through the slot
+    descriptors' ``__set__`` (``_setters``), which ``__setattr__`` does not
+    see: this module's types call each setter by name, so a ``Term`` costs
+    about half its frozen-dataclass construction, and the others call
+    ``_assign``.  ``__reduce__`` rebuilds a value from its fields, so
+    pickle and ``copy`` go through ``__init__`` too.
     """
 
     __slots__ = ()
@@ -72,6 +75,7 @@ class _Value:
         get = attrgetter(*cls.__slots__)  # of one name, the value rather than a 1-tuple
         cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
         cls._format = f"{cls.__qualname__}({', '.join(f'{n}={{!r}}' for n in cls.__slots__)})"
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __repr__(self) -> str:
         return self._format.format(*self._fields(self))
@@ -93,10 +97,10 @@ class _Value:
     def __reduce__(self) -> tuple:
         return type(self), self._fields(self)
 
-
-def _setters(cls: type) -> tuple:
-    """The ``__set__`` of each of ``cls``'s slots, in field order."""
-    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+    def _assign(self, *values: object) -> None:
+        """Set every field, in ``__slots__`` order, through ``_setters``."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
 
 def _merged(
@@ -260,7 +264,7 @@ class Coefficient(_Value):
         return stripped * power
 
 
-_set_re, _set_im, _set_consts, _set_logs, _set_eps_power = _setters(Coefficient)
+_set_re, _set_im, _set_consts, _set_logs, _set_eps_power = Coefficient._setters
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +312,10 @@ class FieldSlot(_Value):
         _set_slot_j(self, j)
 
 
-_set_metric_i, _set_metric_j = _setters(Metric)
-(_set_idx,) = _setters(Epsilon)
-_set_momentum_name, _set_momentum_i = _setters(Momentum)
-_set_slot, _set_slot_i, _set_slot_j = _setters(FieldSlot)
+_set_metric_i, _set_metric_j = Metric._setters
+(_set_idx,) = Epsilon._setters
+_set_momentum_name, _set_momentum_i = Momentum._setters
+_set_slot, _set_slot_i, _set_slot_j = FieldSlot._setters
 
 
 TensorFactor = Union[Metric, Epsilon, Momentum, FieldSlot]
@@ -475,8 +479,8 @@ class Expression(_Value):
         return Expression(tuple(Term(coeff * t.coeff, t.factors, t.word) for t in self.terms))
 
 
-_set_coeff, _set_factors, _set_word = _setters(Term)
-(_set_terms,) = _setters(Expression)
+_set_coeff, _set_factors, _set_word = Term._setters
+(_set_terms,) = Expression._setters
 
 
 # ---------------------------------------------------------------------------

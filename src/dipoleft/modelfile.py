@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RESERVED_NAMES, Coefficient, _powmap
+from .algebra import RESERVED_NAMES, Coefficient, _powmap, _Value
 from .action import AbsorbDirective, FlavorSpec, ModelSpec, SlotSpec
 
 # The two tokens of every input, and the patterns built from them.
@@ -57,11 +56,11 @@ _COMBO_TOKEN = re.compile(f"([+-]?)({_NAME})")
 _LINE_BREAK = re.compile("\r\n?|\n")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    line: int
-    message: str
+class Diagnostic(_Value):
+    __slots__ = ("code", "line", "message")
+
+    def __init__(self, code: str, line: int, message: str) -> None:
+        self._assign(code, line, message)
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.code}: {self.message}"

@@ -28,7 +28,6 @@ import collections
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .action import FlavorSpec, ModelSpec, SlotSpec, assemble
@@ -41,6 +40,7 @@ from .algebra import (
     Epsilon,
     Term,
     Word,
+    _Value,
     gamma,
 )
 from .dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
@@ -297,12 +297,11 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    seed: int
-    count: int
-    max_deviation: float
-    failures: tuple[str, ...]
+class SuiteReport(_Value):
+    __slots__ = ("seed", "count", "max_deviation", "failures")
+
+    def __init__(self, seed: int, count: int, max_deviation: float, failures: tuple[str, ...]) -> None:
+        self._assign(seed, count, max_deviation, failures)
 
     @property
     def passed(self) -> bool:

@@ -7,7 +7,6 @@ round-trips back into an EffectiveAction exactly.
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
 from typing import Any
@@ -351,4 +350,5 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
 
 
 def render_structured_json(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
+    import json  # only ``--format structured`` loads it
     return json.dumps(render_structured(action, form), indent=2, sort_keys=True)

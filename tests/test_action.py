@@ -2,9 +2,9 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,13 +49,13 @@ from dipoleft.oracle import loop_normalization_deviation
 ONE = Coefficient.one()
 
 
-def single_flavor(chirality=+1, mass="m") -> FlavorSpec:
+def single_flavor(chirality=+1, mass="m", name="psi", combo=((1, "F"),)) -> FlavorSpec:
     return FlavorSpec(
-        name="psi",
+        name=name,
         mass=mass,
         chirality=chirality,
         coeff=Coefficient.monomial(1, 2, e=1, alpha=1),
-        combo=((1, "F"),),
+        combo=combo,
     )
 
 
@@ -262,7 +262,7 @@ def test_assemble_matches_loop_normalization_oracle(model):
 
 
 def test_assemble_combo_f_minus_f_vanishes():
-    flavor = replace(single_flavor(), combo=((1, "F"), (-1, "F")))
+    flavor = single_flavor(combo=((1, "F"), (-1, "F")))
     assert assemble(one_slot_model(flavor)).terms == ()
 
 
@@ -273,7 +273,7 @@ def scaled(action: EffectiveAction, factor: Coefficient) -> EffectiveAction:
 
 
 def test_assemble_combo_f_plus_f_is_four_times_f():
-    doubled = assemble(one_slot_model(replace(single_flavor(), combo=((1, "F"), (1, "F")))))
+    doubled = assemble(one_slot_model(single_flavor(combo=((1, "F"), (1, "F")))))
     single = assemble(theta_model())
     assert doubled == scaled(single, Coefficient.rational(4))
 
@@ -375,7 +375,7 @@ def test_import_derives_no_kernel():
 
 
 def test_assemble_rejects_undeclared_combo_slot():
-    flavor = replace(single_flavor(), combo=((1, "F"), (1, "G")))
+    flavor = single_flavor(combo=((1, "F"), (1, "G")))
     with pytest.raises(ModelError, match="unknown slot name 'G'"):
         assemble(one_slot_model(flavor))
 
@@ -399,7 +399,7 @@ def test_renormalize_missing_directive_names_the_term():
 
 def test_renormalize_merges_flavors_of_different_masses():
     # masses m and M give distinct bundles that absorb into one finite term
-    heavy = replace(single_flavor(), name="chi", mass="M")
+    heavy = single_flavor(name="chi", mass="M")
     model = one_slot_model(single_flavor(), heavy)
     action = renormalize(assemble(model), model.absorb)
     assert action.terms == (
@@ -551,3 +551,27 @@ def test_check_quantization_charge_multiplier():
 def test_check_quantization_domain_errors(nf):
     with pytest.raises(DomainError):
         check_quantization(Fraction(1), nf)
+
+
+@pytest.mark.parametrize(
+    "theta, nf, named",
+    [
+        (Fraction(1, 3), 3.0, "3.0"),
+        (Fraction(1), True, "True"),
+        (Fraction(1), "3", "'3'"),
+        (0.1, 1, "0.1"),
+        (1.0, 1, "1.0"),
+        (True, 1, "True"),
+        ("1/3", 3, "'1/3'"),
+    ],
+)
+def test_check_quantization_rejects_a_non_integer_argument(theta, nf, named):
+    # nf is an int and theta/pi an int or a Fraction, neither a bool
+    with pytest.raises(DomainError, match=f"got {re.escape(named)}$"):
+        check_quantization(theta, nf)
+
+
+def test_check_quantization_accepts_an_int_theta():
+    result = check_quantization(3, 1)
+    assert result == check_quantization(Fraction(3), 1)
+    assert type(result.theta_over_pi) is Fraction and type(result.nf) is int

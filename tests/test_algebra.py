@@ -9,6 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dipoleft.action import (
+    AbsorbDirective,
+    FlavorSpec,
+    ModelSpec,
+    QuantizationResult,
+    SlotSpec,
+    check_quantization,
+)
 from dipoleft.algebra import (
     G5,
     Coefficient,
@@ -24,6 +32,8 @@ from dipoleft.algebra import (
     gamma,
     substitute_dimension,
 )
+from dipoleft.modelfile import Diagnostic, ModelFileError
+from dipoleft.oracle import SuiteReport
 
 ONE = Coefficient.one()
 
@@ -274,6 +284,14 @@ def test_expression_product_keeps_open_indices_and_shifts_closed_ones():
 
 _HALF = Coefficient(Fraction(1, 2), Fraction(-3), (("e", 2),), (("log(4pi)", 1),), -1)
 _TERM = Term(ONE, (Metric("a", "b"),), (gamma("a"), G5))
+_FLAVOR = FlavorSpec("psi", "m", 1, Coefficient.monomial(1, 2, e=1), ((1, "F"), (-1, "b")))
+_ABSORB = AbsorbDirective("e", "CF", Coefficient.monomial(-1, 8, pi=-1))
+_E_HALF_TEXT = (
+    "Coefficient(re=Fraction(1, 2), im=Fraction(0, 1), consts=(('e', 1),), logs=(), eps_power=0)"
+)
+_CF_SCALE_TEXT = (
+    "Coefficient(re=Fraction(-1, 8), im=Fraction(0, 1), consts=(('pi', -1),), logs=(), eps_power=0)"
+)
 _VALUES = [
     (
         _HALF,
@@ -290,6 +308,34 @@ _VALUES = [
         "eps_power=0), factors=(Metric(i='a', j='b'),), word=(('g', 'a'), ('g5',)))",
     ),
     (Expression(), "Expression(terms=())"),
+    # the model, diagnostic and report types of action, modelfile and oracle
+    (SlotSpec("b"), "SlotSpec(name='b', potential=None)"),
+    (
+        _FLAVOR,
+        "FlavorSpec(name='psi', mass='m', chirality=1, coeff=" + _E_HALF_TEXT
+        + ", combo=((1, 'F'), (-1, 'b')))",
+    ),
+    (_ABSORB, "AbsorbDirective(coupling='e', finite_name='CF', scale=" + _CF_SCALE_TEXT + ")"),
+    (
+        ModelSpec((SlotSpec("F", "A"), SlotSpec("b")), (_FLAVOR,), (_ABSORB,), ("e",)),
+        "ModelSpec(slots=(SlotSpec(name='F', potential='A'), SlotSpec(name='b', potential=None)), "
+        "flavors=(FlavorSpec(name='psi', mass='m', chirality=1, coeff=" + _E_HALF_TEXT
+        + ", combo=((1, 'F'), (-1, 'b'))),), absorb=(AbsorbDirective(coupling='e', finite_name='CF', "
+        "scale=" + _CF_SCALE_TEXT + "),), constants=('e',))",
+    ),
+    (
+        check_quantization(Fraction(1, 3), 3),
+        "QuantizationResult(theta_over_pi=Fraction(1, 3), nf=3, charge_multiplier=9, "
+        "classification='TRI-nontrivial')",
+    ),
+    (
+        Diagnostic("syntax", 5, "unknown directive 'bogus'"),
+        "Diagnostic(code='syntax', line=5, message=\"unknown directive 'bogus'\")",
+    ),
+    (
+        SuiteReport(42, 500, 1.5e-16, ("tr(g0 g1)",)),
+        "SuiteReport(seed=42, count=500, max_deviation=1.5e-16, failures=('tr(g0 g1)',))",
+    ),
 ]
 _FIELDS = {
     Coefficient: ("re", "im", "consts", "logs", "eps_power"),
@@ -299,6 +345,13 @@ _FIELDS = {
     FieldSlot: ("slot", "i", "j"),
     Term: ("coeff", "factors", "word"),
     Expression: ("terms",),
+    SlotSpec: ("name", "potential"),
+    FlavorSpec: ("name", "mass", "chirality", "coeff", "combo"),
+    AbsorbDirective: ("coupling", "finite_name", "scale"),
+    ModelSpec: ("slots", "flavors", "absorb", "constants"),
+    QuantizationResult: ("theta_over_pi", "nf", "charge_multiplier", "classification"),
+    Diagnostic: ("code", "line", "message"),
+    SuiteReport: ("seed", "count", "max_deviation", "failures"),
 }
 _IDS = [type(value).__name__ for value, _ in _VALUES]
 
@@ -322,6 +375,12 @@ def test_values_of_different_types_with_equal_fields_differ():
     assert Metric("a", "b") == Metric("a", "b")
     assert Metric("a", "b") != ("a", "b")
     assert len({Metric("a", "b"), Momentum("a", "b"), Metric("a", "b")}) == 2
+    # a SlotSpec has two fields and a Diagnostic three: each meets a type of its arity
+    assert SlotSpec("a", "b") != Metric("a", "b")
+    assert Diagnostic("a", "b", "c") != FieldSlot("a", "b", "c")
+    assert Diagnostic("e", "CF", _ABSORB.scale) != _ABSORB
+    assert QuantizationResult(1, 2, 3.0, ()) != SuiteReport(1, 2, 3.0, ())
+    assert len({SlotSpec("a", "b"), Metric("a", "b"), SlotSpec("a", "b")}) == 2
 
 
 @pytest.mark.parametrize("value, _text", _VALUES, ids=_IDS)
@@ -348,6 +407,54 @@ def test_value_keyword_construction_and_defaults():
     assert FieldSlot(slot="F", i="mu", j="nu") == FieldSlot("F", "mu", "nu")
     assert Momentum(name="k", i="mu").name == "k"
     assert Epsilon(idx=("a", "b", "c", "d")).idx == ("a", "b", "c", "d")
+    assert SlotSpec(name="b") == SlotSpec("b", None) == SlotSpec("b", potential=None)
+    assert not SlotSpec("b").exact and SlotSpec("F", potential="A").exact
+    assert ModelSpec(slots=(), flavors=()) == ModelSpec((), (), (), ())
+    assert ModelSpec((), (), constants=("e",)).absorb == ()
+    flavor = FlavorSpec(combo=_FLAVOR.combo, coeff=_FLAVOR.coeff, chirality=1, mass="m", name="psi")
+    assert flavor == _FLAVOR
+    assert AbsorbDirective(scale=_ABSORB.scale, finite_name="CF", coupling="e") == _ABSORB
+    assert Diagnostic(line=5, message="m", code="c") == Diagnostic("c", 5, "m")
+    assert SuiteReport(failures=(), max_deviation=0.0, count=1, seed=2) == SuiteReport(2, 1, 0.0, ())
+    result = QuantizationResult(classification="x", charge_multiplier=9, nf=3, theta_over_pi=1)
+    assert result == QuantizationResult(1, 3, 9, "x")
+
+
+@pytest.mark.parametrize("value, _text", _VALUES, ids=_IDS)
+def test_value_rejects_an_unknown_missing_or_extra_field(value, _text):
+    cls, fields = type(value), {name: getattr(value, name) for name in _FIELDS[type(value)]}
+    assert cls(**fields) == value
+    with pytest.raises(TypeError):
+        cls(**fields, extra=1)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{next(iter(fields)): None})
+    if cls not in (Coefficient, Expression):  # every field of these two has a default
+        del fields[next(iter(fields))]
+        with pytest.raises(TypeError):
+            cls(**fields)
+
+
+def test_diagnostic_texts_are_pinned():
+    # the CLI prints each diagnostic after "<file>:"
+    first = Diagnostic("syntax", 5, "unknown directive 'bogus'")
+    assert str(first) == "line 5: syntax: unknown directive 'bogus'"
+    error = ModelFileError([first, Diagnostic("missing-dim", 0, "model file must declare 'dim 4'")])
+    assert error.diagnostics[0] is first
+    assert str(error) == (
+        "line 5: syntax: unknown directive 'bogus'; line 0: missing-dim: model file must declare 'dim 4'"
+    )
+
+
+def test_suite_report_lines_are_pinned():
+    failed = SuiteReport(42, 500, 1.5e-16, ("tr(g0 g1)",))
+    assert not failed.passed
+    assert failed.lines() == [
+        "equivalence suite: seed=42 count=500 max_deviation=1.500e-16", "FAIL tr(g0 g1)", "result: fail"
+    ]
+    assert SuiteReport(7, 5, 0.0, ()).passed
+    assert SuiteReport(7, 5, 0.0, ()).lines()[-1] == "result: pass"
 
 
 @pytest.mark.parametrize("value, _text", _VALUES, ids=_IDS)

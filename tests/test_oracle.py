@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dipoleft import loops, oracle
-from dipoleft.action import assemble
+from dipoleft.action import FlavorSpec, ModelSpec, assemble
 from dipoleft.algebra import (
     LOG_LAMBDA,
     Coefficient,
@@ -444,7 +443,8 @@ def test_loop_normalization_detects_a_flipped_combo_sign(monkeypatch, bf_model_p
     model = parse_model(bf_model_path.read_text())
     first = model.flavors[0]
     (s1, a), (s2, b) = first.combo
-    flipped = replace(model, flavors=(replace(first, combo=((s1, a), (-s2, b))),) + model.flavors[1:])
+    flipped_first = FlavorSpec(first.name, first.mass, first.chirality, first.coeff, ((s1, a), (-s2, b)))
+    flipped = ModelSpec(model.slots, (flipped_first,) + model.flavors[1:], model.absorb, model.constants)
     monkeypatch.setattr(oracle, "assemble", lambda _: assemble(flipped))
     rank0_dev, _ = loop_normalization_deviation(model)
     assert rank0_dev > 1e-3
@@ -482,6 +482,27 @@ def _probe(source: str, *args: str) -> list[str]:
 
 def test_import_does_not_load_numpy():
     assert _probe("import sys, dipoleft; print('numpy' in sys.modules)") == ["False"]
+
+
+_CLI_IMPORT_THEN_STRUCTURED = (
+    "import contextlib, io, sys\n"
+    "import dipoleft.cli\n"
+    "loaded = ['dipoleft.oracle' in sys.modules, 'json' in sys.modules]\n"
+    "bound = [hasattr(sys.modules[m], 'dataclass') for m in ('dipoleft.modelfile', 'dipoleft.oracle')]\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = dipoleft.cli.main(['compute', 'theta_term.eft', '--format', 'structured'])\n"
+    "golden = open('tests/golden/compute-theta_term-fs-structured.txt', encoding='utf-8').read()\n"
+    "print(*loaded, *bound, code, out.getvalue() == golden, 'json' in sys.modules)\n"
+)
+
+
+def test_cli_import_loads_the_oracle_but_not_json():
+    # benchmark/worker.py reads sys.modules["dipoleft.oracle"] after `import dipoleft`;
+    # json loads only when --format structured prints, and still prints the golden bytes
+    assert _probe(_CLI_IMPORT_THEN_STRUCTURED) == [
+        "True", "False", "False", "False", "0", "True", "True"
+    ]
 
 
 def test_oracle_values_on_distinct_assigned_labels_do_not_load_numpy():
