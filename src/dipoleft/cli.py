@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 diagnostics (parse/model/domain errors),
 2 renormalization left divergent terms, 3 a failed selftest check.  Any
-other exception is an engine bug and propagates.
+other exception is an engine bug and propagates.  A usage error also exits
+2, with argparse's ``usage:`` and ``error:`` lines on stderr; called
+in-process, ``main`` raises it as ``SystemExit(2)`` rather than returning 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -54,7 +57,10 @@ _FORM_CHOICES = {"fs": FIELD_STRENGTH, "potential": POTENTIAL}
 _RENDERERS = {"text": render_text, "latex": render_latex, "structured": render_structured_json}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on first use and shared by every later
+    ``main`` call in the process; it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="dipoleft",
         description="One-loop effective actions for dipole-coupled neutral fermions",
@@ -69,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--set",
             dest="assignments",
             action="append",
-            default=[],
+            default=None,
             metavar="NAME=MONOMIAL",
             help="substitute a finite constant, e.g. CF=-1/8*e^2*pi^-1",
         )
@@ -248,8 +254,8 @@ def _run_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every call in a process shares ``_build_parser()``."""
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "compute":
             return _run_compute(args, reduce_multiplier=False)

@@ -1,8 +1,12 @@
 """Command-line behavior and exit codes."""
 
+import argparse
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,9 @@ from dipoleft.cli import main
 from dipoleft.dirac import trace_word
 from dipoleft.modelfile import parse_model
 from dipoleft.render import structured_to_action
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -596,6 +603,140 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "TRI-nontrivial" in proc.stdout
+
+
+# What the [project.scripts] wrapper of an installed ``dipoleft`` runs.
+CONSOLE_SCRIPT = "import sys; from dipoleft.cli import main; sys.exit(main())"
+
+
+def fresh(*argv, code=CONSOLE_SCRIPT) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``code`` in a fresh interpreter on the source tree."""
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["COLUMNS"] = "80"  # help and usage texts wrap at the terminal width
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=REPO_ROOT
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_or_exit(capsys, *argv) -> tuple[int, str, str]:
+    """``run``, with a usage error's or ``--help``'s ``SystemExit`` read as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_console_script_entry_point_without_installation(tmp_path):
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert 'dipoleft = "dipoleft.cli:main"' in scripts.splitlines()
+
+    code, out, err = fresh("check-quantization", "--theta", "1/3pi", "--nf", "3")
+    assert (code, err) == (0, "")
+    assert "TRI-nontrivial" in out
+
+    code, out, err = fresh("compute")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: dipoleft compute ")
+    assert "dipoleft compute: error: the following arguments are required: file" in err
+
+    code, out, err = fresh("bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: dipoleft ")
+    assert "dipoleft: error: argument command: invalid choice: 'bogus'" in err
+
+    model = tmp_path / "malformed.eft"
+    model.write_text("this is not a model\n")
+    code, out, err = fresh("compute", str(model))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{model}:line 1: syntax: ")
+
+
+def test_usage_error_in_process_raises_system_exit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute"])
+    assert exc.value.code == 2
+    assert "dipoleft compute: error: " in capsys.readouterr().err
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import dipoleft.cli\n"
+        "print(len(built))\n"
+    )
+    assert fresh(code=probe) == (0, "0\n", "")
+
+
+def test_a_second_in_process_call_builds_no_parser(capsys, monkeypatch, theta_model_path):
+    assert run(capsys, "compute", str(theta_model_path))[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "compute", str(theta_model_path))[0] == 0
+    assert run(capsys, "check-quantization", "--theta", "1pi", "--nf", "1")[0] == 0
+    assert built == []
+
+
+def test_parses_without_set_share_no_mutable_assignments():
+    parser = cli._build_parser()
+    first = parser.parse_args(["compute", "model.eft"])
+    given = parser.parse_args(["compute", "model.eft", "--set", "CF=1", "--set", "e=2"])
+    second = parser.parse_args(["compute", "model.eft"])
+    assert given.assignments == ["CF=1", "e=2"]
+    # None, not one default list that every parse without --set would hold
+    assert first.assignments is None and second.assignments is None
+
+
+README_SET = ("--set", "LambdaF=1/2*pi^-1", "--set", "CF=-1/8*e^2*pi^-1")
+
+
+@pytest.mark.parametrize(
+    "fixture, first, second",
+    [
+        ("bf_theory.eft", ("reduce-bf", "--form", "potential", *README_SET), ("reduce-bf",)),
+        ("theta_term.eft", ("compute", "--keep-divergences"), ("compute",)),
+        ("bf_theory.eft", ("compute", "--format", "structured"), ("compute",)),
+    ],
+    ids=["set-then-none", "keep-divergences-then-plain", "structured-then-text"],
+)
+def test_in_process_calls_in_a_row_print_what_fresh_processes_print(capsys, fixture, first, second):
+    path = str(REPO_ROOT / fixture)
+    first, second = (argv[:1] + (path,) + argv[1:] for argv in (first, second))
+    expected = {argv: fresh(*argv) for argv in (first, second)}
+    assert expected[first] != expected[second]
+    for argv in (first, second, first, second):
+        assert run(capsys, *argv) == expected[argv]
+
+
+def test_usage_errors_and_help_leave_the_shared_parser_unchanged(
+    capsys, monkeypatch, theta_model_path
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage, help_ = ("compute",), ("check-quantization", "--help")
+    plain = ("compute", str(theta_model_path))
+    expected = {argv: fresh(*argv) for argv in (usage, help_, plain)}
+    assert expected[usage][0] == 2
+    assert expected[usage][2].startswith("usage: dipoleft compute ")
+    assert expected[help_][0] == 0
+    assert expected[help_][1].startswith("usage: dipoleft check-quantization ")
+    for argv in (usage, plain, help_, plain, usage, help_, usage, plain):
+        assert run_or_exit(capsys, *argv) == expected[argv]
 
 
 EPS_FF = "eps[mu nu rho sigma] F[mu nu] F[rho sigma]\n"
