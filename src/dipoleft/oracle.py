@@ -6,29 +6,26 @@ Gauss-Legendre rule in t, with u = m^2 (e^t - 1), verifies the regularized
 radial integrals of both cutoff table entries.  The representation is
 fixed for reproducibility; anything with metric (+,-,-,-) and
 eps(0,1,2,3) = +1 would do.  It is held once, as exact monomial tables
-that ``numeric_trace`` multiplies in pure Python and the dense arrays copy.
+that ``numeric_trace`` multiplies; the float checks read them as dense 4x4
+lists of rows.  Everything here is pure Python.
 
 A symbolic trace is evaluated as written, the way ``trace_word`` returns
 it: eta = diag(1,-1,-1,-1), eps^{0123} = +1, d = 4, and a label occurring
-twice summed over 0..3 with one index lowered, by one ``numpy.einsum`` over
-fixed eta and eps tables.  The evaluator uses none of the engine's algebra
-(no contraction, dimension substitution or canonicalization), so a fault
-there cannot cancel against the same fault in the value it is checked
-against.  Each factor and coefficient object is read once per call, and an
-index value must be an int in 0..3.
-
-Importing this module does not load numpy, nor do ``numeric_trace`` and
-``evaluate_expression_numeric`` on distinct, assigned labels: only an
-einsum, the dense arrays, the eta/eps tables and the quadrature rule do.
+twice summed over 0..3 with one index lowered.  The evaluator uses none of
+the engine's algebra (no contraction, dimension substitution or
+canonicalization), so a fault there cannot cancel against the same fault
+in the value it is checked against.  Each factor and coefficient object is
+read once per call, and an index value must be an int in 0..3.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import random
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from .action import FlavorSpec, ModelSpec, SlotSpec, assemble
 from .algebra import (
@@ -46,9 +43,6 @@ from .algebra import (
 from .dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
 from . import loops
 
-if TYPE_CHECKING:
-    import numpy as np
-
 ETA = (1.0, -1.0, -1.0, -1.0)  # diagonal of the metric eta
 _RADIAL_NODES = 100  # Gauss-Legendre nodes of each radial integral
 
@@ -64,12 +58,6 @@ def _epsilon_value(indices: tuple[int, ...]) -> int:
                 perm[j], perm[j + 1] = perm[j + 1], perm[j]
                 sign = -sign
     return sign
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False  # cached: every caller shares these arrays
-    return arrays
 
 
 # The Dirac representation, g0 = diag(1, 1, -1, -1) and g^k = [[0, s_k], [-s_k, 0]],
@@ -92,51 +80,53 @@ _G5_TABLE = tuple(  # g5 = i g0 g1 g2 g3
     (c, p % 4) for c, p in functools.reduce(_times, _GAMMA_TABLES, [(r, 1) for r in range(4)]))
 
 
-@functools.cache
-def _gammas() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(g^0..g^3, g5) as dense read-only arrays of the monomial tables; numpy loads here."""
-    import numpy as np
-
-    dense = [np.zeros((4, 4), dtype=complex) for _ in range(5)]
-    for m, table in zip(dense, (*_GAMMA_TABLES, _G5_TABLE)):
-        for r, (c, p) in enumerate(table):
-            m[r, c] = _PHASE[p]
-    *mats, g5 = _read_only(*dense)
-    return tuple(mats), g5
+def _dense(table) -> list[list[complex]]:
+    """A monomial table as a dense 4x4 matrix, a list of rows."""
+    rows = [[0j] * 4 for _ in range(4)]
+    for row, (c, p) in zip(rows, table):
+        row[c] = _PHASE[p]
+    return rows
 
 
-@functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(eta^{mn}, eps^{mnrs}, g^m stacked, [g^m, g^n] stacked), all indices up."""
-    import numpy as np
+_ONE = tuple((r, 0) for r in range(4))  # the identity's table
 
-    eps = np.array([_epsilon_value(p) for p in np.ndindex(4, 4, 4, 4)], dtype=float)
-    g = np.stack(_gammas()[0])
-    products = g[:, None] @ g[None]  # products[m, n] = g^m g^n
-    comm = products - products.swapaxes(0, 1)
-    return _read_only(np.diag(ETA), eps.reshape(4, 4, 4, 4), g, comm)
+
+def _mul(a: list, b: list) -> list[list[complex]]:
+    """The 4x4 product A B."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _tr(a: list, b: list) -> complex:
+    """tr(A B) of two 4x4 matrices, without forming A B."""
+    return sum(x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row))
+
+
+def _combine(terms) -> list[list[complex]]:
+    """The 4x4 sum of s A over the pairs (s, A) of ``terms``."""
+    terms = list(terms)
+    return [[sum(s * a[i][j] for s, a in terms) for j in range(4)] for i in range(4)]
+
+
+def _commutators() -> list[list[list]]:
+    """[g^m, g^n] for every (m, n), indices up, as dense matrices."""
+    g = [_dense(t) for t in _GAMMA_TABLES]
+    return [[_combine(((1, _mul(gm, gn)), (-1, _mul(gn, gm)))) for gn in g] for gm in g]
 
 
 def max_clifford_deviation() -> float:
     """Largest entrywise violation of {g^m, g^n} = 2 eta^{mn}, g5^2 = 1, {g5, g^m} = 0."""
-    import numpy as np
-
-    eta, _, g, _ = _tables()
-    g5, one = _gammas()[1], np.eye(4)
-    products = g[:, None] @ g[None]
-    anti = products + products.swapaxes(0, 1)
-    return float(max(
-        np.abs(anti - 2 * np.einsum("mn,ij->mnij", eta, one)).max(),
-        np.abs(g5 @ g5 - one).max(),
-        np.abs(g5 @ g + g @ g5).max(),
-    ))
+    *g, g5, one = map(_dense, (*_GAMMA_TABLES, _G5_TABLE, _ONE))
+    # (A, B, s): {A, B} must be 2 s times the identity
+    cases = [(g[m], g[n], ETA[m] if m == n else 0.0) for m in range(4) for n in range(4)]
+    cases += [(g5, g5, 1.0)] + [(g5, gm, 0.0) for gm in g]
+    anti = [_combine(((1, _mul(a, b)), (1, _mul(b, a)), (-2 * s, one))) for a, b, s in cases]
+    return max(abs(x) for dev in anti for row in dev for x in row)
 
 
 def convention_trace() -> complex:
     """tr(g5 g0 g1 g2 g3); must be -4i for eps(0,1,2,3) = +1."""
-    import numpy as np
-
-    return complex(np.trace(np.linalg.multi_dot([_gammas()[1], *_tables()[2]])))
+    return numeric_trace((G5, *map(gamma, "abcd")), dict(zip("abcd", range(4))))
 
 
 def _check_indices(assignment: dict[str, int]) -> None:
@@ -203,37 +193,36 @@ def _factor_entry(f, assignment: dict[str, int], bits: dict[str, int]) -> tuple:
 
 
 def _summed(entries: list[tuple], assignment: dict[str, int]) -> float:
-    """Product of a term's factor entries as one einsum: each label used twice
-    is summed over 0..3 with one index lowered by eta, and each label used
-    once is read from ``assignment`` by slicing it out of its table."""
-    import numpy as np
-
-    eta, eps, _, _ = _tables()
-    counts: dict[str, int] = {}
-    for _, idx, _, _ in entries:
-        for x in idx:
-            counts[x] = counts.get(x, 0) + 1
-    dummies: dict[str, int] = {}  # label -> its einsum subscript
+    """Product of a term's factor entries, summed over the 4^k values of its
+    k labels used twice, with one index of each lowered by eta; each label
+    used once is read from ``assignment``."""
+    counts = collections.Counter(x for _, idx, _, _ in entries for x in idx)
+    dummies = []
     for label, count in counts.items():
         if count == 2:
-            dummies[label] = len(dummies)
+            dummies.append(label)
         elif count > 2:
             raise ValueError(f"index {label!r} occurs {count} times")
         elif label not in assignment:
             raise ValueError(f"free index {label!r} has no assigned value")
-    operands: list = [1.0, []]  # a term without factors is 1
-    for is_eps, idx, _, _ in entries:
-        sliced = tuple(slice(None) if x in dummies else assignment[x] for x in idx)
-        operands += [(eps if is_eps else eta)[sliced], [dummies[x] for x in idx if x in dummies]]
-    for k in dummies.values():
-        operands += [eta, [k, k]]
-    return float(np.einsum(*operands, []))
+    values = dict(assignment)
+    total = 0.0
+    for trial in itertools.product(range(4), repeat=len(dummies)):
+        values.update(zip(dummies, trial))
+        value = math.prod(ETA[v] for v in trial)  # a term without factors is 1
+        for is_eps, idx, _, _ in entries:
+            v = tuple(values[x] for x in idx)
+            value *= _epsilon_value(v) if is_eps else (ETA[v[0]] if v[0] == v[1] else 0.0)
+            if not value:
+                break
+        total += value
+    return total
 
 
 def evaluate_term_numeric(term: Term, assignment: dict[str, int]) -> complex:
-    """Value of one term as written: its number times one einsum over every
-    factor, without the fast path of ``evaluate_expression_numeric``; see
-    there."""
+    """Value of one term as written: its number times the sum over its
+    dummies of every factor, without the fast path of
+    ``evaluate_expression_numeric``; see there."""
     _check_indices(assignment)
     _check_term(term)
     bits: dict[str, int] = {}
@@ -258,8 +247,8 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
     identity (``trace_word``'s leaves share them): a factor's labels and
     value, a coefficient's check, and its number once a term of it is
     nonzero.  One walk multiplies a term's factor values while its labels
-    are distinct and assigned; else the term is one einsum, as in
-    ``evaluate_term_numeric``.  Terms add left to right.
+    are distinct and assigned; else the term is summed over its dummies, as
+    in ``evaluate_term_numeric``.  Terms add left to right.
     """
     _check_indices(assignment)
     scalars: dict[int, complex | None] = {}  # None: checked, number not yet needed
@@ -360,24 +349,33 @@ def _radial_integral(power: int, mass: float, cutoff: float) -> float:
     Gauss-Legendre rule in t, with u = mass^2 (e^t - 1): the integrand
     mass^(2 power - 2) (e^t - 1)^power e^-t is smooth on 0 <= t <=
     log(1 + cutoff^2/mass^2) for power 1 and 2 up to cutoff/mass = 1e5."""
-    import numpy as np
-
     if not (cutoff > mass > 0):
         raise ValueError("require cutoff > mass > 0")
     m2 = mass * mass
     nodes, weights = _legendre_rule()
     half = math.log1p(cutoff * cutoff / m2) / 2
-    t = half * (nodes + 1)
-    value = half * float(weights @ (np.expm1(t) ** power * np.exp(-t)))
+    ts = [half * (x + 1) for x in nodes]
+    value = half * math.fsum(w * math.expm1(t) ** power * math.exp(-t) for w, t in zip(weights, ts))
     return value * m2 ** (power - 1) / (16 * math.pi**2)
 
 
 @functools.cache
-def _legendre_rule() -> tuple[np.ndarray, ...]:
-    """The fixed Gauss-Legendre (nodes, weights) on [-1, 1]; numpy loads here."""
-    import numpy as np
-
-    return _read_only(*np.polynomial.legendre.leggauss(_RADIAL_NODES))
+def _legendre_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The fixed Gauss-Legendre (nodes, weights) on [-1, 1], nodes ascending:
+    Newton's method on P_n from Chebyshev guesses, as Numerical Recipes' gauleg."""
+    n = _RADIAL_NODES
+    nodes, weights = [], []
+    for k in range(n):
+        x = -math.cos(math.pi * (k + 0.75) / (n + 0.5))
+        for _ in range(6):  # from within 2e-5 of the root, 4 steps reach double precision
+            p, prev = x, 1.0  # P_1(x), P_0(x)
+            for j in range(2, n + 1):
+                p, prev = ((2 * j - 1) * x * p - (j - 1) * prev) / j, p
+            slope = n * (x * p - prev) / (x * x - 1)  # P_n'(x)
+            x -= p / slope
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * slope * slope))
+    return tuple(nodes), tuple(weights)
 
 
 def euclidean_scalar_integral(mass: float, cutoff: float) -> float:
@@ -437,13 +435,12 @@ def log_slope() -> float:
     For cutoff >> mass the integral grows like 2/(16 pi^2) per unit log,
     matching the pole normalization of the dimensionally regularized bubble.
     """
-    import numpy as np
+    import statistics  # the one check that needs it; `import dipoleft` stays without it
 
     cutoffs = (1e2, 1e3, 1e4)
-    xs = np.log(cutoffs)
+    xs = [math.log(cutoff) for cutoff in cutoffs]
     ys = [euclidean_scalar_integral(1.0, cutoff) for cutoff in cutoffs]
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    return statistics.linear_regression(xs, ys).slope
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +454,17 @@ def dipole_trace_identity_checks() -> tuple[float, float]:
     First: tr([g^m,g^n][g^r,g^s] g5) against -16i eps^{mnrs}.  Second: the
     metric-contracted tr([g^m,g^n] g^a [g^r,g^s] g^b) eta_ab against zero.
     """
-    import numpy as np
-
-    eta, eps, g, comm = _tables()
-    traced = np.einsum("mnij,rsjk,ki->mnrs", comm, comm, _gammas()[1])
-    sandwiched = np.einsum("ab,aij,rsjk,bkl->rsil", eta, g, comm, g)  # eta_ab g^a [g^r,g^s] g^b
-    contracted = np.einsum("mnij,rsji->mnrs", comm, sandwiched)
-    return float(np.abs(traced + 16j * eps).max()), float(np.abs(contracted).max())
+    comm = _commutators()
+    *g, g5 = map(_dense, (*_GAMMA_TABLES, _G5_TABLE))
+    eps_dev = contracted_dev = 0.0
+    for r, s in itertools.product(range(4), repeat=2):
+        # the right-hand factors [g^r,g^s] g5 and eta_ab g^a [g^r,g^s] g^b, once per (r, s)
+        with_g5 = _mul(comm[r][s], g5)
+        sandwich = _combine((ETA[a], _mul(_mul(ga, comm[r][s]), ga)) for a, ga in enumerate(g))
+        for m, n in itertools.product(range(4), repeat=2):
+            eps_dev = max(eps_dev, abs(_tr(comm[m][n], with_g5) + 16j * _epsilon_value((m, n, r, s))))
+            contracted_dev = max(contracted_dev, abs(_tr(comm[m][n], sandwich)))
+    return eps_dev, contracted_dev
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +496,11 @@ def loop_normalization_deviation(model: ModelSpec, seed: int = 20121) -> tuple[f
     largest |rank-2 part|); an action term carrying a log atom or an eps
     pole gives (inf, inf).
     """
-    import numpy as np
-
     action = assemble(model)
     if any(t.coeff.logs or t.coeff.eps_power for t in action.terms):
         return math.inf, math.inf
-    eta, _, g, _ = _tables()
-    rng = np.random.default_rng(seed)
+    comm, g = _commutators(), [_dense(t) for t in _GAMMA_TABLES]
+    rng = random.Random(seed)
     rank0_dev = rank2_dev = 0.0
     for _ in range(5):
         # each name's value is drawn on first use
@@ -513,32 +512,30 @@ def loop_normalization_deviation(model: ModelSpec, seed: int = 20121) -> tuple[f
         )
         expected = 0.0
         for f in model.flavors:
-            v = _dipole_vertex(f.chirality, sum(s * fields[n] for s, n in f.combo))
+            field = _combine((s, fields[name]) for s, name in f.combo)
+            v = _dipole_vertex(f.chirality, field, comm)
             bubble = values[loops.bubble_symbol(f.mass)]
             weight = bubble * 0.5 * values[f.mass] ** 2 * _number(f.coeff * f.coeff, values, {})
-            expected += weight * np.trace(v @ v)
-            rank2 = np.einsum("ab,ij,ajk,kl,bli->", eta, v, g, v, g)
+            expected += weight * _tr(v, v)
+            rank2 = sum(ETA[a] * _tr(vg, vg) for a, vg in enumerate(_mul(v, ga) for ga in g))
             rank2_dev = max(rank2_dev, abs(rank2))
         rank0_dev = max(rank0_dev, abs(engine - expected) / max(1.0, abs(expected)))
-    return float(rank0_dev), float(rank2_dev)
+    return rank0_dev, rank2_dev
 
 
-def _random_field(rng) -> np.ndarray:
+def _random_field(rng: random.Random) -> list[list[float]]:
     """A random antisymmetric X_{mn}, indices down."""
-    a = rng.normal(size=(4, 4))
-    return a - a.T
+    a = [[rng.gauss(0.0, 1.0) for _ in range(4)] for _ in range(4)]
+    return [[a[m][n] - a[n][m] for n in range(4)] for m in range(4)]
 
 
-def _dipole_vertex(chirality: int, field: np.ndarray) -> np.ndarray:
-    """(1 - i chi g5) sigma^{mn} X_{mn}, with sigma^{mn} = (i/2)[g^m, g^n]."""
-    import numpy as np
+def _dipole_vertex(chirality: int, field: list, comm: list) -> list[list[complex]]:
+    """(1 - i chi g5) sigma^{mn} X_{mn}, with sigma^{mn} = (i/2)[g^m, g^n]
+    and ``comm`` the commutators of ``_commutators()``."""
+    sigma_x = _combine((0.5j * x, comm[m][n]) for m, row in enumerate(field) for n, x in enumerate(row))
+    return _mul(_combine(((1, _dense(_ONE)), (-1j * chirality, _dense(_G5_TABLE)))), sigma_x)
 
-    sigma_x = 0.5j * np.einsum("mn,mnij->ij", field, _tables()[3])
-    return (np.eye(4) - 1j * chirality * _gammas()[1]) @ sigma_x
 
-
-def _eps_contraction(x: np.ndarray, y: np.ndarray) -> float:
+def _eps_contraction(x: list, y: list) -> float:
     """eps^{mnrs} X_{mn} Y_{rs} with eps^{0123} = +1."""
-    import numpy as np
-
-    return np.einsum("mnrs,mn,rs->", _tables()[1], x, y)
+    return sum(_epsilon_value(p) * x[p[0]][p[1]] * y[p[2]][p[3]] for p in itertools.permutations(range(4)))

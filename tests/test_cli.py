@@ -501,7 +501,7 @@ def test_selftest_rejects_a_count_that_runs_no_check(capsys, count):
 
 @pytest.mark.parametrize("seed", ["-1", "-3"])
 def test_selftest_rejects_a_negative_seed(capsys, seed):
-    # numpy's generator takes no negative seed, so no check may start
+    # a documented diagnostic: the seed is refused before any check starts
     code, out, err = run(capsys, "selftest", "--seed", seed, "--count", "5")
     assert (code, out) == (1, "")
     assert err == f"error: --seed must be a non-negative integer, got {seed}\n"

@@ -1,6 +1,7 @@
 """Gamma representation invariants, the as-written evaluator, equivalence
 suite, radial integrals, loop normalization against explicit matrices, and
-the import budget (numpy only for numeric checks, SymPy never)."""
+the import budget (numpy never at run time, only as the tests' dense
+reference; SymPy never)."""
 
 import math
 import os
@@ -80,10 +81,14 @@ def test_unassigned_free_index_is_a_value_error_naming_it(evaluate):
 
 
 def _dense_trace(word, assignment: dict[str, int]) -> complex:
-    """Trace of the dense product of the oracle's gamma arrays, one @ per letter."""
+    """Trace of the dense product of numpy arrays built here from the oracle's
+    monomial tables, one @ per letter."""
     import numpy as np
 
-    mats, g5 = oracle._gammas()
+    *mats, g5 = [np.zeros((4, 4), dtype=complex) for _ in range(5)]
+    for m, table in zip((*mats, g5), (*oracle._GAMMA_TABLES, oracle._G5_TABLE)):
+        for r, (c, p) in enumerate(table):
+            m[r, c] = 1j**p
     product = np.eye(4, dtype=complex)
     for letter in word:
         product = product @ (g5 if letter == G5 else mats[assignment[letter[1]]])
@@ -413,6 +418,24 @@ def test_quadrature_grid_twenty_points():
     assert quadrature_grid_max_relative_error() < 1e-8
 
 
+def test_legendre_rule_matches_numpy_leggauss():
+    import numpy as np
+
+    nodes, weights = oracle._legendre_rule()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(oracle._RADIAL_NODES)
+    assert np.abs(np.array(nodes) - want_nodes).max() <= 1e-14
+    assert np.abs(np.array(weights) - want_weights).max() <= 1e-14
+
+
+def test_log_slope_matches_numpy_polyfit():
+    import numpy as np
+
+    cutoffs = (1e2, 1e3, 1e4)
+    ys = [euclidean_scalar_integral(1.0, cutoff) for cutoff in cutoffs]
+    slope, _ = np.polyfit(np.log(cutoffs), ys, 1)
+    assert abs(log_slope() - slope) <= 1e-12
+
+
 def test_log_slope_matches_pole_normalization():
     slope = log_slope()
     target = 1.0 / (8 * math.pi**2)
@@ -456,7 +479,7 @@ def test_massless_flavor_assembles_to_zero(chirality):
 
 
 # ---------------------------------------------------------------------------
-# Import budget: numpy loads only for numeric checks
+# Import budget: numpy never loads, and json only to print structured output
 # ---------------------------------------------------------------------------
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -506,17 +529,19 @@ def test_cli_import_loads_the_oracle_but_not_json():
 
 
 def test_oracle_values_on_distinct_assigned_labels_do_not_load_numpy():
+    # the second word repeats a label, so its terms are summed over dummies
     source = (
         "import sys\n"
         "from dipoleft.algebra import G5, gamma\n"
-        "from dipoleft.dirac import FOUR_DIM, trace_word\n"
+        "from dipoleft.dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word\n"
         "from dipoleft.oracle import evaluate_expression_numeric, numeric_trace\n"
         "word = (gamma('a'), gamma('b'), G5, gamma('c'), gamma('d'), gamma('e'), gamma('f'))\n"
         "values = {'a': 0, 'b': 1, 'c': 2, 'd': 3, 'e': 1, 'f': 1}\n"
         "symbolic = evaluate_expression_numeric(trace_word(word, FOUR_DIM), values)\n"
-        "print(symbolic == numeric_trace(word, values) == 4j, 'numpy' in sys.modules)\n"
+        "repeated = evaluate_expression_numeric(trace_word(tuple(map(gamma, 'abab')), SYMBOLIC_DIM), {})\n"
+        "print(symbolic == numeric_trace(word, values) == 4j, repeated == -32, 'numpy' in sys.modules)\n"
     )
-    assert _probe(source) == ["True", "False"]
+    assert _probe(source) == ["True", "True", "False"]
 
 
 def test_import_exposes_the_documented_api():
@@ -539,15 +564,24 @@ def test_import_does_not_load_sympy():
         ["reduce-bf", "bf_theory.eft", "--form", "potential",
          "--set", "LambdaF=1/2*pi^-1", "--set", "CF=-1/8*e^2*pi^-1"],
         ["check-quantization", "--theta=1/3pi", "--nf", "3"],
+        ["selftest", "--count", "5"],
     ],
-    ids=["compute", "reduce-bf", "check-quantization"],
+    ids=["compute", "reduce-bf", "check-quantization", "selftest"],
 )
 def test_symbolic_commands_do_not_load_numpy(argv):
     assert _probe(_NUMPY_AFTER_MAIN, *argv) == ["False", "False", "0"]
 
 
-def test_selftest_loads_numpy():
-    assert _probe(_NUMPY_AFTER_MAIN, "selftest", "--count", "5") == ["True", "False", "0"]
+def test_selftest_passes_with_numpy_import_blocked():
+    # an entry of None in sys.modules makes `import numpy` raise ImportError,
+    # so this holds even where numpy is installed
+    source = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from dipoleft import cli\n"
+        "print(cli.main(sys.argv[1:]))\n"
+    )
+    assert _probe(source, "selftest", "--count", "5") == ["0"]
 
 
 def test_oracle_names_still_importable():
