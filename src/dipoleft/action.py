@@ -70,11 +70,8 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class SlotSpec(_Value):
-    __slots__ = ("name", "potential")
-
-    def __init__(self, name: str, potential: Optional[str] = None) -> None:
-        self._assign(name, potential)  # potential None marks a fundamental 2-form field
+class SlotSpec(_Value, potential=None):
+    __slots__ = ("name", "potential")  # potential None marks a fundamental 2-form field
 
     @property
     def exact(self) -> bool:
@@ -82,24 +79,16 @@ class SlotSpec(_Value):
 
 
 class FlavorSpec(_Value):
+    # chirality: chi of the projector (1 - i*chi*g5)
     __slots__ = ("name", "mass", "chirality", "coeff", "combo")
-
-    def __init__(self, name: str, mass: str, chirality: int, coeff: Coefficient, combo: tuple) -> None:
-        self._assign(name, mass, chirality, coeff, combo)  # chirality: chi of the projector (1 - i*chi*g5)
 
 
 class AbsorbDirective(_Value):
-    __slots__ = ("coupling", "finite_name", "scale")
-
-    def __init__(self, coupling: str, finite_name: str, scale: Coefficient) -> None:
-        self._assign(coupling, finite_name, scale)  # scale: exact rational times a power of pi
+    __slots__ = ("coupling", "finite_name", "scale")  # scale: exact rational times a power of pi
 
 
-class ModelSpec(_Value):
+class ModelSpec(_Value, absorb=(), constants=()):
     __slots__ = ("slots", "flavors", "absorb", "constants")
-
-    def __init__(self, slots: tuple, flavors: tuple, absorb: tuple = (), constants: tuple = ()) -> None:
-        self._assign(slots, flavors, absorb, constants)
 
 
 @dataclass(frozen=True)
@@ -436,11 +425,8 @@ NOT_TRI = "not-TRI"
 
 
 class QuantizationResult(_Value):
+    # the topological charge is quantized as charge_multiplier times an integer
     __slots__ = ("theta_over_pi", "nf", "charge_multiplier", "classification")
-
-    def __init__(self, theta_over_pi: Fraction, nf: int, charge_multiplier: int, classification: str) -> None:
-        # the topological charge is quantized as charge_multiplier times an integer
-        self._assign(theta_over_pi, nf, charge_multiplier, classification)
 
 
 def check_quantization(theta_over_pi: Fraction | int, nf: int) -> QuantizationResult:

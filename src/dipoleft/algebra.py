@@ -60,22 +60,32 @@ class _Value:
     only between instances of one class, a hash equal to ``hash`` of the
     field tuple, so no set or dict order moves, and an ``AttributeError``
     on assignment or deletion.  Each subclass lists its fields, in order,
-    in ``__slots__`` and sets them in its own ``__init__`` through the slot
-    descriptors' ``__set__`` (``_setters``), which ``__setattr__`` does not
-    see: this module's types call each setter by name, so a ``Term`` costs
-    about half its frozen-dataclass construction, and the others call
-    ``_assign``.  ``__reduce__`` rebuilds a value from its fields, so
-    pickle and ``copy`` go through ``__init__`` too.
+    in ``__slots__``, and gives the defaults of its trailing fields as class
+    keywords: ``class Term(_Value, factors=(), word=None)``.  Its
+    ``__init__`` is compiled once, as ``dataclasses`` and ``namedtuple``
+    compile theirs, and sets each field through its slot descriptor's
+    ``__set__``, which ``__setattr__`` does not see; its ``__qualname__``
+    is ``Name.__init__``, so a missing or unknown argument reads as it would
+    from a hand-written one.  ``__reduce__`` rebuilds a value from its
+    fields, so pickle and ``copy`` go through ``__init__`` too.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, **defaults: object) -> None:
         super().__init_subclass__()
-        get = attrgetter(*cls.__slots__)  # of one name, the value rather than a 1-tuple
-        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
-        cls._format = f"{cls.__qualname__}({', '.join(f'{n}={{!r}}' for n in cls.__slots__)})"
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        names = cls.__slots__
+        get = attrgetter(*names)  # of one name, the value rather than a 1-tuple
+        cls._fields = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+        cls._format = f"{cls.__qualname__}({', '.join(f'{n}={{!r}}' for n in names)})"
+        scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+        scope.update((f"_default_{n}", value) for n, value in defaults.items())
+        params = ", ".join(f"{n}=_default_{n}" if n in defaults else n for n in names)
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+        exec(f"def __init__(self, {params}):{body}", scope)
+        init = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def __repr__(self) -> str:
         return self._format.format(*self._fields(self))
@@ -97,11 +107,6 @@ class _Value:
     def __reduce__(self) -> tuple:
         return type(self), self._fields(self)
 
-    def _assign(self, *values: object) -> None:
-        """Set every field, in ``__slots__`` order, through ``_setters``."""
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
-
 
 def _merged(
     a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...]
@@ -114,7 +119,7 @@ def _merged(
     return _powmap(a + b)
 
 
-class Coefficient(_Value):
+class Coefficient(_Value, re=_ZERO, im=_ZERO, consts=(), logs=(), eps_power=0):
     """Gaussian rational times a monomial in constants, log atoms and eps powers.
 
     The arithmetic does only the ``Fraction`` work a value needs when one
@@ -130,13 +135,6 @@ class Coefficient(_Value):
     """
 
     __slots__ = ("re", "im", "consts", "logs", "eps_power")
-
-    def __init__(self, re=_ZERO, im=_ZERO, consts=(), logs=(), eps_power=0) -> None:
-        _set_re(self, re)
-        _set_im(self, im)
-        _set_consts(self, consts)
-        _set_logs(self, logs)
-        _set_eps_power(self, eps_power)
 
     # -- constructors -------------------------------------------------
 
@@ -264,9 +262,6 @@ class Coefficient(_Value):
         return stripped * power
 
 
-_set_re, _set_im, _set_consts, _set_logs, _set_eps_power = Coefficient._setters
-
-
 # ---------------------------------------------------------------------------
 # Tensor factors
 # ---------------------------------------------------------------------------
@@ -277,18 +272,11 @@ class Metric(_Value):
 
     __slots__ = ("i", "j")
 
-    def __init__(self, i: str, j: str) -> None:
-        _set_metric_i(self, i)
-        _set_metric_j(self, j)
-
 
 class Epsilon(_Value):
     """Totally antisymmetric rank-4 tensor component, eps(0,1,2,3) = +1."""
 
     __slots__ = ("idx",)
-
-    def __init__(self, idx: tuple[str, str, str, str]) -> None:
-        _set_idx(self, idx)
 
 
 class Momentum(_Value):
@@ -296,26 +284,11 @@ class Momentum(_Value):
 
     __slots__ = ("name", "i")
 
-    def __init__(self, name: str, i: str) -> None:
-        _set_momentum_name(self, name)
-        _set_momentum_i(self, i)
-
 
 class FieldSlot(_Value):
     """Antisymmetric 2-form slot: X(s, i, j) = -X(s, j, i)."""
 
     __slots__ = ("slot", "i", "j")
-
-    def __init__(self, slot: str, i: str, j: str) -> None:
-        _set_slot(self, slot)
-        _set_slot_i(self, i)
-        _set_slot_j(self, j)
-
-
-_set_metric_i, _set_metric_j = Metric._setters
-(_set_idx,) = Epsilon._setters
-_set_momentum_name, _set_momentum_i = Momentum._setters
-_set_slot, _set_slot_i, _set_slot_j = FieldSlot._setters
 
 
 TensorFactor = Union[Metric, Epsilon, Momentum, FieldSlot]
@@ -416,13 +389,8 @@ def _relabel_word(word: Optional[Word], mapping: Mapping[str, str]) -> Optional[
 # ---------------------------------------------------------------------------
 
 
-class Term(_Value):
+class Term(_Value, factors=(), word=None):
     __slots__ = ("coeff", "factors", "word")
-
-    def __init__(self, coeff: Coefficient, factors: tuple = (), word: Optional[Word] = None) -> None:
-        _set_coeff(self, coeff)
-        _set_factors(self, factors)
-        _set_word(self, word)
 
     def labels(self) -> Iterator[str]:
         for f in self.factors:
@@ -431,11 +399,8 @@ class Term(_Value):
             yield from word_labels(self.word)
 
 
-class Expression(_Value):
+class Expression(_Value, terms=()):
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[Term, ...] = ()) -> None:
-        _set_terms(self, terms)
 
     @staticmethod
     def zero() -> "Expression":
@@ -477,10 +442,6 @@ class Expression(_Value):
 
     def scaled(self, coeff: Coefficient) -> "Expression":
         return Expression(tuple(Term(coeff * t.coeff, t.factors, t.word) for t in self.terms))
-
-
-_set_coeff, _set_factors, _set_word = Term._setters
-(_set_terms,) = Expression._setters
 
 
 # ---------------------------------------------------------------------------

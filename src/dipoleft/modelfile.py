@@ -59,9 +59,6 @@ _LINE_BREAK = re.compile("\r\n?|\n")
 class Diagnostic(_Value):
     __slots__ = ("code", "line", "message")
 
-    def __init__(self, code: str, line: int, message: str) -> None:
-        self._assign(code, line, message)
-
     def __str__(self) -> str:
         return f"line {self.line}: {self.code}: {self.message}"
 

@@ -289,9 +289,6 @@ def evaluate_expression_numeric(expr: Expression, assignment: dict[str, int]) ->
 class SuiteReport(_Value):
     __slots__ = ("seed", "count", "max_deviation", "failures")
 
-    def __init__(self, seed: int, count: int, max_deviation: float, failures: tuple[str, ...]) -> None:
-        self._assign(seed, count, max_deviation, failures)
-
     @property
     def passed(self) -> bool:
         return not self.failures

@@ -1,6 +1,7 @@
 """Canonical forms, contraction and dimension substitution."""
 
 import copy
+import inspect
 import pickle
 import random
 from fractions import Fraction
@@ -353,6 +354,14 @@ _FIELDS = {
     Diagnostic: ("code", "line", "message"),
     SuiteReport: ("seed", "count", "max_deviation", "failures"),
 }
+# the defaults of each type's trailing fields; a type not named has none
+_DEFAULTS = {
+    Coefficient: {"re": Fraction(0), "im": Fraction(0), "consts": (), "logs": (), "eps_power": 0},
+    Term: {"factors": (), "word": None},
+    Expression: {"terms": ()},
+    SlotSpec: {"potential": None},
+    ModelSpec: {"absorb": (), "constants": ()},
+}
 _IDS = [type(value).__name__ for value, _ in _VALUES]
 
 
@@ -418,21 +427,30 @@ def test_value_keyword_construction_and_defaults():
     assert SuiteReport(failures=(), max_deviation=0.0, count=1, seed=2) == SuiteReport(2, 1, 0.0, ())
     result = QuantizationResult(classification="x", charge_multiplier=9, nf=3, theta_over_pi=1)
     assert result == QuantizationResult(1, 3, 9, "x")
+    # the signature help() shows: every field, in order, with its default
+    for cls, names in _FIELDS.items():
+        params = inspect.signature(cls).parameters
+        assert tuple(params) == names
+        assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        defaults = {n: p.default for n, p in params.items() if p.default is not p.empty}
+        assert repr(defaults) == repr(_DEFAULTS.get(cls, {})), cls
 
 
 @pytest.mark.parametrize("value, _text", _VALUES, ids=_IDS)
 def test_value_rejects_an_unknown_missing_or_extra_field(value, _text):
     cls, fields = type(value), {name: getattr(value, name) for name in _FIELDS[type(value)]}
     assert cls(**fields) == value
-    with pytest.raises(TypeError):
+    # Python's own texts, naming the class's __init__
+    named = rf"{cls.__name__}\.__init__\(\)"
+    with pytest.raises(TypeError, match=named):
         cls(**fields, extra=1)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=named):
         cls(*fields.values(), None)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=named):
         cls(*fields.values(), **{next(iter(fields)): None})
     if cls not in (Coefficient, Expression):  # every field of these two has a default
         del fields[next(iter(fields))]
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=named):
             cls(**fields)
 
 
