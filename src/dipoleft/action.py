@@ -3,7 +3,7 @@
 The loop kernel (``polarization``) follows the second-order term of the
 log-det expansion: an explicit i/2, a factor i per vertex insertion,
 propagator numerators i(gamma.p + m) and the closed-fermion-loop sign.
-``oracle.loop_normalization_deviation`` pins the net normalization against
+``selftest.loop_normalization_deviation`` pins the net normalization against
 the explicit-matrix integrand on whole models, independently of the
 acceptance fixtures, in which a single flavor with chirality +1, vertex
 coefficient e*alpha/2 and one exact slot produces the epsilon-sector
@@ -238,7 +238,7 @@ def assemble(model: ModelSpec) -> EffectiveAction:
     rather than slot names makes a combo such as ``F-F`` vanish.  Flavor
     loops are diagonal: cross terms arise only inside one flavor's combo.
     The loop normalization this sum carries is checked against explicit
-    matrices by ``oracle.loop_normalization_deviation``.
+    matrices by ``selftest.loop_normalization_deviation``.
 
     Returns the action with divergences still symbolic.
     """

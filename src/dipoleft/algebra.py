@@ -55,7 +55,7 @@ class _Value:
 
     It keeps the contract of the frozen dataclass it replaces, for this
     module's types and for the model, diagnostic and report types of
-    ``action``, ``modelfile`` and ``oracle``: positional or keyword
+    ``action``, ``modelfile`` and ``selftest``: positional or keyword
     construction with defaults, a ``Name(field=value, ...)`` repr, equality
     only between instances of one class, a hash equal to ``hash`` of the
     field tuple, so no set or dict order moves, and an ``AttributeError``

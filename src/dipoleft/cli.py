@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import __version__
@@ -25,29 +24,14 @@ from .action import (
     check_quantization,
     eliminate_bf,
     normal_form,
-    polarization,
     renormalize,
 )
-from .algebra import LOG_LAMBDA, substitute_dimension
 from .dirac import ModelError
-from .loops import cutoff_scalar_leading, laurent_expand
 from .modelfile import ModelFileError, parse_model, parse_monomial, parse_rational
-from .oracle import (
-    convention_trace,
-    cutoff_tensor_grid_max_relative_error,
-    dipole_trace_identity_checks,
-    log_slope,
-    loop_normalization_deviation,
-    max_clifford_deviation,
-    one_flavor_model,
-    quadrature_grid_max_relative_error,
-    randomized_equivalence_suite,
-)
 from .render import (
     FIELD_STRENGTH,
     POTENTIAL,
     RenderError,
-    coefficient_text,
     render_latex,
     render_structured_json,
     render_text,
@@ -186,67 +170,15 @@ def _run_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_checks(seed: int, count: int):
-    """The selftest checks in order, each as (passed, line): the numeric-oracle
-    checks, then two exact checks of the symbolic-d sector that the d = 4
-    pipeline leaves out."""
-    clifford = max_clifford_deviation()
-    convention = abs(convention_trace() - (-4j))
-    yield all(v < 1e-12 for v in (clifford, convention)), (
-        f"gamma representation (clifford={clifford:.2e}, convention={convention:.2e})"
-    )
-
-    report = randomized_equivalence_suite(seed=seed, count=count)
-    yield report.passed, "\n".join(report.lines())
-
-    eps_dev, contracted_dev = dipole_trace_identity_checks()
-    yield all(v < 1e-10 for v in (eps_dev, contracted_dev)), (
-        f"dipole trace identities over 256 index tuples (eps={eps_dev:.2e}, contracted={contracted_dev:.2e})"
-    )
-
-    for chirality in (+1, -1):
-        rank0_dev, rank2 = loop_normalization_deviation(one_flavor_model(chirality), seed=seed)
-        yield all(v < 1e-10 for v in (rank0_dev, rank2)), (
-            f"loop normalization vs matrix integrand, chi={chirality:+d} "
-            f"(rank0={rank0_dev:.2e}, rank2={rank2:.2e})"
-        )
-
-    grid_err = quadrature_grid_max_relative_error()
-    yield grid_err < 1e-8, f"radial quadrature vs closed form (max rel err {grid_err:.2e})"
-
-    tensor_err = cutoff_tensor_grid_max_relative_error()
-    yield tensor_err < 1e-6, f"rank-2 cutoff bracket vs radial quadrature (max rel err {tensor_err:.2e})"
-
-    slope = log_slope()
-    (leading,) = cutoff_scalar_leading().terms  # (1/(8 pi^2)) log(Lambda/m)
-    target = float(leading.coeff.re) * math.pi ** leading.coeff.const_power("pi")
-    yield abs(slope - target) / target < 0.01, f"log-cutoff slope {slope:.6e} vs {target:.6e}"
-
-    # 2/eps of the dimreg I0 corresponds to 2 log(Lambda/m) of the cutoff one.
-    (pole,) = [t.coeff.with_eps(1) for t in laurent_expand().terms if t.coeff.eps_power == -1]
-    log = leading.coeff.with_log(LOG_LAMBDA, -1)
-    yield pole == log, (
-        f"dimreg pole of I0 vs cutoff log, 1/eps <-> log(Lambda/m) "
-        f"({coefficient_text(pole)} vs {coefficient_text(log)})"
-    )
-
-    # The metric sector is (d - 4) times the cutoff bracket: at d = 4 the full
-    # derivation is the epsilon-only kernel that assemble reads.
-    same = all(
-        substitute_dimension(polarization(+1, mass, at_dimension=None), 4)
-        == polarization(+1, mass)
-        for mass in ("m", "0")
-    )
-    yield same, "symbolic-d kernel at d = 4 vs epsilon-only kernel, massive and massless"
-
-
 def _run_selftest(args: argparse.Namespace) -> int:
     if args.count <= 0:
         raise DomainError(f"--count must be a positive integer, got {args.count}")
     if args.seed < 0:
         raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
+    from . import selftest  # only this command loads the checks
+
     failed = False
-    for passed, line in _selftest_checks(args.seed, args.count):
+    for passed, line in selftest.checks(args.seed, args.count):
         failed |= not passed
         print(f"{'ok' if passed else 'FAIL'}: {line}")
     print("selftest: " + ("fail" if failed else "pass"))

@@ -26,7 +26,7 @@ from dipoleft.cli import main
 from dipoleft.dirac import FOUR_DIM, SYMBOLIC_DIM, commutator, trace
 from dipoleft.loops import cutoff_scalar_leading, laurent_expand
 from dipoleft.modelfile import parse_model
-from dipoleft.oracle import (
+from dipoleft.selftest import (
     dipole_trace_identity_checks,
     log_slope,
     quadrature_grid_max_relative_error,

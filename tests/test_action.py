@@ -44,7 +44,7 @@ from dipoleft.action import (
     renormalize,
 )
 from dipoleft.dirac import ModelError, SchemeError, trace_word
-from dipoleft.oracle import loop_normalization_deviation
+from dipoleft.selftest import loop_normalization_deviation
 
 ONE = Coefficient.one()
 

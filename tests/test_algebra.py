@@ -34,7 +34,7 @@ from dipoleft.algebra import (
     substitute_dimension,
 )
 from dipoleft.modelfile import Diagnostic, ModelFileError
-from dipoleft.oracle import SuiteReport
+from dipoleft.selftest import SuiteReport
 
 ONE = Coefficient.one()
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dipoleft import cli, oracle
+from dipoleft import cli, selftest
 from dipoleft.algebra import Coefficient, StructuralError
 from dipoleft.cli import main
 from dipoleft.dirac import trace_word
@@ -508,19 +508,17 @@ def test_selftest_rejects_a_negative_seed(capsys, seed):
 
 
 def test_selftest_checks_loop_normalization_per_chirality(capsys, monkeypatch):
-    from dipoleft import cli
-
     code, out, _ = run(capsys, "selftest", "--count", "5")
     assert code == 0
     for chi in ("+1", "-1"):
         assert f"ok: loop normalization vs matrix integrand, chi={chi}" in out
-    real = cli.loop_normalization_deviation
+    real = selftest.loop_normalization_deviation
 
     def broken_minus(model, *args, **kwargs):
         chirality = model.flavors[0].chirality
         return (1.0, 0.0) if chirality < 0 else real(model, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "loop_normalization_deviation", broken_minus)
+    monkeypatch.setattr(selftest, "loop_normalization_deviation", broken_minus)
     code, out, _ = run(capsys, "selftest", "--count", "5")
     assert code == 3
     assert "FAIL: loop normalization vs matrix integrand, chi=-1" in out
@@ -557,7 +555,7 @@ def test_selftest_fails_on_a_failing_equivalence_suite(capsys, monkeypatch):
     def doubled(word, mode):
         return trace_word(word, mode).scaled(Coefficient.rational(2))
 
-    monkeypatch.setattr(oracle, "trace_word", doubled)
+    monkeypatch.setattr(selftest, "trace_word", doubled)
     code, out, _ = run(capsys, "selftest", "--count", "40")
     assert code == 3
     lines = out.splitlines()
@@ -569,12 +567,12 @@ def test_selftest_fails_on_a_failing_equivalence_suite(capsys, monkeypatch):
 
 
 def test_selftest_fails_on_a_dimreg_pole_off_the_cutoff_log(capsys, monkeypatch):
-    real = cli.laurent_expand
+    real = selftest.laurent_expand
 
     def doubled():
         return real().scaled(Coefficient.rational(2))
 
-    monkeypatch.setattr(cli, "laurent_expand", doubled)
+    monkeypatch.setattr(selftest, "laurent_expand", doubled)
     code, out, _ = run(capsys, "selftest", "--count", "5")
     assert code == 3
     lines = out.splitlines()
@@ -585,7 +583,7 @@ def test_selftest_fails_on_a_dimreg_pole_off_the_cutoff_log(capsys, monkeypatch)
 
 
 def test_selftest_fails_when_the_metric_sector_survives_d_equals_4(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "substitute_dimension", lambda expr, value: expr)
+    monkeypatch.setattr(selftest, "substitute_dimension", lambda expr, value: expr)
     code, out, _ = run(capsys, "selftest", "--count", "5")
     assert code == 3
     lines = out.splitlines()

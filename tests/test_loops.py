@@ -28,7 +28,7 @@ from dipoleft.loops import (
     integrate,
     laurent_expand,
 )
-from dipoleft.oracle import euclidean_scalar_integral
+from dipoleft.selftest import euclidean_scalar_integral
 
 ONE = Coefficient.one()
 

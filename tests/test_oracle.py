@@ -1,7 +1,7 @@
 """Gamma representation invariants, the as-written evaluator, equivalence
 suite, radial integrals, loop normalization against explicit matrices, and
 the import budget (numpy never at run time, only as the tests' dense
-reference; SymPy never)."""
+reference; SymPy never; ``dipoleft.selftest`` only for ``selftest``)."""
 
 import math
 import os
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dipoleft import loops, oracle
+from dipoleft import loops, oracle, selftest
 from dipoleft.action import FlavorSpec, ModelSpec, assemble
 from dipoleft.algebra import (
     LOG_LAMBDA,
@@ -34,19 +34,16 @@ from dipoleft.algebra import (
 )
 from dipoleft.dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
 from dipoleft.modelfile import parse_model
-from dipoleft.oracle import (
-    ETA,
+from dipoleft.oracle import ETA, evaluate_expression_numeric, evaluate_term_numeric, numeric_trace
+from dipoleft.selftest import (
     convention_trace,
     cutoff_tensor_grid_max_relative_error,
     dipole_trace_identity_checks,
     euclidean_scalar_integral,
     euclidean_tensor_integral,
-    evaluate_expression_numeric,
-    evaluate_term_numeric,
     log_slope,
     loop_normalization_deviation,
     max_clifford_deviation,
-    numeric_trace,
     one_flavor_model,
     quadrature_grid_max_relative_error,
     randomized_equivalence_suite,
@@ -347,11 +344,22 @@ def test_equivalence_suite_flags_corrupted_rule(monkeypatch):
     def corrupted(word, mode):
         return trace_word(word, mode).scaled(Coefficient.rational(2))
 
-    monkeypatch.setattr(oracle, "trace_word", corrupted)
+    monkeypatch.setattr(selftest, "trace_word", corrupted)
     report = randomized_equivalence_suite(seed=1, count=60)
     assert not report.passed
     assert any(name.startswith("tr(") for name in report.failures)
     assert any("FAIL" in line for line in report.lines())
+
+
+def test_equivalence_suite_is_exact(monkeypatch):
+    # both values are small integers held in floats, so one part in 10^12 is a fault
+    for seed in (42, 1, 7, 101):
+        assert randomized_equivalence_suite(seed=seed, count=500).max_deviation == 0.0
+    scale = Coefficient.rational(Fraction(10**12 + 1, 10**12))
+    monkeypatch.setattr(selftest, "trace_word", lambda word, mode: trace_word(word, mode).scaled(scale))
+    report = randomized_equivalence_suite(seed=42, count=50)
+    assert not report.passed
+    assert 0 < report.max_deviation < 1e-11
 
 
 def test_dipole_identities_over_all_tuples():
@@ -421,8 +429,8 @@ def test_quadrature_grid_twenty_points():
 def test_legendre_rule_matches_numpy_leggauss():
     import numpy as np
 
-    nodes, weights = oracle._legendre_rule()
-    want_nodes, want_weights = np.polynomial.legendre.leggauss(oracle._RADIAL_NODES)
+    nodes, weights = selftest._legendre_rule()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(selftest._RADIAL_NODES)
     assert np.abs(np.array(nodes) - want_nodes).max() <= 1e-14
     assert np.abs(np.array(weights) - want_weights).max() <= 1e-14
 
@@ -468,7 +476,7 @@ def test_loop_normalization_detects_a_flipped_combo_sign(monkeypatch, bf_model_p
     (s1, a), (s2, b) = first.combo
     flipped_first = FlavorSpec(first.name, first.mass, first.chirality, first.coeff, ((s1, a), (-s2, b)))
     flipped = ModelSpec(model.slots, (flipped_first,) + model.flavors[1:], model.absorb, model.constants)
-    monkeypatch.setattr(oracle, "assemble", lambda _: assemble(flipped))
+    monkeypatch.setattr(selftest, "assemble", lambda _: assemble(flipped))
     rank0_dev, _ = loop_normalization_deviation(model)
     assert rank0_dev > 1e-3
 
@@ -492,15 +500,18 @@ _NUMPY_AFTER_MAIN = (
 )
 
 
-def _probe(source: str, *args: str) -> list[str]:
-    """Last stdout line of a fresh interpreter running ``source`` on the source tree."""
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` on the source tree."""
     src = str(REPO_ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", source, *args],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT, check=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=REPO_ROOT, check=True,
     )
-    return proc.stdout.splitlines()[-1].split()
+
+
+def _probe(source: str, *args: str) -> list[str]:
+    """Last stdout line of a fresh interpreter running ``source`` on the source tree."""
+    return _fresh("-c", source, *args).stdout.splitlines()[-1].split()
 
 
 def test_import_does_not_load_numpy():
@@ -526,6 +537,39 @@ def test_cli_import_loads_the_oracle_but_not_json():
     assert _probe(_CLI_IMPORT_THEN_STRUCTURED) == [
         "True", "False", "False", "False", "0", "True", "True"
     ]
+
+
+_CLI_MODULES = {"dipoleft"} | {
+    f"dipoleft.{name}" for name in ("action", "algebra", "dirac", "loops", "modelfile", "oracle", "render")
+}
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        (["compute", "theta_term.eft"], set()),
+        (["reduce-bf", "bf_theory.eft"], set()),
+        (["check-quantization", "--theta=1/3pi", "--nf", "3"], set()),
+        (["selftest", "--count", "5"], {"dipoleft.selftest"}),
+    ],
+    ids=["compute", "reduce-bf", "check-quantization", "selftest"],
+)
+def test_only_selftest_imports_the_checks(argv, checks):
+    # -X importtime names each module on stderr as it is first imported;
+    # `python -m` runs dipoleft.cli as __main__, so it is not among them
+    stderr = _fresh("-X", "importtime", "-m", "dipoleft.cli", *argv).stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+    assert {n for n in names if n.partition(".")[0] == "dipoleft"} == _CLI_MODULES | checks
+
+
+def test_import_defines_the_evaluators_in_the_oracle_and_loads_no_checks():
+    # benchmark/worker.py and benchmark/tracer.py read both evaluators off dipoleft.oracle
+    source = (
+        "import sys, dipoleft\n"
+        "print(dipoleft.oracle.numeric_trace.__module__, dipoleft.oracle.evaluate_expression_numeric.__module__,\n"
+        "      'dipoleft.selftest' in sys.modules, 'statistics' in sys.modules)\n"
+    )
+    assert _probe(source) == ["dipoleft.oracle", "dipoleft.oracle", "False", "False"]
 
 
 def test_oracle_values_on_distinct_assigned_labels_do_not_load_numpy():
