@@ -20,7 +20,9 @@ or finite name) and one declaring line, and only a mass symbol may repeat
 (across flavors); mass ``0`` is not a name.  A name that is not an
 identifier is ``bad-name``, a reserved engine name ``reserved-name``, a
 name declared again as the same kind ``duplicate-<kind>`` and as another
-kind ``name-clash``, each citing the earlier line.  Constants must be
+kind ``name-clash``, each citing the earlier line.  ``declare_name`` is
+this rule for both readers: the structured reader (``render``) cites
+``in slots[0]`` where a model file cites a line.  Constants must be
 declared before use, and a constant has at most one absorb directive
 (``duplicate-absorb``).  A malformed monomial or one over zero
 (``e*alpha/0``) is ``bad-monomial``; a malformed scale, one over zero or
@@ -149,12 +151,30 @@ def _parse_combo(token: str) -> list[tuple[int, str]]:
     return combo
 
 
+def declare_name(names: dict, name: object, kind: str, place: str) -> tuple[str, str] | None:
+    """Enter ``name`` as ``kind`` declared ``place`` (``on line 3``) into ``names``
+    (name -> (kind, place)); the (code, message) refusing it, or None."""
+    if not isinstance(name, str) or not NAME.fullmatch(name):
+        return "bad-name", f"{kind} name {name!r} is not an identifier"
+    if name in RESERVED_NAMES:
+        return "reserved-name", f"{name!r} is reserved by the engine"
+    if name not in names:
+        names[name] = (kind, place)
+        return None
+    prior, prior_place = names[name]
+    if prior == kind == "mass":
+        return None
+    if prior == kind:
+        return f"duplicate-{kind.replace(' ', '-')}", f"{kind} {name!r} already declared {prior_place}"
+    return "name-clash", f"{kind} {name!r} already declared as a {prior} {prior_place}"
+
+
 def parse_model(text: str) -> ModelSpec:
     """Parse and validate a model file, less one leading byte-order mark;
     raises ModelFileError with every diagnostic found (each carrying a line number)."""
     diagnostics: list[Diagnostic] = []
     has_dim = False
-    names: dict[str, tuple[str, int]] = {}  # name -> (kind, declaring line)
+    names: dict[str, tuple[str, str]] = {}  # name -> (kind, "on line <n>")
     declared: defaultdict[str, set[str]] = defaultdict(set)  # kind -> its names
     slots: list[SlotSpec] = []
     flavors: list[FlavorSpec] = []
@@ -167,25 +187,11 @@ def parse_model(text: str) -> ModelSpec:
 
     def declare(name: str, kind: str) -> bool:
         """Enter name as kind; False, with a diagnostic, if the table refuses it."""
-        if not NAME.fullmatch(name):
-            add("bad-name", f"{kind} name {name!r} is not an identifier")
+        if refusal := declare_name(names, name, kind, f"on line {line_no}"):
+            add(*refusal)
             return False
-        if name in RESERVED_NAMES:
-            add("reserved-name", f"{name!r} is reserved by the engine")
-            return False
-        if name not in names:
-            names[name] = (kind, line_no)
-            declared[kind].add(name)
-            return True
-        prior, prior_line = names[name]
-        if prior == kind == "mass":
-            return True
-        if prior == kind:
-            code, message = f"duplicate-{kind.replace(' ', '-')}", "already declared"
-        else:
-            code, message = "name-clash", f"already declared as a {prior}"
-        add(code, f"{kind} {name!r} {message} on line {prior_line}")
-        return False
+        declared[kind].add(name)
+        return True
 
     for line_no, raw in enumerate(_LINE_BREAK.split(text.removeprefix("\ufeff")), start=1):
         line = raw.split("#", 1)[0].strip()

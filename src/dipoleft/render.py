@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import Any
 
 from .action import ActionTerm, EffectiveAction, SlotSpec, normal_form
-from .algebra import RESERVED_NAMES, Coefficient
+from .algebra import Coefficient
 from .loops import bubble_mass
-from .modelfile import NAME
+from .modelfile import declare_name
 
 FIELD_STRENGTH = "field-strength"
 POTENTIAL = "potential"
@@ -182,7 +182,8 @@ def render_term_latex(term: ActionTerm, action: EffectiveAction, form: str = FIE
 
 def render_latex(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
     _check_form(form)
-    body = " + ".join(render_term_latex(t, action, form) for t in action.terms)
+    # no term holds " + ", so each " + -" joins a negative later term
+    body = " + ".join(render_term_latex(t, action, form) for t in action.terms).replace(" + -", " - ")
     if not body:
         return ""
     return f"\\[ S = \\int d^4x\\; {body} \\]"
@@ -214,19 +215,17 @@ def _structured_int(value: Any, what: str) -> int:
     return value
 
 
-def _identifier(name: Any, what: str) -> str:
-    """``name`` if the model-file parser would take it as a name."""
-    if not isinstance(name, str) or not NAME.fullmatch(name):
-        raise RenderError(f"{what} {name!r} is not an identifier")
-    return name
+def _declare(table: dict, name: Any, kind: str, place: str) -> None:
+    """``modelfile.declare_name``, the model file's name rule; its refusal is a RenderError."""
+    if refusal := declare_name(table, name, kind, place):
+        raise RenderError(refusal[1])
 
 
-def _coefficient_from_structured(obj: dict[str, Any], taken: set[str]) -> Coefficient:
+def _coefficient_from_structured(obj: dict[str, Any], table: dict, place: str) -> Coefficient:
     """Inverse of ``coefficient_structured``; RenderError for a missing
     num/den, a non-integer number or exponent, an i_power other than 0 or 1,
-    or a constant that is not an identifier or bubble I0[mass], or whose name
-    (a bubble's mass) is reserved by the engine (``RESERVED_NAMES``) or
-    ``taken`` by a slot or potential, as a model file's ``name-clash``."""
+    or a constant the name rule refuses.  Each constant (for a bubble
+    I0[mass], its mass) is declared ``place`` by the first term using it."""
     if not isinstance(obj, dict) or {"num", "den"} - obj.keys():
         raise RenderError(f"coefficient {obj!r} needs integer 'num' and 'den'")
     num = _structured_int(obj["num"], "num")
@@ -241,11 +240,9 @@ def _coefficient_from_structured(obj: dict[str, Any], taken: set[str]) -> Coeffi
         raise RenderError(f"coefficient constants {constants!r} is not an object")
     for name in constants:
         mass = bubble_mass(name) if isinstance(name, str) else None
-        symbol = _identifier(name if mass is None else mass, "constant name")
-        if symbol in RESERVED_NAMES:
-            raise RenderError(f"constant {name!r} cannot be listed in 'constants'")
-        if symbol in taken:
-            raise RenderError(f"constant {name!r} clashes with the slot or potential {symbol!r}")
+        symbol = name if mass is None else mass
+        if table.get(symbol, ("",))[0] != "constant":
+            _declare(table, symbol, "constant", place)
     powers = {
         name: _structured_int(exp, f"exponent of {name!r}") for name, exp in constants.items()
     }
@@ -282,25 +279,26 @@ def render_structured(action: EffectiveAction, form: str = FIELD_STRENGTH) -> di
     }
 
 
-def _slot_from_structured(entry: dict[str, Any]) -> SlotSpec:
-    """An identifier ``name``; ``kind`` "exact" with a potential or
-    "fundamental" without one."""
-    name = _identifier(entry.get("name"), "slot name")
+def _slot_from_structured(entry: dict[str, Any], table: dict, place: str) -> SlotSpec:
+    """A ``name`` and an exact slot's potential, each declared ``place``;
+    ``kind`` "exact" with a potential or "fundamental" without one."""
+    name = entry.get("name")
+    _declare(table, name, "slot", place)
     kind, potential = entry.get("kind"), entry.get("potential")
     if kind == "fundamental" and potential is None:
         return SlotSpec(name)
     if kind != "exact" or potential is None:
         raise RenderError(f"slot {name!r} of kind {kind!r} with potential {potential!r}")
-    return SlotSpec(name, _identifier(potential, "potential"))
+    _declare(table, potential, "potential", place)
+    return SlotSpec(name, potential)
 
 
 def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
     """Rebuild an action from its structured form; RenderError for a
     payload that is not an object, ``slots`` or ``terms`` that are not
     lists of objects, an entry that lacks a key, a malformed slot entry
-    (``_slot_from_structured``) or coefficient, a name used twice among the
-    slot names and potentials, reserved by the engine (``RESERVED_NAMES``)
-    or also a coefficient constant, as in a model file, a tensor other than
+    (``_slot_from_structured``) or coefficient, a slot name, potential or
+    constant that the model file's name rule refuses, a tensor other than
     ``"epsilon"``, an unknown form, or term slots that are not two names
     listed in ``slots``.  The terms come back in the action normal form
     (``normal_form``)."""
@@ -313,23 +311,17 @@ def structured_to_action(obj: dict[str, Any]) -> tuple[EffectiveAction, str]:
         entries = obj.get(key)
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise RenderError(f"{key!r} must be a list of objects, got {entries!r}")
-    slots = tuple(_slot_from_structured(s) for s in obj["slots"])
+    table: dict[str, tuple[str, str]] = {}  # name -> (kind, "in slots[<i>]" or "in terms[<i>]")
+    slots = tuple(_slot_from_structured(s, table, f"in slots[{i}]") for i, s in enumerate(obj["slots"]))
     declared = {s.name: s.exact for s in slots}
-    names = [s.name for s in slots] + [s.potential for s in slots if s.exact]
-    if len(set(names)) != len(names):
-        raise RenderError("two slot entries share a name or potential")
-    taken = set(names)
-    reserved = sorted(RESERVED_NAMES & taken)
-    if reserved:
-        raise RenderError(f"slot names and potentials {reserved} are reserved by the engine")
     form = obj.get("form", FIELD_STRENGTH)
     _check_form(form)
     terms = []
-    for entry in obj["terms"]:
+    for i, entry in enumerate(obj["terms"]):
         missing = {"coefficient", "tensor", "slots"} - entry.keys()
         if missing:
             raise RenderError(f"term entry lacks {sorted(missing)}")
-        coeff = _coefficient_from_structured(entry["coefficient"], taken)
+        coeff = _coefficient_from_structured(entry["coefficient"], table, f"in terms[{i}]")
         if entry["tensor"] != ActionTerm.structure:
             raise RenderError(f"unknown tensor {entry['tensor']!r}; every term is 'epsilon'")
         names = entry["slots"]

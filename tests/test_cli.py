@@ -365,6 +365,39 @@ def test_set_unknown_name_exit_code(capsys, theta_model_path):
     assert "thetaFF" in err
 
 
+def test_set_without_a_value_exit_code(capsys, theta_model_path):
+    code, out, err = run(capsys, "compute", str(theta_model_path), "--set", "e")
+    assert (code, out) == (1, "")
+    assert err == "error: bad --set argument 'e'; expected NAME=MONOMIAL\n"
+
+
+def test_reduce_bf_with_two_fundamental_slots_exit_code(tmp_path, capsys):
+    model = tmp_path / "two_multipliers.eft"
+    model.write_text(
+        THETA_HEADER + "slot b fundamental\nslot c fundamental\n"
+        "flavor psi mass m chirality + coeff e*alpha combo F+b+c\nabsorb alpha^2 as thetaF\n"
+    )
+    code, out, err = run(capsys, "reduce-bf", str(model))
+    assert (code, out) == (1, "")
+    assert err == "error: more than one fundamental 2-form slot\n"
+
+
+def test_latex_joins_a_negative_later_term_with_a_minus(tmp_path, capsys):
+    model = tmp_path / "two_slots.eft"
+    model.write_text(
+        "dim 4\nconstant e\nslot F exact A\nslot G exact B\n"
+        "flavor psi mass m chirality + coeff e combo F-G\n"
+    )
+    code, out, _ = run(capsys, "compute", str(model), "--keep-divergences", "--format", "latex")
+    assert code == 0
+    bundle = r"I(0)\,e^{2}\,m^{2}\, \epsilon^{\mu\nu\rho\sigma}"
+    assert out == (
+        rf"\[ S = \int d^4x\; 4\,{bundle} F_{{\mu\nu}} F_{{\rho\sigma}}"
+        rf" - 8\,{bundle} F_{{\mu\nu}} G_{{\rho\sigma}}"
+        rf" + 4\,{bundle} G_{{\mu\nu}} G_{{\rho\sigma}} \]" "\n"
+    )
+
+
 @pytest.mark.parametrize("values", [("1", "2"), ("2", "1"), ("1", "1")])
 def test_set_rejects_a_name_set_twice(capsys, theta_model_path, values):
     # either value would win silently, so the output would hang on flag order

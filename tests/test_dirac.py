@@ -90,6 +90,11 @@ def test_unknown_dim_mode_is_a_scheme_error_naming_the_mode(g5):
         trace(Expression.of(Term(ONE, word=word)), "bogus")
 
 
+def test_trace_passes_a_term_without_a_word_through():
+    plain = Term(Coefficient.rational(3), factors=(Metric("a", "b"),))
+    assert trace(Expression.of(plain)) == Expression.of(plain)
+
+
 @pytest.mark.parametrize("g5", [(), (G5,)])
 def test_label_used_three_times_names_the_word(g5):
     word = tuple(gamma(label) for label in "abaa") + g5

@@ -114,6 +114,43 @@ def test_lines_break_only_at_newlines():
     assert _codes("dim 4\r\nconstant e\rconstant e\n") == [("duplicate-constant", 3)]
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("slot G", "expected: slot <name> exact <potential> | slot <name> fundamental"),
+        (
+            "flavor psi mass m",
+            "expected: flavor <name> mass <sym> chirality +|- coeff <monomial> combo <slots>",
+        ),
+        (
+            "absorb alpha as thetaF",
+            "expected: absorb <constant>^2 as <name> [scale <rational>[/pi^<k>]]",
+        ),
+        ("flavor psi mass m chirality x coeff e combo F", "chirality must be + or -"),
+    ],
+    ids=["slot", "flavor", "absorb", "chirality"],
+)
+def test_malformed_directive_is_a_syntax_diagnostic(line, message):
+    (diag,) = _diagnostics(f"dim 4\nconstant e\nconstant alpha\nslot F exact A\n{line}\n")
+    assert (diag.code, diag.line, diag.message) == ("syntax", 5, message)
+
+
+@pytest.mark.parametrize("combo, message", [("F*F", "bad combo near '*F'"), ("F+", "bad combo 'F+'")])
+def test_malformed_combo_is_a_bad_combo(combo, message):
+    text = f"dim 4\nconstant e\nslot F exact A\nflavor p mass m chirality + coeff e combo {combo}\n"
+    (diag,) = _diagnostics(text)
+    assert (diag.code, diag.line, diag.message) == ("bad-combo", 4, message)
+
+
+def test_a_negated_name_factor_negates_the_monomial():
+    text = (
+        "dim 4\nconstant e\nconstant alpha\nslot F exact A\n"
+        "flavor p mass m chirality + coeff -e*alpha/2 combo F\n"
+    )
+    assert parse_model(text).flavors[0].coeff == Coefficient.monomial(-1, 2, e=1, alpha=1)
+    assert parse_monomial("-e*-alpha", {"e", "alpha"}) == Coefficient.monomial(1, 1, e=1, alpha=1)
+
+
 def test_duplicate_slot():
     text = "dim 4\nslot F exact A\nslot F fundamental\n"
     assert ("duplicate-slot", 3) in _codes(text)

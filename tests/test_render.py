@@ -1,6 +1,7 @@
 """Text, LaTeX and structured rendering; structured round trip."""
 
-from dataclasses import fields
+import inspect
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,12 @@ from dipoleft.action import (
     normal_form,
     renormalize,
 )
-from dipoleft.modelfile import parse_model
+from dipoleft.modelfile import ModelFileError, parse_model
 from dipoleft.render import (
     FIELD_STRENGTH,
     POTENTIAL,
     RenderError,
+    coefficient_structured,
     render_latex,
     render_structured,
     render_text,
@@ -119,6 +121,38 @@ def test_structured_schema_fields(theta_action):
     }
 
 
+def test_latex_joins_a_negative_later_term_with_a_minus():
+    slots = (SlotSpec("F", "A"), SlotSpec("G", "B"))
+    terms = (
+        ActionTerm(Coefficient.rational(-1, 2), "F", "F"),
+        ActionTerm(Coefficient.rational(-3), "F", "G"),
+    )
+    latex = render_latex(EffectiveAction(terms, slots))
+    eps = r"\epsilon^{\mu\nu\rho\sigma}"
+    assert latex == (
+        rf"\[ S = \int d^4x\; -\frac{{1}}{{2}}\, {eps} F_{{\mu\nu}} F_{{\rho\sigma}}"
+        rf" - 3\, {eps} F_{{\mu\nu}} G_{{\rho\sigma}} \]"
+    )
+
+
+def test_imaginary_coefficient_read_from_a_payload_renders():
+    coefficient = {"num": -1, "den": 2, "i_power": 1, "pi_power": 0, "constants": {"e": 2}}
+    action, _ = structured_to_action(_payload_with(coefficient=coefficient, slots=["F", "G"]))
+    eps = r"\epsilon^{\mu\nu\rho\sigma}"
+    assert render_text(action) == (
+        "(-1/2) * i * e^2 * eps[mu nu rho sigma] F[mu nu] G[rho sigma]"
+    )
+    assert render_latex(action) == (
+        rf"\[ S = \int d^4x\; -\frac{{i\,e^{{2}}}}{{2}}\, {eps} F_{{\mu\nu}} G_{{\rho\sigma}} \]"
+    )
+    assert render_structured(action)["terms"][0]["coefficient"] == coefficient
+
+
+def test_structured_writer_refuses_the_symbolic_dimension():
+    with pytest.raises(RenderError, match="^structured coefficients cannot carry the symbolic dimension$"):
+        coefficient_structured(Coefficient.one().with_consts(d=1))
+
+
 def test_empty_action_renders_empty_output():
     empty = EffectiveAction(terms=(), slots=(SlotSpec("F", "A"),))
     assert render_text(empty) == ""
@@ -130,7 +164,7 @@ def test_empty_action_renders_empty_output():
 def test_metric_sector_term_rejected():
     # An action term is eps X X only: the factor 2 per exact slot in potential
     # form holds under eps, so a metric term on F would print a wrong number.
-    assert [f.name for f in fields(ActionTerm)] == ["coeff", "slot_a", "slot_b"]
+    assert list(inspect.signature(ActionTerm).parameters) == ["coeff", "slot_a", "slot_b"]
     assert ActionTerm.structure == "epsilon"
     payload = _payload_with(tensor="metric", form=POTENTIAL) | {"form": POTENTIAL}
     with pytest.raises(RenderError, match="'metric'"):
@@ -306,8 +340,71 @@ def test_structured_constant_named_like_a_slot_is_a_name_clash(theta_action):
     # a model file rejects `constant F` beside `slot F exact A` as name-clash
     payload = render_structured(theta_action)
     payload["terms"][0]["coefficient"]["constants"]["F"] = 1
-    with pytest.raises(RenderError, match="constant 'F' clashes with the slot or potential 'F'"):
+    with pytest.raises(RenderError, match=r"^constant 'F' already declared as a slot in slots\[0\]$"):
         structured_to_action(payload)
+
+
+# Names both readers take from a declaration: identifiers, and reserved names
+# and tokens that are not identifiers.  None has a bracket or is I0: a payload
+# reads the constant I0[M] as the bubble of mass M and I0 as the bubble of m,
+# where a model file refuses both.
+_IDENTIFIERS = ("F", "G", "H", "A", "B", "C", "e", "m")
+_REFUSED_NAMES = ("pi", "eps", "Lambda", "2F", "A-1", "\u03b1")
+_NAME_RULES = re.compile("bad-name|reserved-name|duplicate-(slot|potential|constant)|name-clash")
+
+
+@st.composite
+def _declarations(draw):
+    """1-3 slots, each (name, potential or None), then 0-3 distinct constants."""
+    names = st.sampled_from(_IDENTIFIERS * 3 + _REFUSED_NAMES)  # mostly identifiers
+    slots = draw(st.lists(st.tuples(names, st.none() | names), min_size=1, max_size=3))
+    return slots, draw(st.lists(names, unique=True, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(declarations=_declarations())
+def test_both_readers_refuse_a_name_at_the_same_declaration_by_the_same_rule(declarations):
+    # one line per declaration in the model file; in the payload the slots
+    # in order, then one term on the first slot carrying every constant
+    slots, constants = declarations
+    lines = ["dim 4"] + [f"slot {n} exact {p}" if p else f"slot {n} fundamental" for n, p in slots]
+    lines += [f"constant {c}" for c in constants]
+    payload = {
+        "schema": 1,
+        "slots": [
+            {"name": n, "kind": "exact", "potential": p} if p else {"name": n, "kind": "fundamental"}
+            for n, p in slots
+        ],
+        "terms": [
+            {
+                "coefficient": {"num": 1, "den": 1, "constants": dict.fromkeys(constants, 1)},
+                "tensor": "epsilon",
+                "slots": [slots[0][0]] * 2,
+            }
+        ],
+    }
+    # where the payload declares what a model file declares on line n
+    places = {n: f"in slots[{n - 2}]" for n in range(2, len(slots) + 2)}
+    places |= dict.fromkeys(range(len(slots) + 2, len(lines) + 1), "in terms[0]")
+    try:
+        parse_model("\n".join(lines))
+    except ModelFileError as exc:
+        first = exc.diagnostics[0]
+        assert _NAME_RULES.fullmatch(first.code)
+        expected = re.sub(r"on line (\d+)$", lambda m: places[int(m[1])], first.message)
+        with pytest.raises(RenderError) as raised:
+            structured_to_action(payload)
+        assert str(raised.value) == expected
+    else:
+        structured_to_action(payload)
+
+
+def test_structured_constants_repeat_across_terms_and_beside_their_bubble():
+    # a constant is declared by the first term using it; I0[M] declares M
+    payload = _payload_with(coefficient={"num": 1, "den": 2, "constants": {"I0[M]": 1, "M": 2}})
+    payload["terms"] *= 2
+    action, _ = structured_to_action(payload)
+    assert [t.coeff.consts for t in action.terms] == [(("I0[M]", 1), ("M", 2))]
 
 
 def test_structured_declared_slots_and_tensors_accepted():
