@@ -18,7 +18,10 @@ test double) derives it afresh.  Every g5 comes from a vertex projector
 epsilon sector is odd in chi: a flavor's kernel is chi times the kernel,
 with the placeholder renamed to its mass in the mass symbol and the
 bubble I0[m].  A massless flavor reads the kernel at m -> 0: every term
-carrying a positive power of m vanishes, which leaves nothing.
+carrying a positive power of m vanishes, which leaves nothing.  The sum
+over flavors runs per unordered slot pair: each flavor adds the exact
+weight chi c^2 sum s_i s_j to its pair, mass and monomial, and only the
+weights that stay nonzero are multiplied by the kernel at their mass.
 """
 
 from __future__ import annotations
@@ -230,32 +233,48 @@ def assemble(model: ModelSpec) -> EffectiveAction:
     its coefficient c and the signs s_i of its combo entries, bilinearly in
     the two vertices.  The kernel (``polarization``) is read into action
     terms on the placeholder slots and mass once per process (``_kernel``,
-    keyed on the function bound to ``polarization``).  Each flavor takes
-    the kernel with the placeholder renamed to its mass, a massless flavor
-    at m -> 0 (``_kernel_for``), weighs it once by c^2 chi, then adds it
-    as epsilon-sector terms on the slots of every ordered pair (i, j) of
-    its combo entries, negated where s_i s_j < 0.  Summing over entries
-    rather than slot names makes a combo such as ``F-F`` vanish.  Flavor
-    loops are diagonal: cross terms arise only inside one flavor's combo.
-    The loop normalization this sum carries is checked against explicit
+    keyed on the function bound to ``polarization``).  Each flavor counts,
+    per unordered slot pair, the integer sum of s_i s_j over the ordered
+    pairs (i, j) of its combo entries, and weighs each nonzero count by
+    c^2 chi.  The weights are summed per slot pair, mass and monomial, so
+    chirality pairs and a combo such as ``F-F`` cancel exactly there,
+    before any kernel product.  Only a weight that stays nonzero is
+    multiplied by the kernel at its mass (``_kernel_for``, read once per
+    mass per call; a massless flavor reads it at m -> 0).  Flavor loops
+    are diagonal: cross terms arise only inside one flavor's combo.  The
+    loop normalization this sum carries is checked against explicit
     matrices by ``selftest.loop_normalization_deviation``.
 
     Returns the action with divergences still symbolic.
     """
-    declared = {s.name for s in model.slots}
+    order = {s.name: n for n, s in enumerate(model.slots)}
     kernel = _kernel(polarization)
-    terms: list[ActionTerm] = []
+    weights: dict[tuple, Coefficient] = {}
     for flavor in model.flavors:
         for _, name in flavor.combo:
-            if name not in declared:
+            if name not in order:
                 raise ModelError(f"unknown slot name {name!r} in vertex combo")
-        weight = flavor.coeff * flavor.coeff * Coefficient.rational(flavor.chirality)
-        weighted = [weight * k for k in _kernel_for(kernel, flavor.mass)]
-        negated = [-k for k in weighted]
-        for s1, a in flavor.combo:
-            for s2, b in flavor.combo:
-                pair = weighted if s1 * s2 > 0 else negated
-                terms += [ActionTerm(k, a, b) for k in pair]
+        entries = [(s, order[name]) for s, name in flavor.combo]
+        counts: dict[tuple[int, int], int] = {}
+        for s1, i in entries:
+            for s2, j in entries:
+                pair = (i, j) if i <= j else (j, i)
+                counts[pair] = counts.get(pair, 0) + s1 * s2
+        square = flavor.coeff * flavor.coeff
+        for pair, count in counts.items():
+            if count:
+                weight = square.gaussian_scaled(count * flavor.chirality)
+                key = (pair, flavor.mass, weight.monomial_key())
+                weights[key] = weights[key].plus(weight) if key in weights else weight
+    at_mass: dict[str, list[Coefficient]] = {}
+    terms: list[ActionTerm] = []
+    for ((i, j), mass, _), weight in weights.items():
+        if weight.is_zero():
+            continue
+        if mass not in at_mass:
+            at_mass[mass] = _kernel_for(kernel, mass)
+        a, b = model.slots[i].name, model.slots[j].name
+        terms += [ActionTerm(weight * k, a, b) for k in at_mass[mass]]
     return normal_form(terms, model.slots)
 
 

@@ -234,7 +234,7 @@ class Coefficient(_Value, re=_ZERO, im=_ZERO, consts=(), logs=(), eps_power=0):
             self.eps_power - other.eps_power,
         )
 
-    def gaussian_scaled(self, factor: Fraction) -> "Coefficient":
+    def gaussian_scaled(self, factor: int | Fraction) -> "Coefficient":
         re, im = self.re, self.im
         return Coefficient(
             re * factor if re else _ZERO,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 diagnostics (parse/model/domain errors),
-2 renormalization left divergent terms, 3 a failed selftest check.  Any
+2 renormalization left divergent terms, 3 a failed selftest check.  A
+closed stdout (``dipoleft selftest | head -1``) exits 1 silently.  Any
 other exception is an engine bug and propagates.  A usage error also exits
 2, with argparse's ``usage:`` and ``error:`` lines on stderr; called
 in-process, ``main`` raises it as ``SystemExit(2)`` rather than returning 2.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import __version__
@@ -190,12 +192,22 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "compute":
-            return _run_compute(args, reduce_multiplier=False)
-        if args.command == "reduce-bf":
-            return _run_compute(args, reduce_multiplier=True)
-        if args.command == "check-quantization":
-            return _run_check(args)
-        return _run_selftest(args)
+            code = _run_compute(args, reduce_multiplier=False)
+        elif args.command == "reduce-bf":
+            code = _run_compute(args, reduce_multiplier=True)
+        elif args.command == "check-quantization":
+            code = _run_check(args)
+        else:
+            code = _run_selftest(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull so the
+        # flush at shutdown cannot fail again, and print nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ModelFileError as exc:
         for diag in exc.diagnostics:
             print(f"{getattr(args, 'file', '<input>')}:{diag}", file=sys.stderr)

@@ -44,6 +44,7 @@ from dipoleft.action import (
     renormalize,
 )
 from dipoleft.dirac import ModelError, SchemeError, trace_word
+from dipoleft.modelfile import parse_model
 from dipoleft.selftest import loop_normalization_deviation
 
 ONE = Coefficient.one()
@@ -234,18 +235,22 @@ SLOT_NAMES = ("F", "G", "H")
 
 @st.composite
 def kernel_models(draw) -> ModelSpec:
+    """Flavors draw their coupling from a pool of two and their mass from
+    three, so two flavors can share both, and a combo can repeat a slot."""
     n_slots = draw(st.integers(1, 3))
     slots = tuple(SlotSpec(name, name.lower()) for name in SLOT_NAMES[:n_slots])
     flavors = []
     for k in range(draw(st.integers(1, 4))):
-        names = draw(st.permutations(SLOT_NAMES[:n_slots]))[: draw(st.integers(1, n_slots))]
+        names = draw(st.lists(st.sampled_from(SLOT_NAMES[:n_slots]), min_size=1, max_size=3))
         flavors.append(
             FlavorSpec(
                 name=f"psi{k}",
                 mass=draw(st.sampled_from(["m", "M", "0"])),
                 chirality=draw(st.sampled_from([+1, -1])),
                 coeff=Coefficient.monomial(
-                    draw(st.integers(1, 3)), draw(st.integers(1, 4)), **{f"g{k}": 1}
+                    draw(st.integers(1, 3)),
+                    draw(st.integers(1, 4)),
+                    **{draw(st.sampled_from(["g", "h"])): 1},
                 ),
                 combo=tuple((draw(st.sampled_from([+1, -1])), n) for n in names),
             )
@@ -259,6 +264,54 @@ def test_assemble_matches_loop_normalization_oracle(model):
     rank0_dev, rank2 = loop_normalization_deviation(model)
     assert rank0_dev <= 1e-10
     assert rank2 <= 1e-10
+
+
+def assemble_per_ordered_pair(model: ModelSpec) -> EffectiveAction:
+    """The bilinear form term by term: s_i s_j chi c^2 k on the slots of
+    every flavor's every ordered entry pair, for each kernel coefficient k
+    at the flavor's mass, merged only by ``normal_form``."""
+    kernel = action_module._kernel(polarization)
+    terms = []
+    for f in model.flavors:
+        square = f.coeff * f.coeff
+        for k in action_module._kernel_for(kernel, f.mass):
+            for s1, a in f.combo:
+                for s2, b in f.combo:
+                    sign = Coefficient.rational(s1 * s2 * f.chirality)
+                    terms.append(ActionTerm(sign * square * k, a, b))
+    return action_module.normal_form(terms, model.slots)
+
+
+GAUSSIAN_FACTORS = (ONE, Coefficient.imaginary(1), Coefficient(Fraction(1), Fraction(-1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_models(), st.sampled_from(GAUSSIAN_FACTORS))
+def test_assemble_matches_the_per_ordered_pair_sum_exactly(model, factor):
+    # a Gaussian factor on every coupling gives imaginary and mixed weights
+    flavors = tuple(
+        FlavorSpec(f.name, f.mass, f.chirality, factor * f.coeff, f.combo) for f in model.flavors
+    )
+    model = ModelSpec(slots=model.slots, flavors=flavors)
+    action, expected = assemble(model), assemble_per_ordered_pair(model)
+    assert action == expected
+    assert repr(action) == repr(expected)
+
+
+def test_assemble_hands_normal_form_one_term_per_surviving_slot_pair(monkeypatch, bf_model_path):
+    counts = []
+    merge = action_module.normal_form
+
+    def counting(terms, slots):
+        terms = list(terms)
+        counts.append(len(terms))
+        return merge(terms, slots)
+
+    monkeypatch.setattr(action_module, "normal_form", counting)
+    action = assemble(parse_model(bf_model_path.read_text()))
+    # the chirality pairs cancel in the weights: 3 terms, not 6 flavors x 4 ordered pairs
+    assert counts == [3]
+    assert len(action.terms) == 3
 
 
 def test_assemble_combo_f_minus_f_vanishes():

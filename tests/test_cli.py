@@ -835,3 +835,30 @@ def test_set_rejects_mass_zero(tmp_path, capsys):
     code, out, err = run(capsys, "compute", str(model), "--set", "0=5")
     assert (code, out) == (1, "")
     assert err == "error: --set '0' names no declared constant, finite name or mass\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [("compute", "theta_term.eft"), ("selftest", "--count", "5")], ids=["compute", "selftest"]
+)
+def test_closed_stdout_exits_1_without_an_error_line(argv, unbuffered):
+    # the pipe's reader has exited before the command writes, as `head` may
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dipoleft.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
