@@ -384,7 +384,7 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
         return action, False
     if len(fundamentals) > 1:
         raise NotReducibleError("more than one fundamental 2-form slot")
-    b = fundamentals[0].name
+    b = fundamentals[0].name  # so every other slot, each partner included, is exact
 
     constraint: list[tuple[str, Coefficient]] = []
     remaining: list[ActionTerm] = []
@@ -396,8 +396,6 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
         if all(touches):
             raise NotReducibleError(f"multiplier slot {b!r} appears quadratically")
         partner = term.slot_b if term.slot_a == b else term.slot_a
-        if not action.slot(partner).exact:
-            raise NotReducibleError("multiplier must couple to exact field strengths only")
         if any(name == partner for name, _ in constraint):
             raise NotReducibleError(
                 f"multiplier slot {b!r} couples to {partner!r} through more than one "
@@ -406,9 +404,6 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
         constraint.append((partner, term.coeff))
     if not constraint:
         return action, False
-    for term in remaining:
-        if not (action.slot(term.slot_a).exact and action.slot(term.slot_b).exact):
-            raise NotReducibleError("non-multiplier terms must be bilinear in exact slots")
 
     order = {s.name: n for n, s in enumerate(action.slots)}
     constraint.sort(key=lambda item: order[item[0]])

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 diagnostics (parse/model/domain errors),
 2 renormalization left divergent terms, 3 a failed selftest check.  A
-closed stdout (``dipoleft selftest | head -1``) exits 1 silently.  Any
-other exception is an engine bug and propagates.  A usage error also exits
-2, with argparse's ``usage:`` and ``error:`` lines on stderr; called
-in-process, ``main`` raises it as ``SystemExit(2)`` rather than returning 2.
+closed stdout (``dipoleft selftest | head -1``) or stderr exits 1
+silently; ``reduce-bf``'s note follows its action.  Any other exception
+is an engine bug and propagates.  A usage error also exits 2, with
+argparse's ``usage:`` and ``error:`` lines on stderr; called in-process,
+``main`` raises it as ``SystemExit(2)`` rather than returning 2.
 """
 
 from __future__ import annotations
@@ -141,18 +142,18 @@ def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
     action = assemble(model)
     if not getattr(args, "keep_divergences", False):
         action = renormalize(action, model.absorb)
-    if reduce_multiplier:
-        action, reduced = eliminate_bf(action)
-        if not reduced:
-            multipliers = [s.name for s in action.slots if not s.exact]
-            reason = (
-                f"multiplier slot {multipliers[0]!r} couples to nothing"
-                if multipliers
-                else "no fundamental 2-form slot"
-            )
-            print(f"note: {reason}; action returned unchanged", file=sys.stderr)
     action = _apply_assignments(action, args, model)
+    action, reduced = eliminate_bf(action) if reduce_multiplier else (action, True)
     _emit(action, args)
+    if not reduced:
+        multipliers = [s.name for s in action.slots if not s.exact]
+        reason = (
+            f"multiplier slot {multipliers[0]!r} couples to nothing"
+            if multipliers
+            else "no fundamental 2-form slot"
+        )
+        sys.stdout.flush()  # the action is out before a closed stderr can fail
+        print(f"note: {reason}; action returned unchanged", file=sys.stderr)
     return 0
 
 
@@ -187,27 +188,18 @@ def _run_selftest(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one command; every call in a process shares ``_build_parser()``."""
-    args = _build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command; a diagnostic goes to stderr, and its exit code is returned."""
     try:
         if args.command == "compute":
-            code = _run_compute(args, reduce_multiplier=False)
-        elif args.command == "reduce-bf":
-            code = _run_compute(args, reduce_multiplier=True)
-        elif args.command == "check-quantization":
-            code = _run_check(args)
-        else:
-            code = _run_selftest(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
-        return code
+            return _run_compute(args, reduce_multiplier=False)
+        if args.command == "reduce-bf":
+            return _run_compute(args, reduce_multiplier=True)
+        if args.command == "check-quantization":
+            return _run_check(args)
+        return _run_selftest(args)
     except BrokenPipeError:
-        # The reader of stdout has gone.  Point stdout at devnull so the
-        # flush at shutdown cannot fail again, and print nothing.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+        raise  # an OSError, but a closed stream is not a diagnostic
     except ModelFileError as exc:
         for diag in exc.diagnostics:
             print(f"{getattr(args, 'file', '<input>')}:{diag}", file=sys.stderr)
@@ -217,6 +209,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ModelError, NotReducibleError, DomainError, RenderError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; every call in a process shares ``_build_parser()``."""
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # A reader of stdout or stderr has gone.  Point each stream still holding what
+        # it failed to write at devnull, so the shutdown flush cannot fail; print nothing.
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
         return 1
 
 

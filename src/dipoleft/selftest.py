@@ -5,8 +5,9 @@ rule and the loop normalization of the assembled action, and a fixed
 Gauss-Legendre rule in t, with u = m^2 (e^t - 1), verifies the regularized
 radial integrals of both cutoff table entries.  The matrices are the
 oracle's monomial tables read as dense 4x4 lists of rows.  ``checks`` runs
-these, then two exact checks of the symbolic-d sector.  Only the
-``selftest`` command imports this module.
+these, then two exact checks of the symbolic-d sector, the first on the
+dimreg value of I0 (``laurent_expand``) against the cutoff bubble's leading
+log, both defined here.  Only the ``selftest`` command imports this module.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import itertools
 import math
 import random
 import statistics
+from fractions import Fraction
 
 from . import loops
 from .action import FlavorSpec, ModelSpec, SlotSpec, assemble, polarization
-from .algebra import LOG_LAMBDA, Coefficient, G5, Word, _Value, gamma, substitute_dimension
+from .algebra import (
+    LOG_4PI, LOG_LAMBDA, LOG_MU, Coefficient, Expression, G5, Term, Word, _Value, canonicalize, gamma,
+    substitute_dimension,
+)
 from .dirac import FOUR_DIM, SYMBOLIC_DIM, trace_word
-from .loops import cutoff_scalar_leading, laurent_expand
 from .oracle import (
     ETA,
     _G5_TABLE,
@@ -144,7 +148,7 @@ def randomized_equivalence_suite(seed: int = 42, count: int = 500) -> SuiteRepor
 
 
 # ---------------------------------------------------------------------------
-# Radial integral oracle
+# Radial integral oracle, and the dimreg and cutoff values of I0
 # ---------------------------------------------------------------------------
 
 
@@ -192,6 +196,19 @@ def euclidean_tensor_integral(mass: float, cutoff: float) -> float:
     return _radial_integral(2, mass, cutoff)
 
 
+def cutoff_scalar_closed_form(mass: float, cutoff: float) -> float:
+    """Exact Euclidean rank-0 bubble below the cutoff.
+
+    (1/(16 pi^2)) [ log((Lambda^2+m^2)/m^2) + m^2/(Lambda^2+m^2) - 1 ],
+    the radial integral of u/(u+m^2)^2 over u in [0, Lambda^2].
+    """
+    if not (cutoff > mass > 0):
+        raise ValueError("require cutoff > mass > 0")
+    m2 = mass * mass
+    l2 = cutoff * cutoff
+    return (math.log((l2 + m2) / m2) + m2 / (l2 + m2) - 1.0) / (16 * math.pi**2)
+
+
 _GRID_MASSES = (0.5, 1.0, 2.0, 5.0)
 
 
@@ -201,7 +218,7 @@ def quadrature_grid_max_relative_error() -> float:
     for mass in _GRID_MASSES:
         for ratio in (10.0, 1e2, 1e3, 1e4, 1e5):
             cutoff = mass * ratio
-            exact = loops.cutoff_scalar_closed_form(mass, cutoff)
+            exact = cutoff_scalar_closed_form(mass, cutoff)
             approx = euclidean_scalar_integral(mass, cutoff)
             worst = max(worst, abs(approx - exact) / abs(exact))
     return worst
@@ -243,6 +260,24 @@ def log_slope() -> float:
     xs = [math.log(cutoff) for cutoff in cutoffs]
     ys = [euclidean_scalar_integral(1.0, cutoff) for cutoff in cutoffs]
     return statistics.linear_regression(xs, ys).slope
+
+
+def laurent_expand() -> Expression:
+    """Dimreg value of the bubble I0, Laurent-expanded around eps = 4 - d = 0.
+
+    I0 = -i mu^{4-d} Int d^dp/(2pi)^d (p^2-m^2)^-2
+       = (4pi)^{-d/2} Gamma(2 - d/2) (mu^2/m^2)^{2-d/2}
+       = (1/(4pi)^2) (2/eps + log(mu^2/m^2) + log(4pi) - gammaE) + O(eps).
+    """
+    base = Coefficient.monomial(1, 16, pi=-2)
+    pole = base.gaussian_scaled(Fraction(2)).with_eps(-1)
+    terms = (pole, base.with_log(LOG_MU), base.with_log(LOG_4PI), (-base).with_consts(gammaE=1))
+    return canonicalize(Expression(tuple(map(Term, terms))))
+
+
+def cutoff_scalar_leading() -> Expression:
+    """Leading log of the Euclidean rank-0 bubble at cutoff: (1/(8 pi^2)) log(Lambda/m)."""
+    return Expression.of(Term(Coefficient.monomial(1, 8, pi=-2).with_log(LOG_LAMBDA)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ from dipoleft.action import (
 from dipoleft.algebra import Epsilon, Expression, Term, canonicalize, contract, gamma, G5, Metric
 from dipoleft.cli import main
 from dipoleft.dirac import FOUR_DIM, SYMBOLIC_DIM, commutator, trace
-from dipoleft.loops import cutoff_scalar_leading, laurent_expand
 from dipoleft.modelfile import parse_model
 from dipoleft.selftest import (
+    cutoff_scalar_leading,
     dipole_trace_identity_checks,
+    laurent_expand,
     log_slope,
     quadrature_grid_max_relative_error,
     randomized_equivalence_suite,

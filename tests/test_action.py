@@ -16,6 +16,7 @@ from dipoleft import action as action_module
 from dipoleft import dirac
 from dipoleft.algebra import (
     G5,
+    LOG_LAMBDA,
     Coefficient,
     Epsilon,
     Expression,
@@ -448,6 +449,31 @@ def test_renormalize_missing_directive_names_the_term():
     with pytest.raises(RenormalizationIncompleteError) as info:
         renormalize(action, model.absorb[:1])  # only the lambda directive
     assert "beta" in str(info.value)
+
+
+BUNDLE = Coefficient.monomial(1, 1, alpha=2, m=2, I0=1)  # what the alpha directive absorbs
+EPS_FF = "eps[mu nu rho sigma] F[mu nu] F[rho sigma]"
+
+
+@pytest.mark.parametrize(
+    "coeff, text",
+    [
+        # the bundle is absorbed, but what is left still diverges
+        (BUNDLE.with_eps(-1), "(1) * I0 * alpha^2 * m^2 * eps^-1"),
+        (BUNDLE.with_log(LOG_LAMBDA), "(1) * I0 * alpha^2 * m^2 * log(Lambda/m)"),
+        (BUNDLE.with_consts(Lambda=2), "(1) * I0 * Lambda^2 * alpha^2 * m^2"),
+        # no directive takes two bubbles, a squared bubble or too few masses
+        (BUNDLE.with_consts(**{"I0[M]": 1, "M": 2}), "(1) * I0 * I0[M] * M^2 * alpha^2 * m^2"),
+        (BUNDLE.with_consts(I0=1), "(1) * I0^2 * alpha^2 * m^2"),
+        (BUNDLE.with_consts(m=-1), "(1) * I0 * alpha^2 * m"),
+    ],
+    ids=["eps-pole", "log-atom", "cutoff", "two-bubbles", "bubble-squared", "mass-power-1"],
+)
+def test_renormalize_refuses_a_divergence_no_directive_removes(coeff, text):
+    action = EffectiveAction(terms=(ActionTerm(coeff, "F", "F"),), slots=(SlotSpec("F", "A"),))
+    with pytest.raises(RenormalizationIncompleteError) as info:
+        renormalize(action, (AbsorbDirective("alpha", "thetaF", ONE),))
+    assert info.value.residual == (f"{text} * {EPS_FF}",)
 
 
 def test_renormalize_merges_flavors_of_different_masses():

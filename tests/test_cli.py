@@ -427,7 +427,25 @@ def test_set_zero_denominator_exit_code(capsys, bf_model_path, value):
     assert "zero denominator" in err
 
 
-def test_set_zero_under_negative_power_exit_code(capsys, tmp_path, bf_model_path):
+def test_set_zero_under_negative_power_exit_code(capsys, tmp_path, theta_model_path):
+    # a coupling e^-1 puts e^-2 in the action, so e=0 would divide by zero
+    model = tmp_path / "inverse_coupling.eft"
+    model.write_text(theta_model_path.read_text().replace("coeff e*alpha", "coeff e^-1*alpha"))
+    code, out, _ = run(capsys, "compute", str(model))
+    assert code == 0 and "e^-2" in out
+    for command in ("compute", "reduce-bf"):
+        code, out, err = run(capsys, command, str(model), "--set", "e=0")
+        assert (code, out) == (1, "")
+        assert err == "error: --set e=0 divides by zero: the action carries 'e' to a negative power\n"
+
+
+def test_set_applies_before_the_bf_reduction(capsys, tmp_path, bf_model_path):
+    # with LambdaF = 0 the multiplier couples to nothing: compute's action and the note
+    code, out, err = run(capsys, "compute", str(bf_model_path), "--set", "LambdaF=0")
+    assert (code, out, err) == (0, "(1/4) * CF * eps[mu nu rho sigma] F[mu nu] f[rho sigma]\n", "")
+    assert run(capsys, "reduce-bf", str(bf_model_path), "--set", "LambdaF=0") == (
+        0, out, "note: multiplier slot 'b' couples to nothing; action returned unchanged\n"
+    )
     # b couples to F through lambda and to f through beta, so reduce-bf divides by CF
     text = bf_model_path.read_text()
     for a, b in (("beta/4 combo F", "lambda/4 combo F"), ("lambda/2 combo f", "beta/2 combo f")):
@@ -436,10 +454,8 @@ def test_set_zero_under_negative_power_exit_code(capsys, tmp_path, bf_model_path
     model.write_text(text)
     code, out, _ = run(capsys, "reduce-bf", str(model))
     assert code == 0 and "CF^-1" in out
-    code, out, err = run(capsys, "reduce-bf", str(model), "--set", "CF=0")
-    assert code == 1
-    assert out == ""
-    assert "divides by zero" in err
+    # with CF = 0, b couples to F alone and sets it to zero, so no term is left
+    assert run(capsys, "reduce-bf", str(model), "--set", "CF=0") == (0, "", "")
 
 
 def test_set_zero_drops_the_term(capsys, theta_model_path):
@@ -837,12 +853,10 @@ def test_set_rejects_mass_zero(tmp_path, capsys):
     assert err == "error: --set '0' names no declared constant, finite name or mass\n"
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize(
-    "argv", [("compute", "theta_term.eft"), ("selftest", "--count", "5")], ids=["compute", "selftest"]
-)
-def test_closed_stdout_exits_1_without_an_error_line(argv, unbuffered):
-    # the pipe's reader has exited before the command writes, as `head` may
+def with_a_closed_pipe(closed: str, argv, unbuffered: bool) -> subprocess.CompletedProcess:
+    """``python -m dipoleft.cli`` with ``closed`` ("stdout" or "stderr") on a
+    pipe whose reader has exited before the command writes, as `head` may,
+    and the other stream captured."""
     src = str(REPO_ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)
@@ -850,15 +864,34 @@ def test_closed_stdout_exits_1_without_an_error_line(argv, unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "dipoleft.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-            cwd=REPO_ROOT,
+        return subprocess.run(
+            [sys.executable, "-m", "dipoleft.cli", *argv], text=True, env=env, cwd=REPO_ROOT, **streams
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [("compute", "theta_term.eft"), ("selftest", "--count", "5")], ids=["compute", "selftest"]
+)
+def test_closed_stdout_exits_1_without_an_error_line(argv, unbuffered):
+    proc = with_a_closed_pipe("stdout", argv, unbuffered)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # reduce-bf's note follows the action it prints
+        (("reduce-bf", "theta_term.eft"), "(1/32) * e^2 * thetaF * pi^-2 * " + EPS_FF),
+        (("compute", "no_such_model.eft"), ""),  # the error line is lost
+    ],
+    ids=["note", "error"],
+)
+def test_closed_stderr_exits_1_after_what_stdout_holds(argv, out, unbuffered):
+    proc = with_a_closed_pipe("stderr", argv, unbuffered)
+    assert (proc.returncode, proc.stdout) == (1, out)

@@ -21,14 +21,16 @@ from dipoleft.loops import (
     UnsupportedReductionError,
     bubble_mass,
     bubble_symbol,
-    cutoff_scalar_closed_form,
-    cutoff_scalar_leading,
     cutoff_tensor_bracket,
     evaluate_cutoff,
     integrate,
+)
+from dipoleft.selftest import (
+    cutoff_scalar_closed_form,
+    cutoff_scalar_leading,
+    euclidean_scalar_integral,
     laurent_expand,
 )
-from dipoleft.selftest import euclidean_scalar_integral
 
 ONE = Coefficient.one()
 

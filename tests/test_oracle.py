@@ -37,6 +37,7 @@ from dipoleft.modelfile import parse_model
 from dipoleft.oracle import ETA, evaluate_expression_numeric, evaluate_term_numeric, numeric_trace
 from dipoleft.selftest import (
     convention_trace,
+    cutoff_scalar_closed_form,
     cutoff_tensor_grid_max_relative_error,
     dipole_trace_identity_checks,
     euclidean_scalar_integral,
@@ -369,8 +370,6 @@ def test_dipole_identities_over_all_tuples():
 
 
 def test_euclidean_scalar_integral_matches_closed_form():
-    from dipoleft.loops import cutoff_scalar_closed_form
-
     value = euclidean_scalar_integral(1.0, 1e3)
     assert value == pytest.approx(cutoff_scalar_closed_form(1.0, 1e3), rel=1e-8)
 
