@@ -347,11 +347,15 @@ def normal_form(terms: Iterable[ActionTerm], slots: tuple[SlotSpec, ...]) -> Eff
     slot pair in declaration order, then by monomial.
 
     The result depends only on the sum the terms make, not on their order.
+    A term on a slot ``slots`` does not declare is a ModelError.
     """
     order = {s.name: n for n, s in enumerate(slots)}
     buckets: dict[tuple, Coefficient] = {}
     for t in terms:
-        i, j = sorted((order[t.slot_a], order[t.slot_b]))
+        try:
+            i, j = sorted((order[t.slot_a], order[t.slot_b]))
+        except KeyError as missing:
+            raise ModelError(f"unknown slot {missing.args[0]!r}") from None
         key = (i, j, t.coeff.monomial_key())
         if key in buckets:
             buckets[key] = buckets[key].plus(t.coeff)
@@ -401,7 +405,7 @@ def eliminate_bf(action: EffectiveAction) -> tuple[EffectiveAction, bool]:
                 f"multiplier slot {b!r} couples to {partner!r} through more than one "
                 "monomial; the substitution ratio would not be a monomial"
             )
-        constraint.append((partner, term.coeff))
+        constraint.append((action.slot(partner).name, term.coeff))  # ModelError if undeclared
     if not constraint:
         return action, False
 

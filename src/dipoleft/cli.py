@@ -3,16 +3,19 @@
 Exit codes: 0 success, 1 diagnostics (parse/model/domain errors),
 2 renormalization left divergent terms, 3 a failed selftest check.  A
 closed stdout (``dipoleft selftest | head -1``) or stderr exits 1
-silently; ``reduce-bf``'s note follows its action.  Any other exception
-is an engine bug and propagates.  A usage error also exits 2, with
-argparse's ``usage:`` and ``error:`` lines on stderr; called in-process,
-``main`` raises it as ``SystemExit(2)`` rather than returning 2.
+silently, also under argparse's own output (``--version``, ``--help``, a
+usage error); ``reduce-bf``'s note follows its action.  Any other
+exception is an engine bug and propagates.  A usage error also exits 2,
+with argparse's ``usage:`` and ``error:`` lines on stderr; called
+in-process, ``main`` raises it as ``SystemExit(2)`` rather than
+returning 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import sys
 
@@ -212,11 +215,28 @@ def _run(args: argparse.Namespace) -> int:
         return 1
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv``, holding argparse's own output (``--version``,
+    ``--help``, a usage error) until it exits, then writing it to the
+    real streams here, where a closed one raises rather than being
+    ignored by argparse."""
+    streams, held = (sys.stdout, sys.stderr), (io.StringIO(), io.StringIO())
+    sys.stdout, sys.stderr = held
+    try:
+        return _build_parser().parse_args(argv)
+    except SystemExit:
+        sys.stdout, sys.stderr = streams
+        for stream, text in zip(streams, held):
+            print(text.getvalue(), end="", file=stream, flush=True)
+        raise
+    finally:
+        sys.stdout, sys.stderr = streams
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every call in a process shares ``_build_parser()``."""
-    args = _build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(_parse_args(argv))
         sys.stdout.flush()  # a closed stdout fails here, not at shutdown
         return code
     except BrokenPipeError:

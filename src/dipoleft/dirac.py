@@ -19,23 +19,21 @@ whose sign is pinned by the conventions above; every leaf is -4i times a
 sign, a metric for each reduction step and one eps, followed in the eps
 branch by a pairing.  The eps branch's contracted s is paired at once with
 each later label, so the leaves carry only the word's own labels.  Every
-trace has one way in: the mode is checked first, then ``_leaves`` builds
-the word's positions in rank order (by label, ties by position) and a
-metric per position pair.  A plain trace's leaves, in ranks, do not depend
-on the word: ``_pairing_table`` lists each length's pairings once per
-process, which the eps branches of a g5 trace read too.  Leaves share
-their factor objects, which the numeric oracle relies on.  The g5
-recursion is a module-level function, so its memoized leaves sit in no
-reference cycle.  A g5 trace at symbolic d, or an unknown ``dim_mode``, is
-a hard error."""
+trace has one way in: the mode is checked first, then ``_leaves`` reads
+its length's table, which does not depend on the word, and instantiates
+it on the word's positions in rank order (by label, ties by position).
+``_pairing_table`` lists each length's pairings of ranks, and
+``_g5_table`` the g5 leaves over positions, its eps branches read from
+the pairing table; each is built once per process.  Leaves share their
+factor objects, which the numeric oracle relies on.  A g5 trace at
+symbolic d, or an unknown ``dim_mode``, is a hard error."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .algebra import (
     G5,
@@ -106,7 +104,6 @@ _LEAF_COEFFS = {
     False: (Coefficient.rational(4), Coefficient.rational(-4)),
     True: (Coefficient.imaginary(-4), Coefficient.imaginary(4)),
 }
-_LOWER_LABEL = attrgetter("i")  # a metric's lower label, the key its leaf is sorted by
 
 
 def _check_mode(dim_mode: str) -> None:
@@ -115,17 +112,30 @@ def _check_mode(dim_mode: str) -> None:
 
 
 def _leaves(labels: tuple[str, ...], has_g5: bool) -> list[tuple[int, tuple[TensorFactor, ...]]]:
-    """Every leaf of an even label tuple's trace, as (sign bit, factors).
-    A plain word reads its length's pairing table in rank order: with
-    ``inv`` the mask of rank pairs whose positions are reversed, a leaf's
-    sign is (-1)^(popcount(inv) + parity + popcount(inv & mask)), the rank
-    order's sign times the pairing's in ranks times -1 per reversed pair.
-    Tables cost 0.3-0.5 ms on first use up to length 8, 2-3 ms more for 10."""
+    """Every leaf of an even label tuple's trace, as (sign bit, factors),
+    read from its length's table, each metric ordered by label rank (by
+    label, ties by position) and built once per word.  A plain word reads
+    the pairing table in rank order: with ``inv`` the mask of rank pairs
+    whose positions are reversed, a leaf's sign is (-1)^(popcount(inv) +
+    parity + popcount(inv & mask)), the rank order's sign times the
+    pairing's in ranks times -1 per reversed pair.  A g5 word reads the g5
+    table: each eps quadruple is keyed once, its parity flipping its
+    leaves' signs and a repeated label dropping them; each leaf's metrics
+    are ordered by lower label, and the leaves by their factors' ranks.
+    The two tables cost 0.4 ms on first use up to length 8 and 2 ms more
+    for 10 (Python 3.11, x86_64)."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    metrics = {(p, q): Metric(labels[p], labels[q]) for p, q in combinations(order, 2)}
     if has_g5:
-        return _g5_pairings_of(labels, order, metrics, {}, (1 << len(labels)) - 1)
-    return _pairings(order, metrics)
+        return _g5_leaves(labels, order)
+    row, inv = [], 0
+    for k, (p, q) in enumerate(combinations(order, 2)):
+        row.append(Metric(labels[p], labels[q]))
+        inv |= (p > q) << k
+    row, flip = tuple(row), inv.bit_count() & 1
+    return [
+        (flip ^ parity ^ (inv & mask).bit_count() & 1, get(row))
+        for mask, parity, get in _pairing_table(len(labels))
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -147,61 +157,69 @@ def _pairing_table(n: int) -> tuple[tuple[int, int, itemgetter], ...]:
     return tuple(table)
 
 
-def _pairings(order: list[int], metrics: dict, head: tuple = (), flip: int = 0) -> list:
-    """(sign bit ^ ``flip``, ``head`` + metrics) per pairing of the positions
-    ``order`` lists by rank.  Each metric and each leaf's metrics come out
-    ascending and, for distinct labels, so do the (2n-1)!! leaves:
-    ``canonicalize``'s form and order."""
-    row, inv = [], 0
-    for k, pair in enumerate(combinations(order, 2)):
-        row.append(metrics[pair])
-        inv |= (pair[0] > pair[1]) << k
-    row, flip = tuple(row), flip ^ inv.bit_count() & 1
-    return [
-        (flip ^ parity ^ (inv & mask).bit_count() & 1, head + get(row))
-        for mask, parity, get in _pairing_table(len(order))
-    ]
-
-
-def _g5_pairings_of(
-    labels: tuple[str, ...], order: list[int], metrics: dict, g5_memo: dict, mask: int
-) -> list:
-    """tr(g^{a1}...g^{an} g5) at d = 4 over the word positions in ``mask``,
-    n even, as (sign bit, (eps, *metrics)) leaves built once per mask.
+@lru_cache(maxsize=None)
+def _g5_table(n: int) -> tuple[tuple, tuple, tuple]:
+    """tr(g^{p0}...g^{p(n-1)} g5) at d = 4 over word positions 0..n-1, n
+    even, as (quads, pairs, leaves), kept for the process: each leaf is
+    (sign bit, k, ids), one eps on the positions ``quads[k]`` and a metric
+    on each position pair ``pairs[i]`` for i in ``ids``.
 
     The trace is -4i times the signed sum of the leaves.  Words of four or
-    more gammas apply the reduction identity to their first three labels.
-    Its three metric branches recurse on the word two gammas shorter, empty
-    below four, and insert their metric into each shorter leaf by lower
-    label.  Its eps branch, +i eps^{abcs} g_s g5, leaves the inserted g5 to
-    hop over the odd-length remainder (sign -1) and square away: a plain
-    trace against eps^{abc s} with net coefficient -i.  Its first pairing
-    step contracts s with each later label r_j, sign (-1)^j, so a leaf is
-    eps^{abc r_j} times a ``_pairings`` leaf of the other labels, and
-    distinct labels give leaves without dummies (1, 6, 33 and 204 for 4,
-    6, 8 and 10 gammas).  ``algebra._keyed`` sorts eps's labels, folding
-    their parity into the sign, and drops an eps with a repeated label."""
-    if mask in g5_memo:
-        return g5_memo[mask]
-    g5_memo[mask] = leaves = []
-    positions = [p for p in range(len(labels)) if mask >> p & 1]
-    if len(positions) < 4:
-        return leaves
-    a, b, c, *rest = positions
-    for flip, p, q in ((0, a, b), (1, a, c), (0, b, c)):
-        metric = metrics[p, q] if (p, q) in metrics else metrics[q, p]
-        m, lower = (metric,), metric.i
-        sub = _g5_pairings_of(labels, order, metrics, g5_memo, mask ^ 1 << p ^ 1 << q)
-        for s, f in sub:
-            k = bisect_right(f, lower, 1, key=_LOWER_LABEL)
-            leaves.append((flip ^ s, f[:k] + m + f[k:]))
-    ranked = [q for q in order if q > c and mask >> q & 1]  # rest, in rank order
-    for j, r in enumerate(rest):
-        key, parity = _keyed("Epsilon", "", (labels[a], labels[b], labels[c], labels[r]))
-        if parity:
-            others = [q for q in ranked if q != r]
-            leaves += _pairings(others, metrics, (_factor_of(key),), (parity < 0) ^ j & 1)
-    return leaves
+    more gammas apply the reduction identity to their first three
+    positions.  Its three metric branches read table n - 2 on the other
+    positions, empty below four.  Its eps branch, +i eps^{abcs} g_s g5,
+    leaves the inserted g5 to hop over the odd-length remainder (sign -1)
+    and square away: a plain trace against eps^{abc s} with net
+    coefficient -i.  Its first pairing step contracts s with each later
+    position r_j, sign (-1)^j, so a leaf is eps^{abc r_j} times a pairing
+    of the other positions, from ``_pairing_table``: 1, 6, 33 and 204
+    leaves for 4, 6, 8 and 10 gammas, none of them with a dummy."""
+    quads: dict[tuple, int] = {}
+    pairs: dict[tuple, int] = {}
+    leaves = []
+
+    def add(sign: int, quad: tuple, leaf_pairs) -> None:
+        ids = tuple(pairs.setdefault(pair, len(pairs)) for pair in leaf_pairs)
+        leaves.append((sign, quads.setdefault(quad, len(quads)), ids))
+
+    if n >= 4:
+        sub_quads, sub_pairs, sub_leaves = _g5_table(n - 2)
+        for flip, p, q in ((0, 0, 1), (1, 0, 2), (0, 1, 2)):
+            at = [r for r in range(n) if r != p and r != q]
+            for s, k, ids in sub_leaves:
+                moved = ((at[i], at[j]) for i, j in map(sub_pairs.__getitem__, ids))
+                add(flip ^ s, tuple(at[i] for i in sub_quads[k]), ((p, q), *moved))
+        for r in range(3, n):
+            others = tuple(combinations([s for s in range(3, n) if s != r], 2))
+            for _, parity, get in _pairing_table(n - 4):
+                add(parity ^ (r - 3) & 1, (0, 1, 2, r), get(others))
+    return tuple(quads), tuple(pairs), tuple(leaves)
+
+
+def _g5_leaves(labels: tuple[str, ...], order: list[int]) -> list:
+    """The g5 table of ``labels``' length, instantiated: see ``_leaves``.
+    Rank pair (i, j) has code i*n + j, so codes order metrics as
+    ``canonicalize`` orders their keys."""
+    n = len(labels)
+    quads, pairs, table = _g5_table(n)
+    rank = sorted(range(n), key=order.__getitem__)
+    eps = []
+    for quad in quads:
+        key, parity = _keyed("Epsilon", "", itemgetter(*quad)(labels))
+        eps.append((key, _factor_of(key), parity < 0) if parity else None)
+    codes, metric_at = [], [None] * (n * n)
+    for p, q in pairs:
+        i, j = (rank[p], rank[q]) if rank[p] < rank[q] else (rank[q], rank[p])
+        codes.append(i * n + j)
+        metric_at[i * n + j] = Metric(labels[order[i]], labels[order[j]])
+    keys, leaves, code, metric = [], [], codes.__getitem__, metric_at.__getitem__
+    for s, k, ids in table:
+        if eps[k] is not None:
+            key, factor, flip = eps[k]
+            ranked = sorted(map(code, ids))
+            keys.append((key, *ranked))
+            leaves.append((s ^ flip, (factor, *map(metric, ranked))))
+    return [leaves[i] for i in sorted(range(len(leaves)), key=keys.__getitem__)]
 
 
 def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
@@ -209,9 +227,9 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
 
     One Term per leaf: 4 times each signed pairing without g5, -4i times
     each signed leaf of the reduction identity with g5.  The leaves of
-    distinct labels never merge, so they are the canonical form as built,
-    the g5 ones once sorted by their factors (eps, then metric pairs).  A
-    word with a repeated label is canonicalized, which merges leaves and
+    distinct labels never merge, and ``_leaves`` orders them and their
+    factors as ``canonicalize`` would, g5 ones from the g5 table too, so
+    they are the canonical form as built.  A word with a repeated label is canonicalized, which merges leaves and
     names dummies; a label used more than twice is a StructuralError
     naming the word, raised before any leaf is built.  A ``dim_mode`` other
     than SYMBOLIC_DIM and FOUR_DIM is a SchemeError, raised first.
@@ -235,8 +253,6 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
     if len(labels) % 2:
         return Expression.zero()
     leaves = _leaves(labels, has_g5)
-    if has_g5 and distinct:
-        leaves.sort(key=lambda leaf: (leaf[1][0].idx, [(m.i, m.j) for m in leaf[1][1:]]))
     coeffs = _LEAF_COEFFS[has_g5][::sign]  # a word sign of -1 swaps them
     terms = tuple([Term(coeffs[s], f) for s, f in leaves])
     return Expression(terms) if distinct else canonicalize(Expression(terms))

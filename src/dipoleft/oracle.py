@@ -27,17 +27,15 @@ from .algebra import Coefficient, G5, Expression, Metric, Epsilon, Term, Word
 ETA = (1.0, -1.0, -1.0, -1.0)  # diagonal of the metric eta
 
 
+# eps at each permutation of 0..3: the sign of its inversion count.
+_EPSILON = {
+    p: -1 if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 else 1
+    for p in itertools.permutations(range(4))
+}
+
+
 def _epsilon_value(indices: tuple[int, ...]) -> int:
-    if len(set(indices)) < 4:
-        return 0
-    perm = list(indices)
-    sign = 1
-    for i in range(4):
-        for j in range(3 - i):
-            if perm[j] > perm[j + 1]:
-                perm[j], perm[j + 1] = perm[j + 1], perm[j]
-                sign = -sign
-    return sign
+    return _EPSILON.get(indices, 0)
 
 
 # The Dirac representation, g0 = diag(1, 1, -1, -1) and g^k = [[0, s_k], [-s_k, 0]],

@@ -510,6 +510,26 @@ def test_renormalize_keeps_finite_terms():
     assert renormalize(finite, ()) == finite
 
 
+def test_renormalize_names_an_undeclared_slot():
+    action = EffectiveAction(terms=(ActionTerm(ONE, "G", "F"),), slots=(SlotSpec("F", "A"),))
+    with pytest.raises(ModelError, match="^unknown slot 'G'$"):
+        renormalize(action, ())
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        (ActionTerm(ONE, "G", "b"),),  # the multiplier's partner
+        (ActionTerm(ONE, "F", "b"), ActionTerm(ONE, "G", "G")),  # a remaining term
+    ],
+    ids=["partner", "remaining"],
+)
+def test_eliminate_bf_names_an_undeclared_slot(terms):
+    action = EffectiveAction(terms=terms, slots=(SlotSpec("F", "A"), SlotSpec("b", None)))
+    with pytest.raises(ModelError, match="^unknown slot 'G'$"):
+        eliminate_bf(action)
+
+
 def test_eliminate_bf_golden_path():
     model = bf_model()
     action = renormalize(assemble(model), model.absorb)

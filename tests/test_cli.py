@@ -875,7 +875,9 @@ def with_a_closed_pipe(closed: str, argv, unbuffered: bool) -> subprocess.Comple
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv", [("compute", "theta_term.eft"), ("selftest", "--count", "5")], ids=["compute", "selftest"]
+    "argv",
+    [("compute", "theta_term.eft"), ("selftest", "--count", "5"), ("--version",), ("compute", "--help")],
+    ids=["compute", "selftest", "version", "help"],
 )
 def test_closed_stdout_exits_1_without_an_error_line(argv, unbuffered):
     proc = with_a_closed_pipe("stdout", argv, unbuffered)
@@ -889,8 +891,9 @@ def test_closed_stdout_exits_1_without_an_error_line(argv, unbuffered):
         # reduce-bf's note follows the action it prints
         (("reduce-bf", "theta_term.eft"), "(1/32) * e^2 * thetaF * pi^-2 * " + EPS_FF),
         (("compute", "no_such_model.eft"), ""),  # the error line is lost
+        (("bogus",), ""),  # and so are argparse's usage lines
     ],
-    ids=["note", "error"],
+    ids=["note", "error", "usage"],
 )
 def test_closed_stderr_exits_1_after_what_stdout_holds(argv, out, unbuffered):
     proc = with_a_closed_pipe("stderr", argv, unbuffered)

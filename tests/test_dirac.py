@@ -434,25 +434,75 @@ PAIRING_LABELS = ["a", "b", "mu", "x10", "x2"]
     labels=st.integers(min_value=0, max_value=5).flatmap(
         lambda k: st.lists(st.sampled_from(PAIRING_LABELS), min_size=2 * k, max_size=2 * k)
     ),
-    head=st.sampled_from([(), ("h",)]),
-    flip=st.integers(min_value=0, max_value=1),
 )
-def test_pairing_leaf_signs_count_crossings_in_word_positions(labels, head, flip):
-    # ties included: rank order breaks a tie by position, and every leaf's
-    # sign bit is its crossing count in word positions, plus the flip
+def test_pairing_leaf_signs_count_crossings_in_word_positions(labels):
+    # ties included: rank order breaks a tie by position, and a plain
+    # trace's leaves are the pairings in rank order, as metrics of the
+    # labels, each sign bit its crossing count in word positions
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    by_position = {pair: pair for pair in combinations(order, 2)}
-    leaves = dirac._pairings(order, by_position, head, flip)
-    expected = list(_reference_pairings(order))
-    assert len(leaves) == len(expected)
-    for (sign, factors), pairs in zip(leaves, expected):
-        assert factors == head + tuple(pairs)
-        assert sign == (_crossings(pairs) + flip) % 2
-    # and a plain trace's leaves are these pairings, as metrics of the labels
     plain = [(s, tuple((m.i, m.j) for m in f)) for s, f in dirac._leaves(tuple(labels), False)]
     assert plain == [
-        (_crossings(pairs) % 2, tuple((labels[p], labels[q]) for p, q in pairs)) for pairs in expected
+        (_crossings(pairs) % 2, tuple((labels[p], labels[q]) for p, q in pairs))
+        for pairs in _reference_pairings(order)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The g5 table
+# ---------------------------------------------------------------------------
+
+
+def _double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8, 10])
+def test_g5_table_sizes_follow_the_reduction_identity(n):
+    # L(n) = 3 L(n-2) + (n-3) (n-5)!!: three metric branches and n - 3 eps
+    # partners, each with the pairings of the other n - 4 positions
+    quads, pairs, leaves = dirac._g5_table(n)
+    expected = 0
+    for m in range(4, n + 1, 2):
+        expected = 3 * expected + (m - 3) * _double_factorial(m - 5)
+    assert len(leaves) == expected == {0: 0, 2: 0, 4: 1, 6: 6, 8: 33, 10: 204}[n]
+    for sign, k, ids in leaves:
+        assert sign in (0, 1)
+        positions = [*quads[k], *(p for i in ids for p in pairs[i])]
+        assert sorted(positions) == list(range(n))
+
+
+def _ints_only(value):
+    if isinstance(value, tuple):
+        return all(map(_ints_only, value))
+    return type(value) is int
+
+
+def test_g5_table_holds_only_ints_and_is_built_once_per_length():
+    tables = [dirac._g5_table(n) for n in range(0, 11, 2)]
+    assert all(map(_ints_only, tables))
+    misses = dirac._g5_table.cache_info().misses
+    for length in (4, 6, 8, 10):
+        word = (G5,) + tuple(gamma(f"y{k}") for k in reversed(range(length)))
+        trace_word(word, FOUR_DIM)
+        assert dirac._g5_table(length) is tables[length // 2]
+    assert dirac._g5_table.cache_info().misses == misses
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labels=st.integers(min_value=2, max_value=5).flatmap(
+        lambda k: st.permutations(PAIRING_LABELS + ["c", "nu", "x1", "z", "$0"]).map(
+            lambda p: p[: 2 * k]
+        )
+    ),
+    at=st.integers(min_value=0, max_value=10),
+)
+def test_g5_trace_of_distinct_labels_is_canonical_as_built(labels, at):
+    word = [gamma(label) for label in labels]
+    word.insert(at % (len(word) + 1), G5)
+    traced = trace_word(tuple(word), FOUR_DIM)
+    assert traced.terms
+    assert canonicalize(traced) == traced
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +584,13 @@ def test_g5_trace_leaves_share_their_metric_objects():
     traced = trace_word(tuple(gamma(f"x{k}") for k in range(10)) + (G5,), FOUR_DIM)
     metrics = {id(f) for term in traced.terms for f in term.factors if type(f) is Metric}
     assert len(metrics) <= 45
+
+
+def test_g5_trace_leaves_share_one_epsilon_object_per_quadruple():
+    traced = trace_word(tuple(gamma(f"x{k}") for k in range(10)) + (G5,), FOUR_DIM)
+    eps = {id(term.factors[0]): term.factors[0].idx for term in traced.terms}
+    assert all(type(term.factors[0]) is Epsilon for term in traced.terms)
+    assert len(eps) == len(set(eps.values())) <= 44
 
 
 @pytest.mark.parametrize("g5, terms", [(0, 945), (1, 204)])

@@ -2,8 +2,8 @@
 
 A fresh interpreter runs every command in-process under ``sys.settrace``,
 which records each function entered.  It must be a fresh one: the
-``_kernel``, ``_pairing_table``, ``_build_parser`` and ``_legendre_rule``
-caches would hide calls in a warm process.  Two lists name what the
+``_kernel``, ``_pairing_table``, ``_g5_table``, ``_build_parser`` and
+``_legendre_rule`` caches would hide calls in a warm process.  Two lists name what the
 commands leave out, each entry with its one reader:
 
 - ``UNENTERED``: functions that no command enters;
