@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 diagnostics (parse/model/domain errors),
-2 renormalization left divergent terms, 3 a failed selftest check.  A
-closed stdout (``dipoleft selftest | head -1``) or stderr exits 1
-silently, also under argparse's own output (``--version``, ``--help``, a
-usage error); ``reduce-bf``'s note follows its action.  Any other
+2 renormalization left divergent terms, 3 a failed selftest check.
+Every write raises on a closed stream, argparse's own output
+(``--version``, ``--help``, a usage error) included, and ``main``'s one
+handler makes a closed stdout (``dipoleft selftest | head -1``) or stderr
+a silent exit 1; ``reduce-bf``'s note follows its action.  Any other
 exception is an engine bug and propagates.  A usage error also exits 2,
 with argparse's ``usage:`` and ``error:`` lines on stderr; called
 in-process, ``main`` raises it as ``SystemExit(2)`` rather than
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import os
 import sys
 
@@ -47,11 +47,23 @@ _FORM_CHOICES = {"fs": FIELD_STRENGTH, "potential": POTENTIAL}
 _RENDERERS = {"text": render_text, "latex": render_latex, "structured": render_structured_json}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose own output raises on a closed stream, as
+    every other write does, where argparse ignores the failure."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's one parser, built on first use and shared by every later
-    ``main`` call in the process; it holds no per-call state."""
-    parser = argparse.ArgumentParser(
+    ``main`` call in the process; it holds no per-call state.  Its
+    subparsers are ``_Parser`` too."""
+    parser = _Parser(
         prog="dipoleft",
         description="One-loop effective actions for dipole-coupled neutral fermions",
     )
@@ -155,7 +167,6 @@ def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
             if multipliers
             else "no fundamental 2-form slot"
         )
-        sys.stdout.flush()  # the action is out before a closed stderr can fail
         print(f"note: {reason}; action returned unchanged", file=sys.stderr)
     return 0
 
@@ -215,33 +226,16 @@ def _run(args: argparse.Namespace) -> int:
         return 1
 
 
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """Parse ``argv``, holding argparse's own output (``--version``,
-    ``--help``, a usage error) until it exits, then writing it to the
-    real streams here, where a closed one raises rather than being
-    ignored by argparse."""
-    streams, held = (sys.stdout, sys.stderr), (io.StringIO(), io.StringIO())
-    sys.stdout, sys.stderr = held
-    try:
-        return _build_parser().parse_args(argv)
-    except SystemExit:
-        sys.stdout, sys.stderr = streams
-        for stream, text in zip(streams, held):
-            print(text.getvalue(), end="", file=stream, flush=True)
-        raise
-    finally:
-        sys.stdout, sys.stderr = streams
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every call in a process shares ``_build_parser()``."""
     try:
-        code = _run(_parse_args(argv))
+        code = _run(_build_parser().parse_args(argv))
         sys.stdout.flush()  # a closed stdout fails here, not at shutdown
         return code
     except BrokenPipeError:
-        # A reader of stdout or stderr has gone.  Point each stream still holding what
-        # it failed to write at devnull, so the shutdown flush cannot fail; print nothing.
+        # A reader of stdout or stderr has gone.  Flush stdout first, so what it holds
+        # precedes a failed stderr write, and point each stream still holding what it
+        # failed to write at devnull, so the shutdown flush cannot fail; print nothing.
         for stream in (sys.stdout, sys.stderr):
             try:
                 stream.flush()

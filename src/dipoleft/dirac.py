@@ -229,10 +229,11 @@ def trace_word(word: Word, dim_mode: str = SYMBOLIC_DIM) -> Expression:
     each signed leaf of the reduction identity with g5.  The leaves of
     distinct labels never merge, and ``_leaves`` orders them and their
     factors as ``canonicalize`` would, g5 ones from the g5 table too, so
-    they are the canonical form as built.  A word with a repeated label is canonicalized, which merges leaves and
-    names dummies; a label used more than twice is a StructuralError
-    naming the word, raised before any leaf is built.  A ``dim_mode`` other
-    than SYMBOLIC_DIM and FOUR_DIM is a SchemeError, raised first.
+    they are the canonical form as built.  A word with a repeated label
+    is canonicalized, which merges leaves and names dummies; a label used
+    more than twice is a StructuralError naming the word, raised before
+    any leaf is built.  A ``dim_mode`` other than SYMBOLIC_DIM and
+    FOUR_DIM is a SchemeError, raised first.
     """
     _check_mode(dim_mode)
     sign, normalized = normalize_word(word)

@@ -65,23 +65,21 @@ def _display_coeff(term: ActionTerm, action: EffectiveAction, form: str) -> Coef
     return coeff
 
 
-def _gaussian_parts(coeff: Coefficient) -> tuple[Fraction, int]:
-    if coeff.im == 0:
-        return coeff.re, 0
-    if coeff.re == 0:
-        return coeff.im, 1
-    raise RenderError("action coefficients must be purely real or purely imaginary")
-
-
-def _plain_parts(coeff: Coefficient, fmt: str) -> tuple[Fraction, int]:
-    """``_gaussian_parts`` of a coefficient with no log atom or eps pole, which ``fmt`` cannot print."""
-    if coeff.logs or coeff.eps_power:
+def _parts(coeff: Coefficient, fmt: str = "") -> tuple[Fraction, int, dict[str, int], int]:
+    """The value, power of i (0 or 1), other constants by name and power of
+    pi of a purely real or purely imaginary coefficient; a ``fmt`` given
+    cannot print a log atom or eps pole either."""
+    if fmt and (coeff.logs or coeff.eps_power):
         raise RenderError(f"{fmt} coefficients cannot carry log atoms or eps poles")
-    return _gaussian_parts(coeff)
+    if coeff.re and coeff.im:
+        raise RenderError("action coefficients must be purely real or purely imaginary")
+    consts = dict(coeff.consts)
+    pi_power = consts.pop("pi", 0)
+    return (coeff.im, 1, consts, pi_power) if coeff.im else (coeff.re, 0, consts, pi_power)
 
 
 def coefficient_text(coeff: Coefficient) -> str:
-    value, i_power = _gaussian_parts(coeff)
+    value, i_power, _, _ = _parts(coeff)
     pieces = [f"({value})"]
     if i_power:
         pieces.append("i")
@@ -91,8 +89,7 @@ def coefficient_text(coeff: Coefficient) -> str:
 def _monomial_pieces(coeff: Coefficient) -> list[str]:
     """The constants, pi, log atoms and eps power of coeff, as text factors."""
     pieces = []
-    consts = dict(coeff.consts)
-    pi_power = consts.pop("pi", 0)
+    _, _, consts, pi_power = _parts(coeff)
     for name in sorted(consts):
         exp = consts[name]
         pieces.append(name if exp == 1 else f"{name}^{exp}")
@@ -129,17 +126,20 @@ def render_text(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _latex_name(name: str) -> str:
+    """A declared name in LaTeX, each ``_`` printed, not a subscript."""
+    return name.replace("_", r"\_")
+
+
 def _latex_const(name: str) -> str:
     """A constant's LaTeX; the bubble I0[M] of a mass other than m is I_{M}(0)."""
     if name not in _LATEX_CONST and (mass := bubble_mass(name)):
         return r"I_{%s}(0)" % _latex_const(mass)
-    return _LATEX_CONST.get(name, name)
+    return _LATEX_CONST.get(name) or _latex_name(name)
 
 
 def _latex_coefficient(coeff: Coefficient) -> str:
-    value, i_power = _plain_parts(coeff, "LaTeX")
-    consts = dict(coeff.consts)
-    pi_power = consts.pop("pi", 0)
+    value, i_power, consts, pi_power = _parts(coeff, "LaTeX")
     numer: list[str] = []
     denom: list[str] = []
     sign = "-" if value < 0 else ""
@@ -174,9 +174,10 @@ def render_term_latex(term: ActionTerm, action: EffectiveAction, form: str = FIE
     for slot_name, pair in ((term.slot_a, idx[:2]), (term.slot_b, idx[2:])):
         slot = action.slot(slot_name)
         if form == POTENTIAL and slot.exact:
-            parts.append(r"\partial_{%s} %s_{%s}" % (pair[0], slot.potential, pair[1]))
+            potential = _latex_name(slot.potential)
+            parts.append(r"\partial_{%s} %s_{%s}" % (pair[0], potential, pair[1]))
         else:
-            parts.append(r"%s_{%s%s}" % (slot.name, pair[0], pair[1]))
+            parts.append(r"%s_{%s%s}" % (_latex_name(slot.name), pair[0], pair[1]))
     return f"{coeff}\\, {eps} {parts[0]} {parts[1]}"
 
 
@@ -195,9 +196,7 @@ def render_latex(action: EffectiveAction, form: str = FIELD_STRENGTH) -> str:
 
 
 def coefficient_structured(coeff: Coefficient) -> dict[str, Any]:
-    value, i_power = _plain_parts(coeff, "structured")
-    consts = dict(coeff.consts)
-    pi_power = consts.pop("pi", 0)
+    value, i_power, consts, pi_power = _parts(coeff, "structured")
     if "d" in consts:
         raise RenderError("structured coefficients cannot carry the symbolic dimension")
     return {

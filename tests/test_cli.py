@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -701,6 +702,22 @@ def test_console_script_entry_point_without_installation(tmp_path):
     code, out, err = fresh("compute", str(model))
     assert (code, out) == (1, "")
     assert err.startswith(f"{model}:line 1: syntax: ")
+
+
+def _readme_commands() -> list[list[str]]:
+    """The words of each line of README's "Command line" block, with
+    ``\\`` continuations joined and ``#`` comments dropped."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line]
+
+
+@pytest.mark.parametrize("line", _readme_commands(), ids=" ".join)
+def test_readme_commands_exit_0(capsys, monkeypatch, line):
+    assert line[0] == "dipoleft"
+    monkeypatch.chdir(REPO_ROOT)  # the block names the bundled fixtures from the repo root
+    assert run_or_exit(capsys, *line[1:])[0] == 0
 
 
 def test_usage_error_in_process_raises_system_exit(capsys):

@@ -27,8 +27,9 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 
-# Every command but selftest, in every output form and format.  The last
-# two are a malformed model and a model whose divergence no line absorbs.
+# Every command but selftest, in every output form and format, then
+# argparse's own output: the version, a help text and a usage error.  The
+# last two are a malformed model and a model whose divergence no line absorbs.
 OUTPUTS = [("--form", form, "--format", fmt)
            for form in ("fs", "potential") for fmt in ("text", "latex", "structured")]
 COMMANDS = [
@@ -43,6 +44,9 @@ COMMANDS = [
      "--set", "LambdaF=1/2*pi^-1", "--set", "CF=-1/8*e^2*pi^-1"),
     ("reduce-bf", "bf_theory.eft", "--set", "LambdaF=0"),
     ("check-quantization", "--theta", "1/3pi", "--nf", "3"),
+    ("--version",),
+    ("compute", "--help"),
+    ("bogus",),
     ("compute", "{malformed}"),
     ("compute", "{unabsorbed}"),
 ]
@@ -56,8 +60,8 @@ UNABSORBED = (
 
 # Runs each stage's commands through ``main`` under a tracer that records
 # every code object entered, then prints as JSON the qualified names of all
-# functions in the package's source, the exit codes, and per stage the
-# names entered so far.
+# functions in the package's source, the exit codes (a ``SystemExit``'s
+# code for argparse's own output), and per stage the names entered so far.
 PROBE = r"""
 import contextlib, io, json, sys
 from pathlib import Path
@@ -98,7 +102,10 @@ exits, seen = [], {}
 for stage, argvs in runs.items():
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            exits.append(main(argv))
+            try:
+                exits.append(main(argv))
+            except SystemExit as exc:
+                exits.append(exc.code)
     seen[stage] = entered()
 sys.settrace(None)
 print(json.dumps({"all": everything, "exits": exits, **seen}))
@@ -172,8 +179,9 @@ def test_every_function_is_entered_by_a_command_or_listed(tmp_path):
     report = _probe(tmp_path)
     everything = set(report["all"])
     assert len(everything) == len(report["all"]), "two functions share a qualified name"
-    # every command succeeds but the malformed and the unabsorbed model, then selftest passes
-    assert report["exits"] == [0] * (len(COMMANDS) - 2) + [1, 2] + [0]
+    # every command succeeds but the usage error, the malformed and the
+    # unabsorbed model, then selftest passes
+    assert report["exits"] == [0] * (len(COMMANDS) - 3) + [2, 1, 2] + [0]
     commands, after_selftest = set(report["commands"]), set(report["selftest"])
     assert _against(UNENTERED, everything - after_selftest) == {"unlisted": [], "stale": []}
     selftest_only = {

@@ -82,6 +82,23 @@ def test_latex_bubble_of_another_mass():
     assert "I0" not in latex
 
 
+@pytest.mark.parametrize("form", [FIELD_STRENGTH, POTENTIAL])
+@pytest.mark.parametrize("renormalized", [False, True], ids=["divergent", "renormalized"])
+def test_latex_prints_each_underscore_of_a_name(form, renormalized):
+    model = parse_model(
+        "dim 4\nconstant e_b real positive\nconstant e_b_c real\nslot F_x exact A_y\n"
+        "flavor psi_1 mass m_2 chirality + coeff e_b*e_b_c/2 combo F_x\n"
+        "absorb e_b_c^2 as theta_F scale 1/32/pi^2\n"
+    )
+    action = assemble(model)
+    if renormalized:
+        action = renormalize(action, model.absorb)
+    latex = render_latex(action, form)
+    assert r"e\_b" in latex
+    # a bare "_" opens a subscript group; a second one on a name would not compile
+    assert re.findall(r"(?<!\\)_(?!\{)", latex) == []
+
+
 def test_structured_round_trip_both_forms(theta_action, bf_action):
     for action in (theta_action, bf_action):
         for form in (FIELD_STRENGTH, POTENTIAL):
