@@ -167,6 +167,7 @@ def _run_compute(args: argparse.Namespace, reduce_multiplier: bool) -> int:
             if multipliers
             else "no fundamental 2-form slot"
         )
+        sys.stdout.flush()  # the action precedes the note; a closed stdout fails before it
         print(f"note: {reason}; action returned unchanged", file=sys.stderr)
     return 0
 

@@ -57,7 +57,7 @@ def _display_coeff(term: ActionTerm, action: EffectiveAction, form: str) -> Coef
     try:
         str(coeff.re), str(coeff.im)
     except ValueError:
-        monomial = " * ".join(_monomial_pieces(coeff)) or "1"
+        monomial = " * ".join(_monomial_pieces(coeff, *_consts(coeff))) or "1"
         raise RenderError(
             f"the coefficient of the eps {term.slot_a} {term.slot_b} term in {monomial} "
             f"is too large to print: it has more than {sys.get_int_max_str_digits()} digits"
@@ -73,23 +73,27 @@ def _parts(coeff: Coefficient, fmt: str = "") -> tuple[Fraction, int, dict[str, 
         raise RenderError(f"{fmt} coefficients cannot carry log atoms or eps poles")
     if coeff.re and coeff.im:
         raise RenderError("action coefficients must be purely real or purely imaginary")
+    return (coeff.im, 1, *_consts(coeff)) if coeff.im else (coeff.re, 0, *_consts(coeff))
+
+
+def _consts(coeff: Coefficient) -> tuple[dict[str, int], int]:
+    """The constants of coeff other than pi by name, and its power of pi."""
     consts = dict(coeff.consts)
-    pi_power = consts.pop("pi", 0)
-    return (coeff.im, 1, consts, pi_power) if coeff.im else (coeff.re, 0, consts, pi_power)
+    return consts, consts.pop("pi", 0)
 
 
 def coefficient_text(coeff: Coefficient) -> str:
-    value, i_power, _, _ = _parts(coeff)
+    value, i_power, consts, pi_power = _parts(coeff)
     pieces = [f"({value})"]
     if i_power:
         pieces.append("i")
-    return " * ".join(pieces + _monomial_pieces(coeff))
+    return " * ".join(pieces + _monomial_pieces(coeff, consts, pi_power))
 
 
-def _monomial_pieces(coeff: Coefficient) -> list[str]:
-    """The constants, pi, log atoms and eps power of coeff, as text factors."""
+def _monomial_pieces(coeff: Coefficient, consts: dict[str, int], pi_power: int) -> list[str]:
+    """The given constants and power of pi, then the log atoms and eps power
+    of coeff, as text factors."""
     pieces = []
-    _, _, consts, pi_power = _parts(coeff)
     for name in sorted(consts):
         exp = consts[name]
         pieces.append(name if exp == 1 else f"{name}^{exp}")

@@ -874,31 +874,54 @@ def with_a_closed_pipe(closed: str, argv, unbuffered: bool) -> subprocess.Comple
     """``python -m dipoleft.cli`` with ``closed`` ("stdout" or "stderr") on a
     pipe whose reader has exited before the command writes, as `head` may,
     and the other stream captured."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
+    try:
+        return run_module(argv, unbuffered, **streams)
+    finally:
+        os.close(write_end)
+
+
+def run_module(argv, unbuffered: bool, **streams) -> subprocess.CompletedProcess:
+    """``python -m dipoleft.cli`` on the source tree from the repo root, its
+    stdout and stderr buffered or not."""
     src = str(REPO_ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
-    try:
-        return subprocess.run(
-            [sys.executable, "-m", "dipoleft.cli", *argv], text=True, env=env, cwd=REPO_ROOT, **streams
-        )
-    finally:
-        os.close(write_end)
+    return subprocess.run(
+        [sys.executable, "-m", "dipoleft.cli", *argv], text=True, env=env, cwd=REPO_ROOT, **streams
+    )
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
-    [("compute", "theta_term.eft"), ("selftest", "--count", "5"), ("--version",), ("compute", "--help")],
-    ids=["compute", "selftest", "version", "help"],
+    [
+        ("compute", "theta_term.eft"),
+        ("reduce-bf", "theta_term.eft"),  # the note, too, is not printed
+        ("selftest", "--count", "5"),
+        ("--version",),
+        ("compute", "--help"),
+    ],
+    ids=["compute", "note", "selftest", "version", "help"],
 )
 def test_closed_stdout_exits_1_without_an_error_line(argv, unbuffered):
     proc = with_a_closed_pipe("stdout", argv, unbuffered)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reduce_bf_note_follows_its_action_on_a_shared_stream(unbuffered):
+    argv = ("reduce-bf", "theta_term.eft")
+    proc = run_module(argv, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "(1/32) * e^2 * thetaF * pi^-2 * " + EPS_FF
+        + "note: no fundamental 2-form slot; action returned unchanged\n"
+    )
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,15 @@ def test_mixed_gaussian_coefficient_rejected():
     )
     with pytest.raises(RenderError):
         render_text(bad)
+
+
+@pytest.mark.parametrize("render", [render_text, render_latex])
+def test_too_large_coefficient_is_named_before_a_mixed_one(render):
+    huge = Fraction(10 ** (sys.get_int_max_str_digits() + 1))
+    coeff = Coefficient(re=huge, im=Fraction(1), consts=(("e", 2), ("pi", -1)))
+    bad = EffectiveAction(terms=(ActionTerm(coeff, "F", "F"),), slots=(SlotSpec("F", "A"),))
+    with pytest.raises(RenderError, match=r"^the coefficient of the eps F F term in e\^2 \* pi\^-1 is too large"):
+        render(bad)
 
 
 def test_unknown_form_rejected(theta_action):
